@@ -235,6 +235,8 @@ class AbelMap:
         vec = self.integrate_v_alpha(path)
         if compatible:
             vec = vec - self.lattice_correction(path)
+        if not np.all(np.isfinite(vec)):
+            raise DifferentialError(f"non-finite Abel vector along {path.label}")
         self._cache[key] = vec
         return vec
 

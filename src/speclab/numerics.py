@@ -445,8 +445,8 @@ def integrate(fn, contour, rel_tol=QUAD_REL_TOL, abs_floor=1e-14, max_depth=24,
         tol_here = max(rel_tol * max(scale_acc, abs(fine)), abs_floor)
         if e <= tol_here or depth >= max_depth:
             # at the depth cap, tolerate a roundoff-floor plateau but fail on
-            # genuinely unresolved panels
-            if depth >= max_depth and e > max(1e3 * tol_here, 3e-9):
+            # genuinely unresolved or non-finite panels
+            if depth >= max_depth and not e <= max(1e3 * tol_here, 3e-9):
                 raise QuadratureError(
                     "quadrature subdivision exhausted on segment %d of %s "
                     "(panel error %.3e)" % (si, contour.label or "contour", e))

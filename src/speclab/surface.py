@@ -213,7 +213,7 @@ def capsule(points, margin, label=""):
 # hull orientation check: the monotone-chain output above is clockwise for
 # the usual convention, so fix orientation by signed area.
 
-def _signed_area(contour, samples=256):
+def _signed_area(contour):
     z = contour.polyline(per_segment=32)
     return 0.5 * float(np.sum((z[:-1].real * z[1:].imag - z[1:].real * z[:-1].imag)))
 

@@ -620,7 +620,6 @@ def q_multidiff(curve, geo, points):
     seen = set()
     for perm in permutations(range(1, n)):
         cyc = (0,) + perm
-        canon = min(cyc[1:], key=lambda *_: 0) if False else None
         rev = (0,) + tuple(reversed(perm))
         if rev in seen:
             continue

@@ -4,7 +4,7 @@ import pytest
 from speclab import moduli
 from speclab import numerics as nm
 from speclab import surface as sf
-from speclab.differentials import (ContourField, DifferentialError,
+from speclab.differentials import (AbelMap, ContourField, DifferentialError,
                                    second_kind, third_kind)
 
 
@@ -115,6 +115,13 @@ class TestAbel:
                 assert np.max(np.abs(sa - np.eye(g)[a])) < 1e-10
                 sb = geo.abel.integrate_v_alpha(geo.basis.b_cycles[a])
                 assert np.max(np.abs(sb - geo.period.omega[:, a])) < 1e-9
+
+    def test_non_finite_abel_vector_names_path(self, ell4, monkeypatch):
+        abel = AbelMap(ell4.curve, ell4.geo.period)
+        monkeypatch.setattr(abel, "integrate_v_alpha",
+                            lambda path: np.full(ell4.geo.genus, np.nan + 0j))
+        with pytest.raises(DifferentialError, match="abel->"):
+            abel.at(ell4.curve.branch_points[0], None)
 
 
 class TestThetaKernels:

@@ -82,6 +82,13 @@ class TestQuadrature:
         res = nm.integrate_function(lambda z: 1.0 / np.sqrt(z + 0j), nm.Contour([seg]))
         assert abs(res.value - (-2.0)) < 1e-10
 
+    def test_non_finite_panel_raises(self):
+        # a node on a branch-point end makes the last panel non-finite at
+        # every depth; it must not be accepted at the depth cap
+        c = nm.Contour([nm.Line(0.0, 1.0)], label="leg")
+        with pytest.raises(nm.QuadratureError, match="leg"):
+            nm.integrate(lambda si, t, z: np.where(t > 0.99, np.nan, 1.0), c, max_depth=3)
+
 
 class TestCircleJet:
     def test_simple_pole(self):
