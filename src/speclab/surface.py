@@ -406,17 +406,19 @@ class SpectralCurve:
 
     # -- basic evaluators (n = 2) -------------------------------------------
 
-    def sqrtP(self, x):
+    def sqrtP(self, x, near=None):
         """w candidates: sqrt of the discriminant, evaluated in factored form
         (lead * prod (x - e_i)) so there is no cancellation near the branch
-        points; the expanded form loses ~4 digits there."""
+        points; the expanded form loses ~4 digits there. near = (e, dx)
+        replaces the factor x - e of the branch point e by dx, for points
+        closer to e than the rounding of x resolves."""
         x = np.asarray(x, dtype=complex)
         if getattr(self, "branch_points", None) is None or len(
                 self.branch_points) != len(self.P) - 1:
             return np.sqrt(nm.polyval(self.P, x))
         prod = np.full_like(x, self.P[-1])
         for e in self.branch_points:
-            prod = prod * (x - e)
+            prod = prod * (near[1] if near is not None and e == near[0] else x - e)
         return np.sqrt(prod)
 
     def Dval(self, x):
@@ -551,7 +553,16 @@ class SpectralCurve:
             ta = ta[good]
             wa = wa[good]
         idx = np.clip(np.searchsorted(ta, t), 0, len(ta) - 1)
-        s = self.sqrtP(z)
+        # on a square-root leg x - e at the branch-point end is exact in the
+        # parameter, while x itself rounds onto e as t nears the end
+        seg = contour.segments[seg_index]
+        end = getattr(seg, "sqrt_end", None)
+        near = None
+        if end == "end":
+            near = (seg.z1, (seg.z0 - seg.z1) * (1.0 - t) ** 2)
+        elif end == "start":
+            near = (seg.z0, (seg.z1 - seg.z0) * t ** 2)
+        s = self.sqrtP(z, near)
         ref = wa[idx]
         return np.where(np.abs(s - ref) <= np.abs(s + ref), s, -s)
 

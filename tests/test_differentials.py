@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from speclab import moduli
+from speclab import generator, moduli
 from speclab import numerics as nm
 from speclab import surface as sf
 from speclab.differentials import (AbelMap, ContourField, DifferentialError,
                                    second_kind, third_kind)
+from speclab.harness import Session
 
 
 class TestNormalizedBasis:
@@ -115,6 +116,15 @@ class TestAbel:
                 assert np.max(np.abs(sa - np.eye(g)[a])) < 1e-10
                 sb = geo.abel.integrate_v_alpha(geo.basis.b_cycles[a])
                 assert np.max(np.abs(sb - geo.period.omega[:, a])) < 1e-9
+
+    def test_branch_point_beside_close_pair(self):
+        # the half-step A2 build of this draw has branch points 0.157 apart;
+        # the Abel integral to the nearer one used to chase rounding noise
+        # until a Gauss node landed on the branch point
+        ses = Session(generator.generate("g2-resfree", seed_base=3))
+        curve, geo = ses.eng.build(1, ses.eng.eps_for(1) / 2)
+        for e in curve.branch_points:
+            assert np.all(np.isfinite(geo.abel.at(e, None)))
 
     def test_non_finite_abel_vector_names_path(self, ell4, monkeypatch):
         abel = AbelMap(ell4.curve, ell4.geo.period)

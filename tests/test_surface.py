@@ -82,6 +82,22 @@ class TestContinuation:
         assert end_sheet == 1  # single branch loop swaps the sheets
 
 
+class TestSquareRootLeg:
+    def test_w_resolves_branch_end(self, ell4):
+        # points within 1e-18 of the branch point: x rounds onto it, but w
+        # still follows w^2 = P'(e) (x - e) with x - e exact in t
+        curve = ell4.curve
+        e = curve.branch_points[0]
+        path = sf.path_to_point(curve, e, None, sqrt_end="end")
+        k = len(path.segments) - 1
+        seg = path.segments[k]
+        assert seg.sqrt_end == "end"
+        s = np.array([1e-5, 1e-7, 1e-9])
+        w = curve.w_on_segment(path, k, 1.0 - s, seg.point(1.0 - s))
+        expect = nm.polyval(nm.polyder(curve.P), e) * (seg.z0 - e) * s ** 2
+        assert np.all(np.abs(w ** 2 - expect) <= 1e-6 * np.abs(expect))
+
+
 class TestHomology:
     def test_intersection_matrix_canonical(self, ell4, g2_23, g2_5, g2_resfree):
         for ses in (ell4, g2_23, g2_5, g2_resfree):
