@@ -291,11 +291,7 @@ class ContourField:
         S = nm.gl_antiderivative_matrix(order)
         start = contour.start()
         w0 = curve.contour_start_w(contour)
-        if contour.is_closed():
-            # anchor at the contour's own start
-            A_run = abel.at(start, w0, compatible=compatible)
-        else:
-            A_run = abel.at(start, w0, compatible=compatible)
+        A_run = abel.at(start, w0, compatible=compatible)
         panels = []
         w_run = w0
         for si, seg in enumerate(contour.segments):
@@ -319,9 +315,6 @@ class ContourField:
                                "dz": dz, "wq": t_w})
                 A_run = A_end
         self.panels = panels
-        self.closure_defect = float(np.max(np.abs(
-            A_run - abel.at(start, w0, compatible=compatible)))) if contour.is_closed() else 0.0
-        self.period_of_v_alpha = A_run  # end value (loop period when closed)
 
     def integrate_kernel(self, kernel):
         """Sum of kernel(panel) . weights over the contour.
@@ -532,10 +525,6 @@ class LocalFrames:
             self._frames[zero_index] = (self._branch_frame(z) if z.is_branch
                                         else self._zero_frame(z))
         return self._frames[zero_index]
-
-    def branch_frame_by_branch_index(self, i):
-        # branch zeros come first in curve.zeros, in branch order
-        return self.frame(i)
 
     def _branch_frame(self, z):
         curve = self.curve

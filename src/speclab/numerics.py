@@ -366,11 +366,6 @@ def circle(center, radius, orientation=+1, a0=0.0):
     return Contour([Arc(center, radius, a0, a1)])
 
 
-def min_distance_to_segment(seg, point, samples=64):
-    t = np.linspace(0.0, 1.0, samples)
-    return float(np.min(np.abs(seg.point(t) - point)))
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------

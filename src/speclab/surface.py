@@ -10,7 +10,7 @@ paths that keep a safety distance from the branch points. Generic-n builds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -524,34 +524,30 @@ class SpectralCurve:
         return contour._start_w[1]
 
     def anchors(self, contour):
-        """Per-segment anchor grids (t, z, w) for integrand evaluation."""
+        """Per-segment anchor grids (t, w) of tracked w for matching the sign
+        of w in integrands. Anchors with tiny |w| (the exact branch endpoint
+        of a square-root leg) carry an arbitrary sign and are left out."""
         cached = getattr(contour, "_anchors", None)
         if cached is None or cached[0] is not self:
-            w0 = self.contour_start_w(contour)
+            w_run = self.contour_start_w(contour)
             data = []
-            w_run = w0
             for seg in contour.segments:
                 npts = self._track_points(seg)
                 t = np.linspace(0.0, 1.0, npts)
-                z = seg.point(t)
-                w = self.track_w(z, w_run)
+                w = self.track_w(seg.point(t), w_run)
                 w_run = w[-1]
-                data.append((t, z, w))
+                good = np.abs(w) > 1e-6 * float(np.median(np.abs(w)) + 1e-300)
+                data.append((t, w) if np.all(good) else (t[good], w[good]))
             contour._anchors = (self, data)
         return contour._anchors[1]
 
     def w_on_segment(self, contour, seg_index, t, z):
         """w at parameters t of one segment, matched to the tracked anchors.
 
-        Anchors with tiny |w| (the exact branch endpoint of a square-root
-        leg) carry an arbitrary sign and are skipped; the radial approach
-        keeps the phase stable, so a farther anchor matches safely.
+        The radial approach to a branch endpoint keeps the phase stable, so
+        the farther anchor left in its place by anchors() matches safely.
         """
-        ta, za, wa = self.anchors(contour)[seg_index]
-        good = np.abs(wa) > 1e-6 * float(np.median(np.abs(wa)) + 1e-300)
-        if not np.all(good):
-            ta = ta[good]
-            wa = wa[good]
+        ta, wa = self.anchors(contour)[seg_index]
         idx = np.clip(np.searchsorted(ta, t), 0, len(ta) - 1)
         # on a square-root leg x - e at the branch-point end is exact in the
         # parameter, while x itself rounds onto e as t nears the end
@@ -798,6 +794,21 @@ class HomologyBasis:
     b_cycles: list
     cuts: list
     b_flipped: list = field(default_factory=list)
+    # transport record: the singular points the capsules were routed around,
+    # and per cycle (a then b) the contour's distance to them, its routing
+    # floor and w at its start
+    origin: np.ndarray = None
+    clearances: list = field(default_factory=list)
+    floors: list = field(default_factory=list)
+    start_w: list = field(default_factory=list)
+    transported: bool = False
+
+    @property
+    def cycles(self):
+        return self.a_cycles + self.b_cycles
+
+
+LIFT_JUMP_MAX = 0.25  # largest relative change of w at a carried cycle's start
 
 
 def homology_basis(curve, template_basis=None):
@@ -806,23 +817,45 @@ def homology_basis(curve, template_basis=None):
     Branch points in the deterministic order are paired into consecutive
     cuts; a_i rings cut i, b_i rings the block from the right end of cut i
     through the left end of the last cut. Orientations come from computed
-    intersection numbers, or are inherited from a template basis when the
-    curve is a small deformation (the numbers are locally constant).
+    intersection numbers.
+
+    With a template basis (the curve is a small deformation of the
+    template's) the template's contours are carried over unchanged while
+    they provably still clear the moved singular points: with delta the
+    largest move of any singular point from the template's origin points
+    (matched in order), every cycle needs clearance - delta > floor, where
+    clearance is its exact distance to the origin points and floor the
+    routing floor of _capsule_for. By the triangle inequality no singular
+    point then crosses a contour, so each carried cycle is homologous to a
+    fresh capsule. The origin stays that of the curve the capsules were
+    routed on, through any chain of carries, so the moves add up.
+
+    The lift is carried by continuity as well: w at each contour's start is
+    the root of P on the new curve nearest the template's, and a jump
+    beyond LIFT_JUMP_MAX of |w| refuses the carry. Re-deriving the sheet
+    from the basepoint instead would re-route a path whose sheet labeling
+    can jump. When the carry is refused the capsules are rebuilt with the
+    template's orientations (the intersection numbers are locally
+    constant), and `transported` stays False.
     """
     if curve.n != 2:
         raise SurfaceError("homology basis not implemented for n>2")
     e = curve.branch_points
     g = curve.counts.genus
     cuts = [(e[2 * i], e[2 * i + 1]) for i in range(g + 1)]
-    a_cycles = []
-    b_cycles = []
-    for i in range(g):
-        grp = [e[2 * i], e[2 * i + 1]]
-        a_cycles.append(_capsule_for(curve, grp, f"a{i + 1}"))
-    for i in range(g):
-        grp = list(e[2 * i + 1: 2 * g + 1])
-        b_cycles.append(_capsule_for(curve, grp, f"b{i + 1}"))
-    basis = HomologyBasis(a_cycles, b_cycles, cuts)
+    if template_basis is not None:
+        basis = _transported(curve, template_basis, cuts)
+        if basis is not None:
+            return basis
+    built = [_capsule_for(curve, [e[2 * i], e[2 * i + 1]], f"a{i + 1}")
+             for i in range(g)]
+    built += [_capsule_for(curve, list(e[2 * i + 1: 2 * g + 1]), f"b{i + 1}")
+              for i in range(g)]
+    basis = HomologyBasis([c for c, _, _ in built[:g]],
+                          [c for c, _, _ in built[g:]], cuts,
+                          origin=curve.singular_points.copy(),
+                          clearances=[r for _, r, _ in built],
+                          floors=[f for _, _, f in built])
     if template_basis is not None:
         basis.b_flipped = list(template_basis.b_flipped)
         for i, flip in enumerate(basis.b_flipped):
@@ -830,10 +863,42 @@ def homology_basis(curve, template_basis=None):
                 basis.b_cycles[i] = basis.b_cycles[i].reversed()
     else:
         _orient_b_cycles(curve, basis)
+    basis.start_w = [curve.contour_start_w(c) for c in basis.cycles]
     return basis
 
 
+def _transported(curve, template, cuts):
+    """The template's cycles carried onto curve, or None if the clearance
+    bound or the lift continuity fails (see homology_basis)."""
+    if template.origin is None or len(template.origin) != len(curve.singular_points):
+        return None
+    delta = float(np.max(np.abs(curve.singular_points - template.origin)))
+    if any(r - delta <= f for r, f in zip(template.clearances, template.floors)):
+        return None
+    cycles = []
+    start_w = []
+    for c, w_old in zip(template.cycles, template.start_w):
+        w = complex(curve.sqrtP(np.array([c.start()]))[0])
+        if abs(w - w_old) > abs(w + w_old):
+            w = -w
+        if abs(w - w_old) > LIFT_JUMP_MAX * abs(w_old):
+            return None
+        # a copy of its own, so the per-curve caches of the template's
+        # contour stay with the template's curve
+        c = replace(c)
+        c._start_w = (curve, w)
+        cycles.append(c)
+        start_w.append(w)
+    g = len(template.a_cycles)
+    return HomologyBasis(cycles[:g], cycles[g:], cuts,
+                         list(template.b_flipped), template.origin,
+                         template.clearances, template.floors, start_w,
+                         transported=True)
+
+
 def _capsule_for(curve, group, label):
+    """Capsule around group clear of every other singular point, with its
+    clearance and routing floor (see homology_basis)."""
     group = [complex(p) for p in group]
     excluded = [complex(q) for q in curve.singular_points
                 if min(abs(q - p) for p in group) > 1e-12]
@@ -849,10 +914,11 @@ def _capsule_for(curve, group, label):
             best = (score, c, margin)
     score, contour, margin = best
     spread = _min_pairwise(curve.branch_points)
-    if score <= max(0.25 * margin, 0.03 * spread):
+    floor = max(0.25 * margin, 0.03 * spread)
+    if score <= floor:
         raise SurfaceError(f"could not route capsule {label} clear of "
                            "singular points; instance geometry too tight")
-    return contour
+    return contour, _exact_distance(contour, curve.singular_points), floor
 
 
 def _dist_to_set(contour, points):
@@ -860,6 +926,28 @@ def _dist_to_set(contour, points):
         return 1.0
     z = contour.polyline(per_segment=512)
     return float(np.min(np.abs(z[:, None] - np.asarray(points)[None, :])))
+
+
+def _exact_distance(contour, points):
+    """Distance from a chain of lines and arcs to points, in closed form
+    (a sampled polyline overstates it by up to half its spacing)."""
+    p = np.asarray(points, dtype=complex)
+    best = np.inf
+    for seg in contour.segments:
+        if isinstance(seg, Line):
+            d = seg.z1 - seg.z0
+            t = np.clip(((p - seg.z0) * np.conj(d)).real / max(abs(d) ** 2, 1e-300),
+                        0.0, 1.0)
+            dist = np.abs(p - (seg.z0 + t * d))
+        else:
+            # the foot of the radius through p lies on the arc, or the
+            # nearest point is an arc end
+            on_arc = (np.mod(np.angle(p - seg.center) - min(seg.a0, seg.a1), 2 * np.pi)
+                      <= abs(seg.a1 - seg.a0))
+            ends = np.minimum(np.abs(p - seg.point(0.0)), np.abs(p - seg.point(1.0)))
+            dist = np.where(on_arc, np.abs(np.abs(p - seg.center) - seg.radius), ends)
+        best = min(best, float(np.min(dist)))
+    return best
 
 
 def _orient_b_cycles(curve, basis):

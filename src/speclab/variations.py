@@ -112,19 +112,6 @@ class BranchData:
         from .differentials import _series_from_samples
         return _series_from_samples(vals, fr.rho)
 
-    def direction_on_circle(self, i, diff):
-        c = self.circles[i]
-        return diff.fn(c["x"], _w_from_Y(self.curve, c, self.frames[i])) * (2.0 * c["eta"])
-
-    def y_values(self, i):
-        """(Y, y, y') on the evaluation circle of frame i."""
-        fr, c = self.frames[i], self.circles[i]
-        eta = c["eta"]
-        y_series = fr.Y_series[1:] / 2.0
-        y = nm.polyval(y_series, eta)
-        yp = nm.polyval(nm.polyder(y_series), eta)
-        return c["Y"], y, yp
-
     def residue(self, i, samples):
         return residue_from_samples(samples, self.circles[i]["eta"])
 
@@ -232,12 +219,6 @@ class BranchData:
         Y = nm.polyval(fr.Y_series, eta)
         f = (sb - sv) / (6.0 * Y)
         return residue_from_samples(f, eta)
-
-
-def _w_from_Y(curve, circle, frame):
-    """w on the evaluation circle, reconstructed from the frame series."""
-    y = circle["Y"] / (2.0 * circle["eta"]) if frame.kind == "branch" else circle["Y"]
-    return 2.0 * curve.Dval(circle["x"]) * y + nm.polyval(curve.N1, circle["x"])
 
 
 # ---------------------------------------------------------------------------

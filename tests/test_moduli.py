@@ -4,6 +4,9 @@ import pytest
 from speclab import moduli
 from speclab import numerics as nm
 from speclab import surface as sf
+from speclab.differentials import Geometry
+from speclab.generator import generate
+from speclab.harness import run_suite
 
 
 class TestCoordinates:
@@ -141,6 +144,37 @@ class TestNavigation:
             om = nav.geo.period.omega
             assert np.max(np.abs(om - om_prev)) < 1e-2
             om_prev = om
+
+
+class TestTransportedBasis:
+    def test_newton_build_matches_fresh_basis(self, g2_23):
+        target = g2_23.nav.coordinates().vector.copy()
+        target[0] += 1e-3
+        nav2 = g2_23.nav.step_to(target)
+        assert nav2.basis.transported
+        curve = nav2.curve
+        fresh = sf.homology_basis(curve)
+        assert not fresh.transported
+        assert nav2.basis.b_flipped == fresh.b_flipped
+        for c1, c2 in zip(nav2.basis.a_cycles, fresh.a_cycles):
+            v1 = curve.integrate_v(c1).value
+            v2 = curve.integrate_v(c2).value
+            assert abs(v1 - v2) < 1e-10 * max(1.0, abs(v1))
+        om = nav2.geo.period.omega
+        om_fresh = Geometry(curve, fresh).period.omega
+        assert np.max(np.abs(om - om_fresh)) < 1e-10
+        g = curve.counts.genus
+        expect = np.block([
+            [np.zeros((g, g), dtype=int), np.eye(g, dtype=int)],
+            [-np.eye(g, dtype=int), np.zeros((g, g), dtype=int)]])
+        assert np.array_equal(sf.intersection_matrix(curve, nav2.basis), expect)
+
+    def test_lift_carried_on_resfree_draw(self):
+        # re-deriving the start sheets of carried contours from the basepoint
+        # flips a lift on one of this draw's FD builds, and PeriodData
+        # raises on the asymmetric period matrix
+        report = run_suite(generate("g2-resfree", seed_base=84445952), "tau")
+        assert report.passed, report.summary_lines()
 
 
 class TestFDEngine:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from speclab import moduli
 from speclab import numerics as nm
 from speclab import surface as sf
 from speclab.differentials import Geometry
@@ -139,6 +142,70 @@ class TestHomology:
         curve = sf.build_surface(spec)
         with pytest.raises(sf.SurfaceError, match="n>2"):
             sf.homology_basis(curve)
+
+
+def _perturbed(ses, rel=1e-3):
+    """One Newton step from the session's curve toward its first chart
+    coordinate moved by rel."""
+    target = ses.nav.coordinates().vector.copy()
+    target[0] += rel
+    spec = moduli.spec_with_coefficients(
+        ses.spec, moduli.coefficient_vector(ses.spec)
+        + np.linalg.solve(ses.nav.jacobian(),
+                          target - ses.nav.coordinates().vector))
+    return sf.build_surface(spec, template=ses.curve)
+
+
+class TestTransport:
+    def test_refused_when_clearance_below_move(self, g2_23):
+        base = g2_23.geo.basis
+        curve2 = _perturbed(g2_23)
+        delta = float(np.max(np.abs(curve2.singular_points - base.origin)))
+        assert delta > 0
+        shrunk = dataclasses.replace(
+            base, clearances=[f + 0.5 * delta for f in base.floors])
+        rebuilt = sf.homology_basis(curve2, template_basis=shrunk)
+        assert not rebuilt.transported
+        assert rebuilt.a_cycles[0].segments is not base.a_cycles[0].segments
+        assert rebuilt.b_flipped == base.b_flipped
+        carried = sf.homology_basis(curve2, template_basis=base)
+        assert carried.transported
+        assert carried.a_cycles[0].segments is base.a_cycles[0].segments
+        for c1, c2 in zip(rebuilt.a_cycles, carried.a_cycles):
+            v1 = curve2.integrate_v(c1).value
+            v2 = curve2.integrate_v(c2).value
+            assert abs(v1 - v2) < 1e-10 * max(1.0, abs(v1))
+
+    def test_refused_when_lift_jumps(self, g2_23):
+        base = g2_23.geo.basis
+        curve2 = _perturbed(g2_23)
+        turned = dataclasses.replace(base, start_w=[1j * w for w in base.start_w])
+        assert not sf.homology_basis(curve2, template_basis=turned).transported
+
+    def test_template_caches_stay_with_template_curve(self, g2_23):
+        base = g2_23.geo.basis
+        for c in base.cycles:
+            g2_23.curve.integrate_v(c)
+        curve2 = _perturbed(g2_23)
+        carried = sf.homology_basis(curve2, template_basis=base)
+        assert carried.transported
+        for c in carried.cycles:
+            curve2.integrate_v(c)
+            assert c._anchors[0] is curve2
+        for c in base.cycles:
+            assert c._anchors[0] is g2_23.curve
+            assert c._start_w[0] is g2_23.curve
+
+    def test_clearance_is_exact_distance(self, g2_23):
+        # the recorded clearance is the closed-form distance from each
+        # contour to the origin points: never above a dense sample of it,
+        # and within the sample spacing of it
+        base = g2_23.geo.basis
+        for c, r in zip(base.cycles, base.clearances):
+            z = c.polyline(per_segment=4000)
+            dense = float(np.min(np.abs(z[:, None] - base.origin[None, :])))
+            assert r <= dense + 1e-14
+            assert dense - r <= float(np.max(np.abs(np.diff(z))))
 
 
 class TestGenericN:
