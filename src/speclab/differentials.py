@@ -345,6 +345,11 @@ def _seg_clearance(curve, seg):
 # theta kernels: prime form, bidifferential, Bergman pieces
 # ---------------------------------------------------------------------------
 
+K_RING = 16          # samples on an S_B ring
+RING_ORDER = 10      # jet order integrated for the Abel offsets on a base ring
+RING_FRACTION = 0.3  # base ring radius over the point's clearance
+
+
 class Kernels:
     def __init__(self, curve, period, abel):
         self.curve = curve
@@ -422,77 +427,57 @@ class Kernels:
 
     # -- local S_B / Bergman regularization ----------------------------------
 
-    def sb_at(self, x, w, rho=None, k_in=16):
-        """Bergman projective connection S_B in the base coordinate at a
-        regular point, from the diagonal jet of B."""
-        x = complex(x)
-        w = complex(w)
-        if rho is None:
-            rho = 0.25 * float(np.min(np.abs(self.curve.singular_points - x)))
-        vals = self._sb_batch(np.array([x]), np.array([w]),
-                              np.array([self.abel.at(x, w)]), rho, k_in)
-        return complex(vals[0])
+    def sb_ring(self, A, V, zeta, A_ring, V_ring):
+        """Bergman projective connection S_B = 6 mean(B - 1/zeta^2) at n
+        centers with Abel vectors A and differential values V (n, g), from a
+        ring of offsets zeta ((k,) or (n, k)) around each, whose points carry
+        A_ring and V_ring (n*k, g); S_B is in the parameter V refers to."""
+        n, k = len(A), zeta.shape[-1]
+        b = self.bhat_batch(np.repeat(A, k, axis=0), np.repeat(V, k, axis=0),
+                            A_ring.reshape(n * k, -1), V_ring.reshape(n * k, -1))
+        return 6.0 * np.mean(b.reshape(n, k) - 1.0 / zeta ** 2, axis=1)
 
-    def _sb_batch(self, xs, ws, As, rho, k_in=16):
-        """S_B at a batch of regular points with known Abel vectors."""
-        n = len(xs)
-        zeta = rho * np.exp(2j * np.pi * np.arange(k_in) / k_in)
-        xi = (xs[:, None] + zeta[None, :]).ravel()
-        # w on the small circles: nearest square root to the center value
-        s = self.curve.sqrtP(xi)
-        wref = np.repeat(ws, k_in)
+    def sb_minus_sv(self, x, w, A, V):
+        """S_B - S_v = 6 B_reg in the base coordinate at regular points x
+        with lifts w, Abel vectors A and V (n, g), from one ring of K_RING
+        points at RING_FRACTION of each point's clearance."""
+        curve = self.curve
+        n = len(x)
+        clearance = np.min(np.abs(x[:, None] - curve.singular_points[None, :]), axis=1)
+        rho = RING_FRACTION * clearance
+        zeta = nm.circle_points(rho[:, None], K_RING)
+        xi = (x[:, None] + zeta).ravel()
+        s = curve.sqrtP(xi)
+        wref = np.repeat(w, K_RING)
         wi = np.where(np.abs(s - wref) <= np.abs(s + wref), s, -s)
-        Vi = self.period.V(xi, wi)                          # (n*k, g)
-        Vc = self.period.V(xs, ws)                          # (n, g)
-        # Abel offsets by integrating the local jet of V along the circle
-        Vmat = Vi.reshape(n, k_in, -1)
-        g = Vmat.shape[-1]
-        A_off = np.empty((n, k_in, g), dtype=complex)
-        for i in range(n):
-            for a in range(g):
-                jet = np.fft.fft(Vmat[i, :, a]) / k_in
-                ms = np.arange(k_in)
-                cm = jet / rho ** ms
-                # antiderivative evaluated at the circle samples
-                acc = np.zeros(k_in, dtype=complex)
-                for mdeg in range(min(k_in - 2, 12) + 1):
-                    acc += cm[mdeg] / (mdeg + 1) * zeta ** (mdeg + 1)
-                A_off[i, :, a] = acc
-        A1 = np.repeat(As, k_in, axis=0)
-        A2 = (As[:, None, :] + A_off).reshape(n * k_in, -1)
-        b = self.bhat_batch(A1, np.repeat(Vc, k_in, axis=0), A2, Vi)
-        f = b.reshape(n, k_in) - 1.0 / zeta[None, :] ** 2
-        c0 = np.mean(f, axis=1)
-        return 6.0 * c0
-
-    def sv_at(self, x, w, rho=None, k_in=32):
-        """Schwarzian of the flat coordinate (integral of v) in the base
-        coordinate at a regular point, via a local jet of v/dx."""
-        x = complex(x)
-        w = complex(w)
-        if rho is None:
-            rho = 0.25 * float(np.min(np.abs(self.curve.singular_points - x)))
-        zeta = rho * np.exp(2j * np.pi * np.arange(k_in) / k_in)
-        xi = x + zeta
-        s = self.curve.sqrtP(xi)
-        wi = np.where(np.abs(s - w) <= np.abs(s + w), s, -s)
-        y = self.curve.phi(xi, wi)
-        jet = np.fft.fft(y) / k_in
-        cm = jet[: 6] / rho ** np.arange(6)
-        y0, y1, y2 = cm[0], cm[1], 2 * cm[2]
-        return complex(y2 / y0 - 1.5 * (y1 / y0) ** 2)
+        Vi = self.period.V(xi, wi).reshape(n, K_RING, -1)
+        # Abel offsets on the ring: the ring's jet of V integrated from x
+        cV, _ = nm.laurent_window(Vi.transpose(0, 2, 1), rho[:, None],
+                                  range(RING_ORDER + 1))
+        A_off = np.zeros(Vi.shape, dtype=complex)
+        for m in range(RING_ORDER + 1):
+            A_off += cV[:, None, :, m] / (m + 1) * (zeta ** (m + 1))[:, :, None]
+        sb = self.sb_ring(A, V, zeta, A[:, None, :] + A_off, Vi)
+        cy, _ = nm.laurent_window(curve.phi(xi, wi).reshape(n, K_RING), rho, range(3))
+        return sb - nm.schwarzian(cy[:, 0], cy[:, 1], 2.0 * cy[:, 2])
 
     def breg_at(self, x, w):
         """(S_B - S_v)/6 in the base coordinate at a regular point."""
-        return (self.sb_at(x, w) - self.sv_at(x, w)) / 6.0
+        x = np.array([complex(x)])
+        w = np.array([complex(w)])
+        A = self.abel.at(x[0], w[0])[None, :]
+        d = self.sb_minus_sv(x, w, A, self.period.V(x, w))
+        return complex(d[0]) / 6.0
 
 
 # ---------------------------------------------------------------------------
 # local frames: circles at branch points and at simple zeros
 # ---------------------------------------------------------------------------
 
-M_JET = 40      # retained series order on local frames
-K_FRAME = 256   # samples on the frame circle
+M_JET = 40        # retained series order on local frames
+K_FRAME = 256     # samples on the frame circle
+EVAL_SCALE = 0.6  # evaluation circles sit at this fraction of the frame radius
+K_EVAL = 128      # samples on an evaluation circle
 
 
 @dataclass
@@ -508,6 +493,7 @@ class FrameData:
     Y_series: np.ndarray     # series of v/d(param)
     abel_anchor: np.ndarray  # Abel vector at the center
     abel_series: list        # per-alpha series of the Abel offset
+    tail: float              # largest truncation tail of the series windows
 
 
 class LocalFrames:
@@ -521,69 +507,61 @@ class LocalFrames:
 
     def frame(self, zero_index):
         if zero_index not in self._frames:
-            z = self.curve.zeros[zero_index]
-            self._frames[zero_index] = (self._branch_frame(z) if z.is_branch
-                                        else self._zero_frame(z))
+            self._frames[zero_index] = self._build(self.curve.zeros[zero_index])
         return self._frames[zero_index]
 
-    def _branch_frame(self, z):
-        curve = self.curve
-        b = complex(z.x)
-        others = curve.singular_points[np.abs(curve.singular_points - b) > 1e-12]
-        d = float(np.min(np.abs(others - b)))
-        rho_x = sf.JET_RADIUS_FACTOR * d
-        rho = math.sqrt(rho_x)
-        eta = rho * np.exp(2j * np.pi * np.arange(K_FRAME) / K_FRAME)
-        x = b + eta ** 2
-        # track w around the doubled loop; any lift fixes the frame sign
-        w0 = curve.sqrtP(np.array([x[0]]))[0]
-        w_full = curve.track_w(np.append(x, x[0]), w0)
-        if abs(w_full[-1] - w0) > 1e-6 * max(1.0, abs(w0)):
-            raise DifferentialError("branch frame tracking did not close up")
-        w = w_full[:-1]
-        y = curve.phi(x, w)                     # v/dx on the frame
-        Y = 2.0 * eta * y                       # v/d(eta)
-        V = self.period.V(x, w)                 # (K, g) relative dx
-        gmat = V * (2.0 * eta)[:, None]         # relative d(eta)
-        g_series = [nm.polytrim(_series_from_samples(gmat[:, a], rho), rel=0.0)
-                    for a in range(self.period.g)]
-        Y_series = _series_from_samples(Y, rho)
-        anchor = self.abel.at(b, None)
-        abel_series = [nm.series_integrate(gs) for gs in g_series]
-        return FrameData("branch", z.index, b, rho, eta, x, w,
-                         g_series, Y_series, anchor, abel_series)
-
-    def _zero_frame(self, z):
+    def _build(self, z):
+        """Frame circle at a zero of v: eta^2 = x - b at a branch point b,
+        eta = x - c at a simple zero c; series relative to d(eta)."""
         curve = self.curve
         c = complex(z.x)
         others = curve.singular_points[np.abs(curve.singular_points - c) > 1e-12]
         d = float(np.min(np.abs(others - c)))
-        rho = sf.JET_RADIUS_FACTOR * d
-        eta = rho * np.exp(2j * np.pi * np.arange(K_FRAME) / K_FRAME)
-        x = c + eta
-        s = curve.sqrtP(x)
-        w = np.where(np.abs(s - z.w) <= np.abs(s + z.w), s, -s)
-        Y = curve.phi(x, w)                     # v/dx; simple zero at center
-        V = self.period.V(x, w)
-        g_series = [nm.polytrim(_series_from_samples(V[:, a], rho), rel=0.0)
-                    for a in range(self.period.g)]
-        Y_series = _series_from_samples(Y, rho)
-        anchor = self.abel.at(c, z.w)
+        if z.is_branch:
+            rho = math.sqrt(sf.JET_RADIUS_FACTOR * d)
+            eta = nm.circle_points(rho, K_FRAME)
+            x = c + eta ** 2
+            # track w around the doubled loop; any lift fixes the frame sign
+            w0 = curve.sqrtP(np.array([x[0]]))[0]
+            w_full = curve.track_w(np.append(x, x[0]), w0)
+            if abs(w_full[-1] - w0) > 1e-6 * max(1.0, abs(w0)):
+                raise DifferentialError("branch frame tracking did not close up")
+            w = w_full[:-1]
+            Y = 2.0 * eta * curve.phi(x, w)              # v/d(eta)
+            V = self.period.V(x, w) * (2.0 * eta)[:, None]
+        else:
+            rho = sf.JET_RADIUS_FACTOR * d
+            eta = nm.circle_points(rho, K_FRAME)
+            x = c + eta
+            s = curve.sqrtP(x)
+            w = np.where(np.abs(s - z.w) <= np.abs(s + z.w), s, -s)
+            Y = curve.phi(x, w)                          # simple zero at c
+            V = self.period.V(x, w)
+        series, tails = nm.laurent_window(np.concatenate([V.T, Y[None, :]]), rho,
+                                          np.arange(M_JET + 1))
+        g_series = [nm.polytrim(gs, rel=0.0) for gs in series[:-1]]
+        anchor = self.abel.at(c, None if z.is_branch else z.w)
         abel_series = [nm.series_integrate(gs) for gs in g_series]
-        return FrameData("zero", z.index, c, rho, eta, x, w,
-                         g_series, Y_series, anchor, abel_series)
+        return FrameData("branch" if z.is_branch else "zero", z.index, c, rho, eta,
+                         x, w, g_series, series[-1], anchor, abel_series,
+                         float(np.max(tails)))
 
     # -- evaluation helpers ---------------------------------------------------
 
-    def eval_circle(self, fr, scale=0.6, k=128):
-        """Evaluation circle inside the frame: parameters and point data."""
-        r = scale * fr.rho
-        eta = r * np.exp(2j * np.pi * np.arange(k) / k)
+    def values(self, fr, eta):
+        """Abel vectors and v_alpha/d(param) at frame parameters eta."""
         g = self.period.g
-        G = np.stack([nm.polyval(fr.g_series[a], eta) for a in range(g)], axis=1)
-        Y = nm.polyval(fr.Y_series, eta)
         A = np.stack([fr.abel_anchor[a] + nm.polyval(fr.abel_series[a], eta)
                       for a in range(g)], axis=1)
+        G = np.stack([nm.polyval(fr.g_series[a], eta) for a in range(g)], axis=1)
+        return A, G
+
+    def eval_circle(self, fr, scale=EVAL_SCALE, k=K_EVAL):
+        """Evaluation circle inside the frame: parameters and point data."""
+        r = scale * fr.rho
+        eta = nm.circle_points(r, k)
+        A, G = self.values(fr, eta)
+        Y = nm.polyval(fr.Y_series, eta)
         if fr.kind == "branch":
             x = fr.center + eta ** 2
             V = G / (2.0 * eta)[:, None]
@@ -603,20 +581,6 @@ class LocalFrames:
                     "g0": np.array([gs[0] for gs in g]),
                     "gpp": np.array([2.0 * gs[2] if len(gs) > 2 else 0.0 for gs in g])}
         return {"Y1": Y[1]}
-
-
-def _series_from_samples(vals, rho, m_pos=M_JET):
-    f = np.fft.fft(np.asarray(vals, dtype=complex)) / len(vals)
-    ms = np.arange(m_pos + 1)
-    return f[ms] / rho ** ms
-
-
-def residue_from_samples(vals, eta):
-    """c_{-1} of a function sampled on a full circle |eta| = rho."""
-    k = len(eta)
-    f = np.fft.fft(np.asarray(vals, dtype=complex)) / k
-    rho = float(np.abs(eta[0]))
-    return complex(f[k - 1] * rho)
 
 
 # ---------------------------------------------------------------------------

@@ -357,13 +357,13 @@ def suite_dm_cubic(ses, chk):
             f_new, f_old, 1e-8)
 
 
-def _endpoint_factor_reparam(curve, geo, diff, i, k=256):
+def _endpoint_factor_reparam(curve, geo, diff, i):
     """h/d log(v/d chi) at branch point i in the chart chi = 2 zeta + zeta^3."""
     b = complex(curve.branch_points[i])
     others = curve.singular_points[np.abs(curve.singular_points - b) > 1e-12]
     dmin = float(np.min(np.abs(others - b)))
     rho = math.sqrt(0.15 * dmin)
-    chat = rho * np.exp(2j * np.pi * np.arange(k) / k)
+    chat = nm.circle_points(rho, 256)
     chi = chat ** 2
     zeta = chi / 2.0
     for _ in range(60):
@@ -374,12 +374,8 @@ def _endpoint_factor_reparam(curve, geo, diff, i, k=256):
     dzeta_dchi = 1.0 / (2.0 + 3.0 * zeta ** 2)
     g_samples = diff.fn(x, w) * dzeta_dchi * 2.0 * chat
     y_samples = curve.phi(x, w) * dzeta_dchi
-    fg = np.fft.fft(g_samples) / k
-    fy = np.fft.fft(y_samples) / k
-    g0 = fg[0]
-    y0 = fy[0]
-    yp = fy[1] / rho
-    return g0 * y0 / yp
+    c, _ = nm.laurent_window(np.stack([g_samples, y_samples]), rho, [0, 1])
+    return c[0, 0] * c[1, 0] / c[1, 1]
 
 
 def suite_kernels(ses, chk):

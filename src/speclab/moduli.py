@@ -77,8 +77,7 @@ class PoleCircles:
                 curve.singular_points[np.abs(curve.singular_points - p.x) > 1e-12]
                 - p.x)))
             rho = sf.JET_RADIUS_FACTOR * d
-            th = 2j * np.pi * np.arange(POLE_JET_SAMPLES) / POLE_JET_SAMPLES
-            ring = p.x + rho * np.exp(th)
+            ring = p.x + nm.circle_points(rho, POLE_JET_SAMPLES)
             for s in range(curve.n):
                 w_center = curve.pole_points[(j, s)].w
                 radial = np.linspace(0.0, 1.0, 8)[1:]
@@ -90,12 +89,8 @@ class PoleCircles:
 
     def laurent(self, j, s, values, orders):
         """Coefficients of chi^(-ell) for ell in orders, from ring samples."""
-        rho, ring, w_ring = self.data[(j, s)]
-        f = np.fft.fft(np.asarray(values, dtype=complex)) / len(values)
-        out = []
-        for ell in orders:
-            out.append(complex(f[(-ell) % len(values)] * rho ** ell))
-        return out
+        rho = self.data[(j, s)][0]
+        return nm.laurent_window(values, rho, [-ell for ell in orders])[0].tolist()
 
     def ring(self, j, s):
         rho, ring, w_ring = self.data[(j, s)]

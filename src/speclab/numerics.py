@@ -3,7 +3,7 @@
 Polynomial root finding (simultaneous Aberth-Ehrlich iteration with a
 companion-matrix fallback), truncated power-series algebra, directed contours
 made of line/arc segments, adaptive Gauss-Legendre quadrature along contours,
-discrete-Fourier Laurent-jet extraction on circles, and guarded dense solves.
+discrete-Fourier Laurent windows on circles, and guarded dense solves.
 
 Everything is plain numpy; evaluators passed in must accept vectorized
 complex arguments.
@@ -36,10 +36,6 @@ class RootFindingError(NumericsError):
 
 
 class SingularSystemError(NumericsError):
-    pass
-
-
-class JetError(NumericsError):
     pass
 
 
@@ -474,73 +470,54 @@ def integrate_function(fn, contour, **kw):
 
 
 # ---------------------------------------------------------------------------
-# Laurent jets on circles
+# Laurent windows on circles
 # ---------------------------------------------------------------------------
 
-@dataclass
-class JetSeries:
-    """Truncated Laurent data c_m for m in [-n_neg, m_pos] at a circle of
-    radius rho around a local-parameter origin."""
-
-    rho: float
-    n_neg: int
-    coeffs: np.ndarray  # index m + n_neg
-    tail: float = 0.0
-
-    def coef(self, m):
-        i = m + self.n_neg
-        if i < 0 or i >= len(self.coeffs):
-            return 0.0 + 0.0j
-        return complex(self.coeffs[i])
-
-    @property
-    def residue(self):
-        return self.coef(-1)
-
-    def deriv0(self, k):
-        """k-th derivative at 0 of the regular part (requires no pole)."""
-        return math.factorial(k) * self.coef(k)
-
-    def eval(self, eta):
-        eta = np.asarray(eta, dtype=complex)
-        out = np.zeros_like(eta)
-        for i, c in enumerate(self.coeffs):
-            m = i - self.n_neg
-            out = out + c * eta ** m
-        return out
-
-    def taylor(self, m_max=None):
-        """Ascending regular-part coefficients c_0..c_{m_max}."""
-        if m_max is None:
-            m_max = len(self.coeffs) - 1 - self.n_neg
-        return np.array([self.coef(m) for m in range(0, m_max + 1)])
+def circle_points(rho, k):
+    """k equispaced points on |eta| = rho, the first at eta = rho."""
+    return rho * np.exp(2j * np.pi * np.arange(k) / k)
 
 
-def circle_jet(fn, rho, n_neg=4, m_pos=12, n_samples=256, tail_tol=JET_TAIL_TOL,
-               check_tail=True):
-    """Laurent window of fn from equispaced samples on |eta| = rho.
+def laurent_window(vals, rho, orders):
+    """Laurent coefficients c_m, m in orders, of f = sum c_m eta^m from its
+    samples at circle_points(rho, K) along the last axis of vals.
 
-    fn(eta_array) -> values. The extracted c_m satisfy fn = sum c_m eta^m on
-    the circle; the tail estimate is the largest |c_m rho^m| in the top
-    quarter of the retained spectrum, relative to the largest overall.
+    This is the trapezoidal rule on the circle, which converges geometrically
+    in the width of f's annulus of analyticity (Trefethen & Weideman, SIAM
+    Review 56, 2014). Leading axes of vals are independent rows; rho is a
+    float or an array broadcasting against them (one radius per row).
+
+    Returns (coeffs, tail): coeffs[..., j] = c_{orders[j]}, and per row the
+    largest Fourier magnitude among the (up to) six orders just above
+    max(orders) and below K, relative to the largest of all, which measures
+    the truncation of the window.
+
+    The Fourier coefficient is multiplied by rho**|m| for m < 0 and divided
+    by rho**m for m >= 0. That power is numpy's `rho ** orders` when orders
+    is an integer array and `rho ** m` per Python int otherwise: numpy's
+    vectorized power, libm's pow and numpy's x**2 -> x*x can differ in the
+    last bit, and each caller keeps the rounding it has always had.
     """
-    k = np.arange(n_samples)
-    eta = rho * np.exp(2j * np.pi * k / n_samples)
-    vals = np.asarray(fn(eta), dtype=complex)
-    if vals.shape != eta.shape:
-        raise JetError("circle_jet evaluator returned wrong shape")
-    f = np.fft.fft(vals) / n_samples
-    ms = np.arange(-n_neg, m_pos + 1)
-    coeffs = f[ms % n_samples] / rho ** ms.astype(float)
-    # tail check on raw Fourier magnitudes (== |c_m| rho^m) just past the window
+    f = np.fft.fft(np.asarray(vals, dtype=complex))
+    k = f.shape[-1]
+    f = f / k
+    ms = np.asarray(orders)
+    if isinstance(orders, np.ndarray):
+        scale = (rho if np.ndim(rho) == 0 else rho[..., None]) ** np.abs(ms)
+    else:
+        scale = np.stack([rho ** abs(m) for m in orders], axis=-1)
+    c = f[..., ms % k]
+    coeffs = np.where(ms < 0, c * scale, c / scale)
+    top = ms.max() + np.arange(1, 7)
     mags = np.abs(f)
-    top = np.arange(m_pos + 1, m_pos + 7) % n_samples
-    scale = float(np.max(mags)) or 1.0
-    tail = float(np.max(mags[top])) / scale
-    if check_tail and tail > tail_tol:
-        raise JetError("circle_jet tail %.3e above tolerance %.1e; decrease rho "
-                       "or raise n_samples" % (tail, tail_tol))
-    return JetSeries(rho, n_neg, coeffs, tail)
+    tail = mags[..., top[top < k] % k].max(axis=-1, initial=0.0)
+    peak = mags.max(axis=-1)
+    return coeffs, tail / np.where(peak > 0, peak, 1.0)
+
+
+def schwarzian(y, yp, ypp):
+    """Schwarzian derivative of the integral of y, from y, y', y''."""
+    return ypp / y - 1.5 * (yp / y) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -696,7 +696,7 @@ def _poly_discriminant(N, n):
     while m < 2 * max_deg + 8:
         m *= 2
     radius = 1.7
-    xs = radius * np.exp(2j * np.pi * np.arange(m) / m)
+    xs = nm.circle_points(radius, m)
     vals = np.empty(m, dtype=complex)
     for i, x in enumerate(xs):
         c = np.zeros(n + 1, dtype=complex)
@@ -704,9 +704,7 @@ def _poly_discriminant(N, n):
         for ell in range(1, n + 1):
             c[n - ell] = nm.polyval(N[ell], x)
         vals[i] = _disc_of_monic(c)
-    coeffs = np.fft.fft(vals) / m
-    coeffs = coeffs / radius ** np.arange(m)
-    return nm.polytrim(coeffs, rel=1e-9)
+    return nm.polytrim(nm.laurent_window(vals, radius, np.arange(m))[0], rel=1e-9)
 
 
 def _disc_of_monic(c_asc):
@@ -1000,9 +998,12 @@ def path_to_point(curve, target_x, target_w, start=None, sqrt_end=None, label=""
     it, whichever lands on the requested lift.
     """
     src = curve.x_r if start is None else start
-    candidates = [curve.path_between(src.x, target_x, sqrt_end=sqrt_end)]
-    candidates += _rerouted_paths(curve, src.x, target_x)
-    for path in candidates:
+
+    def candidates():
+        yield curve.path_between(src.x, target_x, sqrt_end=sqrt_end)
+        yield from _rerouted_paths(curve, src.x, target_x)
+
+    for path in candidates():
         path.start_sheet = src.sheet
         path.label = label
         if target_w is None:
@@ -1014,7 +1015,7 @@ def path_to_point(curve, target_x, target_w, start=None, sqrt_end=None, label=""
 
 
 def _rerouted_paths(curve, a, b):
-    """Two detour routes through the first branch point's clearance circle:
+    """Yields two detour routes through the first branch point's clearance circle:
     with and without a full loop around it (the loop swaps sheets)."""
     bp = complex(curve.branch_points[0])
     r = curve._branch_clearance(0)
@@ -1023,8 +1024,8 @@ def _rerouted_paths(curve, a, b):
     leg2 = curve.path_between(p_in, b)
     a0 = math.atan2((p_in - bp).imag, (p_in - bp).real)
     loop = Arc(bp, r, a0, a0 + 2 * math.pi)
-    return [Contour(leg1.segments + [loop] + leg2.segments),
-            Contour(leg1.segments + leg2.segments)]
+    yield Contour(leg1.segments + [loop] + leg2.segments)
+    yield Contour(leg1.segments + leg2.segments)
 
 
 def _unit(z):

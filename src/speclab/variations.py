@@ -7,8 +7,10 @@ Every first-order formula has the shape
 where h is the direction differential attached to the coordinate (the
 normalized holomorphic / second-kind / third-kind differential), c_i(h) is
 the endpoint factor h / d log(v/dx) at the branch point, and K is the
-target's kernel. Residues are extracted by FFT on the branch-frame circles
-in the double-cover parameter. The period-matrix variation is computed in
+target's kernel. `BranchData.residue_sum` evaluates that sum once for every
+formula: each residue is the c_{-1} Laurent coefficient of the kernel
+sampled on a branch-frame circle in the double-cover parameter
+(`numerics.laurent_window`). The period-matrix variation is computed in
 both of its algebraically equal forms and cross-checked; the tau gradient
 carries the extra sum over all zeros of v; the second-derivative formula
 for the period matrix is assembled from the branch jets.
@@ -30,8 +32,8 @@ import numpy as np
 
 from . import numerics as nm
 from . import surface as sf
-from .differentials import (MeroDifferential, holomorphic_unit,
-                            residue_from_samples, second_kind, third_kind)
+from .differentials import (EVAL_SCALE, K_EVAL, K_RING, M_JET, MeroDifferential,
+                            holomorphic_unit, second_kind, third_kind)
 
 
 class VariationError(RuntimeError):
@@ -85,23 +87,32 @@ def all_directions(curve, geo):
 # branch-frame machinery shared by the formulas
 # ---------------------------------------------------------------------------
 
+K_SB = 64  # evaluation-circle points carrying an S_B ring in B_reg/v
+
+
+def _residue(vals, rho):
+    """c_{-1} of samples on |eta| = rho along the last axis."""
+    return nm.laurent_window(vals, rho, [-1])[0][..., 0]
+
+
 class BranchData:
     """Per-branch-point circle data: frame, direction series, jet scalars."""
 
-    def __init__(self, geo, eval_scale=0.6, k_eval=128):
+    def __init__(self, geo):
         self.geo = geo
         self.curve = geo.curve
         self.frames = [geo.frames.frame(i)
                        for i in range(len(self.curve.branch_points))]
-        self.circles = [geo.frames.eval_circle(fr, scale=eval_scale, k=k_eval)
-                        for fr in self.frames]
+        self.circles = [geo.frames.eval_circle(fr) for fr in self.frames]
         self.jets = [geo.frames.y_jet_values(fr) for fr in self.frames]
-        self._breg_hat = None
-        self._cross = None
+        self._breg_hat = {}
+        self._cross = {}
+        self._oh2 = {}
+        self._breg_over_v = {}
 
     # h / d log(v/dx) at branch point i, for a direction differential
     def endpoint_factor(self, i, diff):
-        fr, jet = self.frames[i], self.jets[i]
+        jet = self.jets[i]
         g0 = self.direction_series(i, diff)[0]
         return g0 * jet["y0"] / jet["yp"]
 
@@ -109,18 +120,28 @@ class BranchData:
         """Series of h/d(eta) on branch frame i."""
         fr = self.frames[i]
         vals = diff.fn(fr.x, fr.w) * (2.0 * fr.eta)
-        from .differentials import _series_from_samples
-        return _series_from_samples(vals, fr.rho)
+        return nm.laurent_window(vals, fr.rho, np.arange(M_JET + 1))[0]
 
-    def residue(self, i, samples):
-        return residue_from_samples(samples, self.circles[i]["eta"])
+    def residue_sum(self, h, per_branch):
+        """sum_i c_i(h) res_i(K) over the branch points, in branch order.
 
-    def oh2_circle(self, i, k=128):
+        per_branch(i, circle) samples the kernel K equispaced on
+        |eta| = circle["rho"] along its last axis; leading axes give a
+        stacked kernel and a stacked sum.
+        """
+        total = 0.0
+        for i, c in enumerate(self.circles):
+            ci = self.endpoint_factor(i, h)
+            res = _residue(per_branch(i, c), c["rho"])
+            # one scalar product per entry: numpy's vectorized complex
+            # multiply fuses multiply-adds and would round differently
+            total = total + np.reshape([ci * r for r in res.flat], res.shape)
+        return total
+
+    def oh2_circle(self, i):
         """Extraction circle for kernels divided by dy: shrunk below the
         nearest zero of y'(eta), which is a kernel pole but not a surface
         singularity (so no clearance margin excludes it)."""
-        if not hasattr(self, "_oh2"):
-            self._oh2 = {}
         if i not in self._oh2:
             fr = self.frames[i]
             y_series = fr.Y_series[1:] / 2.0
@@ -131,44 +152,32 @@ class BranchData:
                 inside = np.abs(roots[np.abs(roots) < 0.9 * fr.rho])
                 if len(inside):
                     r_guard = float(np.min(inside))
-            rho = min(0.6 * fr.rho, 0.45 * r_guard)
-            eta = rho * np.exp(2j * np.pi * np.arange(k) / k)
-            g = len(fr.g_series)
-            G = np.stack([nm.polyval(fr.g_series[a], eta) for a in range(g)], axis=1)
+            rho = min(EVAL_SCALE * fr.rho, 0.45 * r_guard)
+            eta = nm.circle_points(rho, K_EVAL)
+            _, G = self.geo.frames.values(fr, eta)
             yp = nm.polyval(nm.polyder(y_series), eta)
-            self._oh2[i] = {"eta": eta, "G": G, "yp": yp}
+            self._oh2[i] = {"eta": eta, "rho": rho, "G": G, "yp": yp}
         return self._oh2[i]
 
     def direction_on(self, i, diff, eta):
         """Direction series evaluated at arbitrary frame parameters."""
-        ser = self.direction_series(i, diff)
-        return nm.polyval(ser, eta)
+        return nm.polyval(self.direction_series(i, diff), eta)
 
     # -- Bergman data ---------------------------------------------------------
 
     def breg_hat(self, i):
         """B_reg in the double-cover parameter at branch point i."""
-        if self._breg_hat is None:
-            self._breg_hat = {}
         if i not in self._breg_hat:
-            fr, c = self.frames[i], self.circles[i]
+            c = self.circles[i]
             eta = c["eta"]
-            g = self.geo.genus
-            A_plus = c["A"]
-            A_minus = np.stack([fr.abel_anchor[a] + nm.polyval(fr.abel_series[a], -eta)
-                                for a in range(g)], axis=1)
-            G_plus = c["G"]
-            G_minus = np.stack([nm.polyval(fr.g_series[a], -eta)
-                                for a in range(g)], axis=1)
-            b = self.geo.kernels.bhat_batch(A_plus, G_plus, A_minus, G_minus)
+            A_minus, G_minus = self.geo.frames.values(self.frames[i], -eta)
+            b = self.geo.kernels.bhat_batch(c["A"], c["G"], A_minus, G_minus)
             f = b - 1.0 / (2.0 * eta) ** 2
             self._breg_hat[i] = complex(np.mean(f))
         return self._breg_hat[i]
 
     def cross_bhat(self, i, j):
         """B(x_i, x_j) relative to the two double-cover parameters."""
-        if self._cross is None:
-            self._cross = {}
         key = (min(i, j), max(i, j))
         if key not in self._cross:
             ci, cj = self.circles[key[0]], self.circles[key[1]]
@@ -176,49 +185,23 @@ class BranchData:
             self._cross[key] = complex(np.mean(b))
         return self._cross[key]
 
-    def sb_hat_on_circle(self, i, k_sub=64, k_in=16):
-        """Bergman projective connection in the frame parameter at a
-        subsample of the evaluation circle of frame i."""
-        fr, c = self.frames[i], self.circles[i]
-        step = max(1, len(c["eta"]) // k_sub)
-        eta = c["eta"][::step]
-        g = self.geo.genus
-        rho_in = 0.25 * float(np.abs(eta[0]))
-        zeta = rho_in * np.exp(2j * np.pi * np.arange(k_in) / k_in)
-        base = eta[:, None] + zeta[None, :]
-        A1 = np.stack([fr.abel_anchor[a] + nm.polyval(fr.abel_series[a], eta)
-                       for a in range(g)], axis=1)
-        G1 = np.stack([nm.polyval(fr.g_series[a], eta) for a in range(g)], axis=1)
-        flat = base.ravel()
-        A2 = np.stack([fr.abel_anchor[a] + nm.polyval(fr.abel_series[a], flat)
-                       for a in range(g)], axis=1)
-        G2 = np.stack([nm.polyval(fr.g_series[a], flat) for a in range(g)], axis=1)
-        n, k = len(eta), k_in
-        b = self.geo.kernels.bhat_batch(np.repeat(A1, k, axis=0),
-                                        np.repeat(G1, k, axis=0), A2, G2)
-        f = b.reshape(n, k) - 1.0 / zeta[None, :] ** 2
-        sb = 6.0 * np.mean(f, axis=1)
-        return eta, sb
-
-    def sv_hat(self, i, eta):
-        """Schwarzian of the flat coordinate in the frame parameter."""
-        fr = self.frames[i]
-        Y = fr.Y_series
-        Yp = nm.polyder(Y)
-        Ypp = nm.polyder(Yp)
-        vy = nm.polyval(Y, eta)
-        vp = nm.polyval(Yp, eta)
-        vpp = nm.polyval(Ypp, eta)
-        return vpp / vy - 1.5 * (vp / vy) ** 2
-
-    def breg_over_v_residue(self, i):
-        """res at branch point i of B_reg / v (third-order pole)."""
-        eta, sb = self.sb_hat_on_circle(i)
-        sv = self.sv_hat(i, eta)
-        fr = self.frames[i]
-        Y = nm.polyval(fr.Y_series, eta)
-        f = (sb - sv) / (6.0 * Y)
-        return residue_from_samples(f, eta)
+    def breg_over_v(self, zero_index):
+        """B_reg/v on the K_SB-point evaluation circle of the frame at a zero
+        of v (branch point or simple zero), and that circle's radius; a pole
+        of order three at a branch point, simple at a simple zero."""
+        if zero_index not in self._breg_over_v:
+            frames = self.geo.frames
+            fr = frames.frame(zero_index)
+            c = frames.eval_circle(fr, k=K_SB)
+            eta = c["eta"]
+            zeta = nm.circle_points(0.25 * c["rho"], K_RING)
+            A_ring, G_ring = frames.values(fr, (eta[:, None] + zeta[None, :]).ravel())
+            sb = self.geo.kernels.sb_ring(c["A"], c["G"], zeta, A_ring, G_ring)
+            Yp = nm.polyder(fr.Y_series)
+            sv = nm.schwarzian(c["Y"], nm.polyval(Yp, eta),
+                               nm.polyval(nm.polyder(Yp), eta))
+            self._breg_over_v[zero_index] = ((sb - sv) / (6.0 * c["Y"]), c["rho"])
+        return self._breg_over_v[zero_index]
 
 
 # ---------------------------------------------------------------------------
@@ -238,38 +221,34 @@ def endpoint_correction(curve, geo, direction, zero_index, branch_data=None):
 # first variation of the period matrix (both forms)
 # ---------------------------------------------------------------------------
 
-def vary_period_matrix(curve, geo, direction, branch_data=None, check_tol=FORM_AGREE_TOL):
+def vary_period_matrix(curve, geo, direction, branch_data=None):
     """d(Omega)/d(coordinate) by the branch-point residue formula.
 
     Computes both the endpoint-factor form and the single-residue form and
-    requires their agreement before returning.
+    requires their agreement to FORM_AGREE_TOL before returning.
     """
     bd = branch_data or BranchData(geo)
-    g = geo.genus
-    out1 = np.zeros((g, g), dtype=complex)
-    out2 = np.zeros((g, g), dtype=complex)
-    for i in range(len(curve.branch_points)):
-        c = bd.circles[i]
-        eta = c["eta"]
-        ci = bd.endpoint_factor(i, direction.differential)
+    h = direction.differential
+
+    def form1(i, c):
+        G = c["G"].T
+        return G[:, None] * G[None, :] / c["Y"]
+
+    out1 = _symmetrize_fill(bd.residue_sum(h, form1))
+    out2 = 0.0
+    for i in range(len(bd.frames)):
         oh2 = bd.oh2_circle(i)
         eta2 = oh2["eta"]
-        Gd2 = bd.direction_on(i, direction.differential, eta2)
-        for a in range(g):
-            for b in range(a, g):
-                k1 = c["G"][:, a] * c["G"][:, b] / c["Y"]
-                r1 = residue_from_samples(k1, eta)
-                out1[a, b] += ci * r1
-                k2 = oh2["G"][:, a] * oh2["G"][:, b] * Gd2 / (2.0 * eta2 * oh2["yp"])
-                r2 = residue_from_samples(k2, eta2)
-                out2[a, b] += r2
-    out1 = _symmetrize_fill(out1)
+        G = oh2["G"].T
+        k2 = (G[:, None] * G[None, :] * bd.direction_on(i, h, eta2)
+              / (2.0 * eta2 * oh2["yp"]))
+        out2 = out2 + _residue(k2, oh2["rho"])
     out2 = _symmetrize_fill(out2)
     out1 *= -TWO_PI_I
     out2 *= -TWO_PI_I
     scale = max(1.0, float(np.max(np.abs(out2))))
     agree = float(np.max(np.abs(out1 - out2)))
-    if agree > check_tol * scale:
+    if agree > FORM_AGREE_TOL * scale:
         raise VariationError(
             f"period-variation forms disagree by {agree:.3e} (numerical health)")
     return out2
@@ -293,75 +272,58 @@ def _point_data(geo, p):
     return A, V
 
 
+def _b_point_circle(geo, A, V, c):
+    """B(x, t) for a fixed point x against every point t of a circle."""
+    n = len(c["eta"])
+    return geo.kernels.bhat_batch(np.tile(A, (n, 1)), np.tile(V, (n, 1)),
+                                  c["A"], c["G"])
+
+
+def _b_circle_point(geo, c, A, V):
+    """B(t, x) for every point t of a circle against a fixed point x."""
+    n = len(c["eta"])
+    return geo.kernels.bhat_batch(c["A"], c["G"],
+                                  np.tile(A, (n, 1)), np.tile(V, (n, 1)))
+
+
 def vary_valpha(curve, geo, direction, point, branch_data=None):
     """d(v_alpha(x))/d(coordinate) relative to dx at the point; vector over alpha."""
     bd = branch_data or BranchData(geo)
-    g = geo.genus
     A_x, V_x = _point_data(geo, point)
-    out = np.zeros(g, dtype=complex)
-    for i in range(len(curve.branch_points)):
-        c = bd.circles[i]
-        eta = c["eta"]
-        n = len(eta)
-        ci = bd.endpoint_factor(i, direction.differential)
-        # B(t, x) with t on the frame circle
-        bt = geo.kernels.bhat_batch(c["A"], c["G"],
-                                    np.broadcast_to(A_x, (n, g)).copy(),
-                                    np.broadcast_to(V_x, (n, g)).copy())
-        for a in range(g):
-            k = c["G"][:, a] * bt / c["Y"]
-            out[a] += ci * residue_from_samples(k, eta)
-    return -out
+    return -bd.residue_sum(direction.differential, lambda i, c: (
+        c["G"].T * _b_circle_point(geo, c, A_x, V_x) / c["Y"]))
 
 
 def vary_bidifferential(curve, geo, direction, p1, p2, branch_data=None):
     """d(B(x,y))/d(coordinate) relative to dx dy at the fixed pair."""
     bd = branch_data or BranchData(geo)
-    g = geo.genus
     A1, V1 = _point_data(geo, p1)
     A2, V2 = _point_data(geo, p2)
-    total = 0.0 + 0.0j
-    for i in range(len(curve.branch_points)):
-        c = bd.circles[i]
-        eta = c["eta"]
-        n = len(eta)
-        ci = bd.endpoint_factor(i, direction.differential)
-        bxt = geo.kernels.bhat_batch(np.broadcast_to(A1, (n, g)).copy(),
-                                     np.broadcast_to(V1, (n, g)).copy(),
-                                     c["A"], c["G"])
-        bty = geo.kernels.bhat_batch(c["A"], c["G"],
-                                     np.broadcast_to(A2, (n, g)).copy(),
-                                     np.broadcast_to(V2, (n, g)).copy())
-        k = bxt * bty / c["Y"]
-        total += ci * residue_from_samples(k, eta)
-    return -total
+    return -bd.residue_sum(direction.differential, lambda i, c: (
+        _b_point_circle(geo, A1, V1, c) * _b_circle_point(geo, c, A2, V2) / c["Y"]))
 
 
 def vary_log_prime_form(curve, geo, direction, p1, p2, branch_data=None):
     """d(ln E(x,y))/d(coordinate) at the fixed pair (h-independent kernel)."""
     bd = branch_data or BranchData(geo)
-    g = geo.genus
     A1, _ = _point_data(geo, p1)
     A2, _ = _point_data(geo, p2)
     th = geo.kernels.theta
     odd = geo.kernels.odd
-    total = 0.0 + 0.0j
-    for i in range(len(curve.branch_points)):
-        c = bd.circles[i]
-        eta = c["eta"]
-        ci = bd.endpoint_factor(i, direction.differential)
+
+    def kernel(i, c):
         e1 = th.eval(c["A"] - A1[None, :], odd, derivs=1)
         e2 = th.eval(c["A"] - A2[None, :], odd, derivs=1)
         d1 = e1["grad"] / e1["val"][:, None]
         d2 = e2["grad"] / e2["val"][:, None]
         dln = np.einsum("ni,ni->n", d1 - d2, c["G"])
-        k = 0.5 * dln ** 2 / c["Y"]
-        total += ci * residue_from_samples(k, eta)
+        return 0.5 * dln ** 2 / c["Y"]
+
     # sign: differentiating this formula in x and y must reproduce the
     # bidifferential variation through B = d_x d_y ln E, which forces the
     # opposite overall sign to the first-kind/bidifferential pattern; the
     # finite-difference oracle confirms it.
-    return total
+    return bd.residue_sum(direction.differential, kernel)
 
 
 def vary_kernel(curve, geo, target, direction, points, branch_data=None):
@@ -383,16 +345,12 @@ def vary_kernel(curve, geo, target, direction, points, branch_data=None):
 
 def _zero_frame_residues(geo, gamma):
     """res at every zero of v of v_gamma(x) / int_{x_i}^x v."""
-    curve = geo.curve
     out = []
-    for idx in range(len(curve.zeros)):
+    for idx in range(len(geo.curve.zeros)):
         fr = geo.frames.frame(idx)
-        eta = geo.frames.eval_circle(fr, scale=0.6, k=128)["eta"]
-        gser = fr.g_series[gamma]
-        intY = nm.series_integrate(fr.Y_series)
-        num = nm.polyval(gser, eta)
-        den = nm.polyval(intY, eta)
-        out.append(residue_from_samples(num / den, eta))
+        c = geo.frames.eval_circle(fr)
+        den = nm.polyval(nm.series_integrate(fr.Y_series), c["eta"])
+        out.append(complex(_residue(c["G"][:, gamma] / den, c["rho"])))
     return out
 
 
@@ -416,11 +374,9 @@ def tau_gradient(curve, geo, gamma, branch_data=None, enforce_residue_free=True)
         raise VariationError("tau gradient requires a residue-free instance "
                              "with all pole orders >= 2")
     bd = branch_data or BranchData(geo)
-    term1 = 0.0 + 0.0j
     vg = holomorphic_unit(curve, geo.period, gamma)
-    for i in range(len(curve.branch_points)):
-        ci = bd.endpoint_factor(i, vg)
-        term1 += ci * bd.breg_over_v_residue(i)
+    # B_reg/v is sampled on K_SB points of the branch circle's radius
+    term1 = bd.residue_sum(vg, lambda i, c: bd.breg_over_v(i)[0])
     term2 = sum(_zero_frame_residues(geo, gamma))
     return -TWO_PI_I * term1 - (1j * math.pi / 8.0) * term2
 
@@ -437,12 +393,9 @@ def tau_gradient_oracle(curve, geo, gamma, branch_data=None):
     omega = geo.period.omega
     vg = holomorphic_unit(curve, geo.period, gamma)
 
-    # residues of B_reg/v at every zero (branch: jets; simple zeros: frames)
-    res_at = {}
-    for i in range(len(curve.branch_points)):
-        res_at[i] = bd.breg_over_v_residue(i)
-    for idx in range(len(curve.branch_points), len(curve.zeros)):
-        res_at[idx] = _breg_over_v_residue_zero(geo, idx)
+    # residues of B_reg/v at every zero (branch points and simple zeros)
+    res_at = [complex(_residue(*bd.breg_over_v(idx)))
+              for idx in range(len(curve.zeros))]
 
     paths, targets = sf.zero_paths(curve)
     # d P_{l_i} / d A_gamma: path integral of v_gamma plus branch endpoint term
@@ -455,10 +408,8 @@ def tau_gradient_oracle(curve, geo, gamma, branch_data=None):
 
     # kernel integrals over the a/b representatives
     def breg_kernel(pan):
-        sb = _sb_batch_nodes(geo, pan)
-        sv = _sv_batch_nodes(geo, pan)
-        y = curve.phi(pan["z"], pan["w"])
-        return (sb - sv) / (6.0 * y)
+        d = geo.kernels.sb_minus_sv(pan["z"], pan["w"], pan["A"], pan["V"])
+        return d / (6.0 * curve.phi(pan["z"], pan["w"]))
 
     int_a = []
     int_b = []
@@ -486,82 +437,6 @@ def tau_gradient_oracle(curve, geo, gamma, branch_data=None):
     for val, (path, idx) in zip(dP, zip(paths, targets)):
         total += val * TWO_PI_I * res_at[idx]
     return total
-
-
-def _breg_over_v_residue_zero(geo, zero_index):
-    """res of B_reg/v at a simple non-branch zero, from its local frame."""
-    fr = geo.frames.frame(zero_index)
-    circle = geo.frames.eval_circle(fr, scale=0.6, k=64)
-    eta = circle["eta"]
-    g = geo.genus
-    k_in = 16
-    rho_in = 0.25 * float(np.abs(eta[0]))
-    zeta = rho_in * np.exp(2j * np.pi * np.arange(k_in) / k_in)
-    flat = (eta[:, None] + zeta[None, :]).ravel()
-    A1 = circle["A"]
-    G1 = circle["G"]
-    A2 = np.stack([fr.abel_anchor[a] + nm.polyval(fr.abel_series[a], flat)
-                   for a in range(g)], axis=1)
-    G2 = np.stack([nm.polyval(fr.g_series[a], flat) for a in range(g)], axis=1)
-    b = geo.kernels.bhat_batch(np.repeat(A1, k_in, axis=0),
-                               np.repeat(G1, k_in, axis=0), A2, G2)
-    f = b.reshape(len(eta), k_in) - 1.0 / zeta[None, :] ** 2
-    sb = 6.0 * np.mean(f, axis=1)
-    Yp = nm.polyder(fr.Y_series)
-    Ypp = nm.polyder(Yp)
-    vy = nm.polyval(fr.Y_series, eta)
-    sv = nm.polyval(Ypp, eta) / vy - 1.5 * (nm.polyval(Yp, eta) / vy) ** 2
-    return residue_from_samples((sb - sv) / (6.0 * vy), eta)
-
-
-def _sb_batch_nodes(geo, pan, k_in=16):
-    """S_B at contour-panel nodes (base coordinate), batched inner jets."""
-    curve = geo.curve
-    z, w, V, A = pan["z"], pan["w"], pan["V"], pan["A"]
-    n = len(z)
-    g = geo.genus
-    dist = np.min(np.abs(z[:, None] - curve.singular_points[None, :]), axis=1)
-    rho = 0.3 * dist
-    zeta = np.exp(2j * np.pi * np.arange(k_in) / k_in)
-    xi = (z[:, None] + rho[:, None] * zeta[None, :]).ravel()
-    s = curve.sqrtP(xi)
-    wref = np.repeat(w, k_in)
-    wi = np.where(np.abs(s - wref) <= np.abs(s + wref), s, -s)
-    Vi = geo.period.V(xi, wi).reshape(n, k_in, g)
-    # local Abel offsets by integrating the inner jet of V
-    f = np.fft.fft(Vi, axis=1) / k_in
-    m_max = min(k_in - 2, 10)
-    A_off = np.zeros((n, k_in, g), dtype=complex)
-    zz = rho[:, None] * zeta[None, :]
-    for mdeg in range(m_max + 1):
-        cm = f[:, mdeg, :] / rho[:, None] ** mdeg
-        A_off += cm[:, None, :] / (mdeg + 1) * (zz ** (mdeg + 1))[:, :, None]
-    A1 = np.repeat(A, k_in, axis=0)
-    V1 = np.repeat(V, k_in, axis=0)
-    A2 = (A[:, None, :] + A_off).reshape(n * k_in, g)
-    b = geo.kernels.bhat_batch(A1, V1, A2, Vi.reshape(n * k_in, g))
-    fvals = b.reshape(n, k_in) - 1.0 / zz ** 2
-    return 6.0 * np.mean(fvals, axis=1)
-
-
-def _sv_batch_nodes(geo, pan, k_in=16):
-    """Schwarzian of the flat coordinate at contour-panel nodes."""
-    curve = geo.curve
-    z, w = pan["z"], pan["w"]
-    n = len(z)
-    dist = np.min(np.abs(z[:, None] - curve.singular_points[None, :]), axis=1)
-    rho = 0.3 * dist
-    zeta = np.exp(2j * np.pi * np.arange(k_in) / k_in)
-    xi = (z[:, None] + rho[:, None] * zeta[None, :]).ravel()
-    s = curve.sqrtP(xi)
-    wref = np.repeat(w, k_in)
-    wi = np.where(np.abs(s - wref) <= np.abs(s + wref), s, -s)
-    y = curve.phi(xi, wi).reshape(n, k_in)
-    f = np.fft.fft(y, axis=1) / k_in
-    y0 = f[:, 0]
-    y1 = f[:, 1] / rho
-    y2 = 2.0 * f[:, 2] / rho ** 2
-    return y2 / y0 - 1.5 * (y1 / y0) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -669,29 +544,20 @@ def hierarchy_variation(curve, geo, level, gamma, points, variant="Q",
     if n != level:
         raise VariationError("level must match the number of points")
     bd = branch_data or BranchData(geo)
-    g = geo.genus
     data = [_point_tuple(geo, p) for p in points]
     bmat = _b_matrix(geo, data)
     vs = np.array([d[2] for d in data])
     vg = holomorphic_unit(curve, geo.period, gamma)
     vgam = np.array([vg.fn(np.array([p.x]), np.array([p.w]))[0] for p in points])
 
-    residue_sum = 0.0 + 0.0j
-    for i in range(len(curve.branch_points)):
-        c = bd.circles[i]
-        eta = c["eta"]
-        npts = len(eta)
-        ci = bd.endpoint_factor(i, vg)
+    next_samples = _q_next_samples if variant == "Q" else _r_next_samples
+
+    def kernel(i, c):
         # B(z_k, t) for every argument against the circle
-        bt = np.stack([geo.kernels.bhat_batch(
-            np.broadcast_to(data[k][0], (npts, g)).copy(),
-            np.broadcast_to(data[k][1], (npts, g)).copy(),
-            c["A"], c["G"]) for k in range(n)])
-        if variant == "Q":
-            kern = _q_next_samples(bmat, vs, bt, c["Y"], n)
-        else:
-            kern = _r_next_samples(bmat, vs, bt, c["Y"], n)
-        residue_sum += ci * residue_from_samples(kern, eta)
+        bt = np.stack([_b_point_circle(geo, d[0], d[1], c) for d in data])
+        return next_samples(bmat, vs, bt, c["Y"], n)
+
+    residue_sum = bd.residue_sum(vg, kernel)
 
     if variant == "Q":
         base = q_multidiff(curve, geo, points)

@@ -275,6 +275,16 @@ def _breg_limit(curve, geo, p):
     return complex(np.mean(vals))
 
 
+class TestFrameTail:
+    def test_frame_tails_below_tolerance(self, ell4, g2_5, g2_23, g2_resfree):
+        # every local frame records the truncation tail of its series
+        # windows; on the shipped instances all are converged
+        for ses in (ell4, g2_5, g2_23, g2_resfree):
+            for idx in range(len(ses.curve.zeros)):
+                tail = ses.geo.frames.frame(idx).tail
+                assert 0.0 < tail < nm.JET_TAIL_TOL, (ses.curve.spec.label, idx, tail)
+
+
 class TestSpecExamples:
     def test_ell4_discriminant_roots_vs_companion(self, ell4):
         rep = nm.poly_roots(ell4.curve.P)
@@ -310,8 +320,7 @@ class TestSpecExamples:
         fr = geo.frames.frame(0)
         circle = geo.frames.eval_circle(fr, k=256)
         kernel = circle["G"][:, 0] ** 2 / circle["Y"]
-        from speclab.differentials import residue_from_samples
-        res_fft = residue_from_samples(kernel, circle["eta"])
+        res_fft = nm.laurent_window(kernel, circle["rho"], [-1])[0][0]
         b = fr.center
         r = float(np.abs(circle["eta"][0]) ** 2)
         doubled = nm.Contour([nm.Arc(b, r, 0.0, 4 * np.pi)])

@@ -91,28 +91,49 @@ class TestQuadrature:
 
 
 class TestCircleJet:
+    """Laurent windows (numerics.laurent_window) on sampled circles."""
+
     def test_simple_pole(self):
-        jet = nm.circle_jet(lambda e: 1.0 / e, 0.5)
-        assert abs(jet.residue - 1.0) < 1e-12
-        others = [jet.coef(m) for m in range(0, 13)]
+        eta = nm.circle_points(0.5, 256)
+        c, tail = nm.laurent_window(1.0 / eta, 0.5, np.arange(-4, 13))
+        assert tail <= nm.JET_TAIL_TOL
+        assert abs(c[3] - 1.0) < 1e-12  # m = -1
+        others = c[4:]  # m = 0 .. 12
         assert np.all(np.abs(others) < 1e-12)
 
     def test_exponential(self):
-        jet = nm.circle_jet(np.exp, 0.5)
+        c, tail = nm.laurent_window(np.exp(nm.circle_points(0.5, 256)), 0.5,
+                                    np.arange(-4, 13))
+        assert tail <= nm.JET_TAIL_TOL
         import math
         for k in range(0, 10):
-            assert abs(jet.coef(k) - 1.0 / math.factorial(k)) < 1e-12
+            assert abs(c[k + 4] - 1.0 / math.factorial(k)) < 1e-12
 
     def test_rho_robustness(self):
         fn = lambda e: np.exp(e) / (e - 2.0)
-        j1 = nm.circle_jet(fn, 0.5, m_pos=40)
-        j2 = nm.circle_jet(fn, 0.25, m_pos=40)
+        c1, t1 = nm.laurent_window(fn(nm.circle_points(0.5, 256)), 0.5, np.arange(-4, 41))
+        c2, t2 = nm.laurent_window(fn(nm.circle_points(0.25, 256)), 0.25, np.arange(-4, 41))
+        assert max(t1, t2) <= nm.JET_TAIL_TOL
         for m in range(-1, 8):
-            assert abs(j1.coef(m) - j2.coef(m)) < 1e-9
+            assert abs(c1[m + 4] - c2[m + 4]) < 1e-9
 
-    def test_tail_failure_raises(self):
-        with pytest.raises(nm.JetError):
-            nm.circle_jet(lambda e: 1.0 / (e - 0.500001), 0.5, n_samples=64)
+    def test_tail_failure_reported(self):
+        # a pole just outside the circle: the window is not converged, and
+        # the reported tail says so
+        eta = nm.circle_points(0.5, 64)
+        _, tail = nm.laurent_window(1.0 / (eta - 0.500001), 0.5, np.arange(-4, 13))
+        assert tail > nm.JET_TAIL_TOL
+
+    def test_rows_and_orders(self):
+        # rows are independent windows with their own radii; negative orders
+        # are principal-part coefficients, in any order requested
+        rho = np.array([0.5, 0.25])
+        eta = nm.circle_points(rho[:, None], 128)
+        vals = np.stack([3.0 / eta[0] ** 2 + np.exp(eta[0]), 1.0 / (eta[1] - 1.0)])
+        c, tail = nm.laurent_window(vals, rho, [-2, 0, 3])
+        assert c.shape == (2, 3) and tail.shape == (2,)
+        assert np.allclose(c[0], [3.0, 1.0, 1.0 / 6.0], atol=1e-13)
+        assert np.allclose(c[1], [0.0, -1.0, -1.0], atol=1e-13)
 
 
 class TestSolveDense:

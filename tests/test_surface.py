@@ -84,6 +84,25 @@ class TestContinuation:
             nm.Contour(loop.segments, label="loop"), 0)
         assert end_sheet == 1  # single branch loop swaps the sheets
 
+    def test_reroutes_built_only_when_needed(self, g2_23, monkeypatch):
+        curve = g2_23.curve
+        calls = []
+        real = sf._rerouted_paths
+        monkeypatch.setattr(sf, "_rerouted_paths",
+                            lambda *args: calls.append(args) or real(*args))
+        x = curve.x0 + 0.5 + 0.25j
+        direct = sf.path_to_point(curve, x, None)
+        assert calls == []
+        w_end = curve.track_contour(direct, curve.contour_start_w(direct))[1]
+        same = sf.path_to_point(curve, x, w_end)
+        assert calls == []
+        assert same.segments == direct.segments
+        # the other lift still reroutes, and lands on it
+        other = sf.path_to_point(curve, x, -w_end)
+        assert len(calls) == 1
+        w_other = curve.track_contour(other, curve.contour_start_w(other))[1]
+        assert abs(w_other + w_end) < 1e-8 * max(1.0, abs(w_end))
+
 
 class TestSquareRootLeg:
     def test_w_resolves_branch_end(self, ell4):
@@ -248,8 +267,7 @@ class TestBranchJetInvariants:
         w0 = curve.sqrtP(np.array([x[0]]))[0]
         w = curve.track_w(np.append(x, x[0]), w0)[:-1]
         Y = 2.0 * eta * curve.phi(x, w)
-        from speclab.differentials import _series_from_samples
-        Y2 = _series_from_samples(Y, rho2)
+        Y2 = nm.laurent_window(Y, rho2, np.arange(6))[0]
         flip = 1.0 if abs(Y2[1] - fr.Y_series[1]) < abs(Y2[1] + fr.Y_series[1]) else -1.0
         for m in range(6):
             got = flip ** m * Y2[m]
