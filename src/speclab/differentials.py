@@ -117,9 +117,6 @@ class MeroDifferential:
     def __call__(self, x, w):
         return self.fn(x, w)
 
-    def total_residue(self):
-        return sum(s.principal.get(1, 0.0) for s in self.singularities)
-
 
 def _w_branch_series(curve, j, s, m):
     """Taylor series of w on sheet s around pole j, in chi = x - y_j."""
@@ -218,11 +215,10 @@ class AbelMap:
         self.period = period
         self._cache = {}
 
-    def at(self, x, w=None, compatible=True):
+    def at(self, x, w=None):
         """Abel vector at a point; w fixes the lift (None for branch points)."""
         key = (complex(np.round(complex(x), 13)),
-               None if w is None else complex(np.round(complex(w), 13)),
-               compatible)
+               None if w is None else complex(np.round(complex(w), 13)))
         if key in self._cache:
             return self._cache[key]
         curve = self.curve
@@ -232,9 +228,7 @@ class AbelMap:
         else:
             path = sf.path_to_point(curve, complex(x), complex(w),
                                     label=f"abel->{x:.4g}")
-        vec = self.integrate_v_alpha(path)
-        if compatible:
-            vec = vec - self.lattice_correction(path)
+        vec = self.integrate_v_alpha(path) - self.lattice_correction(path)
         if not np.all(np.isfinite(vec)):
             raise DifferentialError(f"non-finite Abel vector along {path.label}")
         self._cache[key] = vec
@@ -273,6 +267,10 @@ class AbelMap:
 # contour fields: node-synchronized data for kernel periods
 # ---------------------------------------------------------------------------
 
+FIELD_ORDER = 20       # Gauss-Legendre nodes per panel of a contour field
+FIELD_MIN_PANELS = 2   # fewest panels per segment
+
+
 class ContourField:
     """Fixed composite Gauss-Legendre discretization of a contour carrying
     (x, w, V, Abel) at every node, for integrating theta-kernel integrands.
@@ -282,20 +280,18 @@ class ContourField:
     the continuous Abel continuation along the contour itself.
     """
 
-    def __init__(self, curve, period, abel, contour, order=20, min_panels=2,
-                 compatible=True):
+    def __init__(self, curve, period, abel, contour):
         self.curve = curve
         self.contour = contour
-        self.order = order
-        t_nodes, t_w = nm._gl_nodes(order)
-        S = nm.gl_antiderivative_matrix(order)
+        t_nodes, t_w = nm._gl_nodes(FIELD_ORDER)
+        S = nm.gl_antiderivative_matrix(FIELD_ORDER)
         start = contour.start()
         w0 = curve.contour_start_w(contour)
-        A_run = abel.at(start, w0, compatible=compatible)
+        A_run = abel.at(start, w0)
         panels = []
         w_run = w0
         for si, seg in enumerate(contour.segments):
-            npan = max(min_panels, int(math.ceil(
+            npan = max(FIELD_MIN_PANELS, int(math.ceil(
                 seg.length() / max(1e-9, 0.8 * _seg_clearance(curve, seg)))))
             npan = min(npan, 64)
             for p in range(npan):
@@ -422,9 +418,6 @@ class Kernels:
         th = self.theta.value((A2 - A1)[None, :], self.odd)[0]
         return complex(th / (self.h_at(p1) * self.h_at(p2)))
 
-    def log_prime_form(self, p1, p2):
-        return complex(np.log(self.prime_form(p1, p2)))
-
     # -- local S_B / Bergman regularization ----------------------------------
 
     def sb_ring(self, A, V, zeta, A_ring, V_ring):
@@ -447,9 +440,7 @@ class Kernels:
         rho = RING_FRACTION * clearance
         zeta = nm.circle_points(rho[:, None], K_RING)
         xi = (x[:, None] + zeta).ravel()
-        s = curve.sqrtP(xi)
-        wref = np.repeat(w, K_RING)
-        wi = np.where(np.abs(s - wref) <= np.abs(s + wref), s, -s)
+        wi = nm.nearest_root(curve.sqrtP(xi), np.repeat(w, K_RING))
         Vi = self.period.V(xi, wi).reshape(n, K_RING, -1)
         # Abel offsets on the ring: the ring's jet of V integrated from x
         cV, _ = nm.laurent_window(Vi.transpose(0, 2, 1), rho[:, None],
@@ -533,8 +524,7 @@ class LocalFrames:
             rho = sf.JET_RADIUS_FACTOR * d
             eta = nm.circle_points(rho, K_FRAME)
             x = c + eta
-            s = curve.sqrtP(x)
-            w = np.where(np.abs(s - z.w) <= np.abs(s + z.w), s, -s)
+            w = nm.nearest_root(curve.sqrtP(x), z.w)
             Y = curve.phi(x, w)                          # simple zero at c
             V = self.period.V(x, w)
         series, tails = nm.laurent_window(np.concatenate([V.T, Y[None, :]]), rho,
@@ -556,9 +546,10 @@ class LocalFrames:
         G = np.stack([nm.polyval(fr.g_series[a], eta) for a in range(g)], axis=1)
         return A, G
 
-    def eval_circle(self, fr, scale=EVAL_SCALE, k=K_EVAL):
-        """Evaluation circle inside the frame: parameters and point data."""
-        r = scale * fr.rho
+    def eval_circle(self, fr, k=K_EVAL):
+        """Evaluation circle of k points at EVAL_SCALE of the frame radius:
+        parameters and point data."""
+        r = EVAL_SCALE * fr.rho
         eta = nm.circle_points(r, k)
         A, G = self.values(fr, eta)
         Y = nm.polyval(fr.Y_series, eta)
@@ -626,6 +617,3 @@ class Geometry:
     def genus(self):
         return self.curve.counts.genus
 
-
-def build_geometry(curve):
-    return Geometry(curve)

@@ -29,6 +29,7 @@ from .instances import counts_of, load_instance
 
 SUITES = ("surface", "dm-cubic", "kernels", "prime-form", "tau", "hessian",
           "hierarchy", "scaling", "all")
+EVAL_MIN_DIST = 0.3  # least distance of an evaluation point to a singular point
 
 
 class HarnessError(RuntimeError):
@@ -124,7 +125,7 @@ class Session:
             self._dirs = vr.all_directions(self.curve, self.geo)
         return self._dirs
 
-    def eval_points(self, count=2, min_dist=0.3, start=0.11):
+    def eval_points(self, count=2, start=0.11):
         """Deterministic evaluation points away from singular points."""
         curve = self.curve
         ctr = np.mean(curve.singular_points)
@@ -134,7 +135,7 @@ class Session:
         while len(pts) < count and k < 200:
             cand = ctr + rad * np.exp(2j * np.pi * (k * 0.37 + start)) \
                 * (0.55 + 0.1 * ((k * 7) % 5) / 5)
-            if float(np.min(np.abs(curve.singular_points - cand))) > min_dist:
+            if float(np.min(np.abs(curve.singular_points - cand))) > EVAL_MIN_DIST:
                 pts.append(curve.point(complex(cand), k % 2))
             k += 1
         if len(pts) < count:
@@ -298,20 +299,15 @@ def suite_dm_cubic(ses, chk):
     pts = ses.eval_points(5, start=0.07)
 
     def v_at(c, gg):
-        return np.array([c.phi(np.array([p.x]),
-                               np.array([c.w_for_sheet(p.x, p.sheet)]))[0]
+        return np.array([c.phi(np.array([p.x]), np.array([c.carry(p).w]))[0]
                          for p in pts])
 
     paths, targets = sf.zero_paths(curve)
     bpairs = [(p, i) for p, i in zip(paths, targets) if curve.zeros[i].is_branch]
 
     def branch_ints(c, gg):
-        out = []
-        for _, i in bpairs:
-            z = c.zeros[i]
-            pth = sf.path_to_point(c, z.x, None, sqrt_end="end")
-            out.append(c.integrate_v(pth).value)
-        return np.array(out)
+        return np.array([c.integrate_v(sf.carry_path(c, pth, c.zeros[i].x)).value
+                         for pth, i in bpairs])
 
     tensors = {}
     for d in ses.directions():
@@ -386,8 +382,7 @@ def suite_kernels(ses, chk):
     configs = [(p1, p2), (p2, p3), (p1, p3)]
 
     def valpha_at(c, gg, p=p1):
-        return gg.period.V(np.array([p.x]),
-                           np.array([c.w_for_sheet(p.x, p.sheet)]))[0]
+        return gg.period.V(np.array([p.x]), np.array([c.carry(p).w]))[0]
 
     names = _kernel_directions(ses)
     for name in names:
@@ -401,9 +396,7 @@ def suite_kernels(ses, chk):
             gotB = vr.vary_kernel(curve, geo, "B", d, [qa, qb], bd)
 
             def B_at(c, gg, qa=qa, qb=qb):
-                ra = sf.SurfacePoint(qa.x, qa.sheet, c.w_for_sheet(qa.x, qa.sheet))
-                rb = sf.SurfacePoint(qb.x, qb.sheet, c.w_for_sheet(qb.x, qb.sheet))
-                return gg.kernels.bhat_point(ra, rb)
+                return gg.kernels.bhat_point(c.carry(qa), c.carry(qb))
 
             fdB = eng.derivative(B_at, name)
             chk.add(f"dB/d{name}[cfg{ci}]", "4.4-B1", gotB, fdB.value, 1e-4)
@@ -454,9 +447,7 @@ def suite_prime_form(ses, chk):
             got = vr.vary_kernel(curve, geo, "lnE", d, [qa, qb], bd)
 
             def lnE_at(c, gg, qa=qa, qb=qb):
-                ra = sf.SurfacePoint(qa.x, qa.sheet, c.w_for_sheet(qa.x, qa.sheet))
-                rb = sf.SurfacePoint(qb.x, qb.sheet, c.w_for_sheet(qb.x, qb.sheet))
-                return np.log(gg.kernels.prime_form(ra, rb))
+                return np.log(gg.kernels.prime_form(c.carry(qa), c.carry(qb)))
 
             fdE = eng.derivative(lnE_at, name)
             chk.add(f"dlnE/d{name}[cfg{ci}]", "4.5-E1", got, fdE.value, 1e-4)
@@ -573,9 +564,7 @@ def suite_hierarchy(ses, chk):
     got = vr.hierarchy_variation(curve, geo, 2, 0, [p1, p2], "Q", bd)
 
     def q2_at(c, gg):
-        ra = sf.SurfacePoint(p1.x, p1.sheet, c.w_for_sheet(p1.x, p1.sheet))
-        rb = sf.SurfacePoint(p2.x, p2.sheet, c.w_for_sheet(p2.x, p2.sheet))
-        return vr.q_multidiff(c, gg, [ra, rb])
+        return vr.q_multidiff(c, gg, [c.carry(p1), c.carry(p2)])
 
     fd = eng.derivative(q2_at, "A1")
     chk.add("dQ2/dA1-vs-FD", "varW1", got, fd.value, 1e-4)
@@ -616,10 +605,9 @@ def suite_scaling(ses, chk):
     _tensor_check(chk, "period-matrix-scale-invariant", "5.2.1-rescaling",
                   geo2.period.omega, geo.period.omega, 1e-9)
     p1, p2 = ses.eval_points(2, start=0.41)
-    q1 = sf.SurfacePoint(p1.x, p1.sheet, curve2.w_for_sheet(p1.x, p1.sheet))
-    q2 = sf.SurfacePoint(p2.x, p2.sheet, curve2.w_for_sheet(p2.x, p2.sheet))
     chk.add("bidifferential-scale-invariant", "5.2.1-rescaling",
-            geo2.kernels.bhat_point(q1, q2), geo.kernels.bhat_point(p1, p2),
+            geo2.kernels.bhat_point(curve2.carry(p1), curve2.carry(p2)),
+            geo.kernels.bhat_point(p1, p2),
             1e-9)
 
 
@@ -708,9 +696,7 @@ def sweep_epsilon(instance, functional, coord, eps_list):
         formula = vr.hierarchy_variation(curve, geo, 2, gamma, pts, "Q", bd)
 
         def fn(c, g, pts=pts):
-            qs = [sf.SurfacePoint(p.x, p.sheet, c.w_for_sheet(p.x, p.sheet))
-                  for p in pts]
-            return vr.q_multidiff(c, g, qs)
+            return vr.q_multidiff(c, g, [c.carry(p) for p in pts])
 
         pick = lambda m: complex(np.asarray(m).ravel()[0])
     else:

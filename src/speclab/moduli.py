@@ -27,6 +27,7 @@ class ModuliError(RuntimeError):
 
 FD_EPS_REL = 1e-4
 NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 10
 POLE_JET_SAMPLES = 128
 
 
@@ -52,18 +53,6 @@ def coordinate_names(spec, genus):
                     continue
                 names.append(f"C({j + 1},{s + 1},{ell})")
     return tuple(names)
-
-
-def coordinate_kinds(spec, genus):
-    """Parallel list of (kind, j, s, ell) with kind in {'A', 'C'}."""
-    kinds = [("A", a, None, None) for a in range(genus)]
-    for j, p in enumerate(spec.poles):
-        for s in range(spec.n):
-            for ell in range(1, p.k + 1):
-                if (j, s, ell) == (0, 0, 1):
-                    continue
-                kinds.append(("C", j, s, ell))
-    return kinds
 
 
 class PoleCircles:
@@ -239,10 +228,7 @@ class Navigator:
             self._jac = coord_jacobian(self.curve, self.basis, self.circles)
         return self._jac
 
-    def jacobian_condition(self):
-        return float(np.linalg.cond(self.jacobian()))
-
-    def step_to(self, target_vector, max_iter=10, _depth=0):
+    def step_to(self, target_vector, _depth=0):
         """New Navigator at the prescribed coordinates (Newton on N-coeffs).
 
         If a direct step trips the branch-tracking guard the move is walked
@@ -250,24 +236,23 @@ class Navigator:
         branch points substantially).
         """
         target = np.asarray(target_vector, dtype=complex)
-        scale = max(1.0, float(np.max(np.abs(target))))
         try:
-            return self._newton(target, scale, max_iter)
+            return self._newton(target)
         except sf.SurfaceError:
             if _depth >= 4:
                 raise
             mid = 0.5 * (self.coordinates().vector + target)
-            half = self.step_to(mid, max_iter, _depth + 1)
-            return half.step_to(target, max_iter, _depth + 1)
+            half = self.step_to(mid, _depth=_depth + 1)
+            return half.step_to(target, _depth=_depth + 1)
 
-    def _newton(self, target, scale, max_iter):
+    def _newton(self, target):
         nav = self
         coeffs = coefficient_vector(self.curve.spec)
         jac = self.jacobian()
         per_coord = np.maximum(1.0, np.abs(target))
         resid_prev = np.inf
         stalls = 0
-        for it in range(max_iter):
+        for it in range(NEWTON_MAX_ITER):
             resid_vec = nav.coordinates().vector - target
             resid = float(np.max(np.abs(resid_vec) / per_coord))
             if resid <= NEWTON_TOL:

@@ -21,6 +21,8 @@ ROOT_TOL = 1e-12
 QUAD_REL_TOL = 1e-12
 JET_TAIL_TOL = 1e-10
 CLUSTER_TOL = 1e-7
+SOLVE_REL_TOL = 1e-12  # largest residual of a dense solve, relative to its scale
+COND_CAP = 1e12        # largest condition number a dense solve accepts
 
 
 class NumericsError(RuntimeError):
@@ -336,9 +338,6 @@ class Contour:
     def end(self):
         return complex(self.segments[-1].point(1.0))
 
-    def is_closed(self, tol=1e-9):
-        return abs(self.start() - self.end()) <= tol * max(1.0, abs(self.start()))
-
     def reversed(self):
         return Contour([s.reversed() for s in reversed(self.segments)],
                        self.start_sheet, self.label + "~")
@@ -515,6 +514,12 @@ def laurent_window(vals, rho, orders):
     return coeffs, tail / np.where(peak > 0, peak, 1.0)
 
 
+def nearest_root(s, ref):
+    """Whichever of s and -s lies nearer ref, elementwise (s on a tie): the
+    square root that continues the lift ref."""
+    return np.where(np.abs(s - ref) <= np.abs(s + ref), s, -s)
+
+
 def schwarzian(y, yp, ypp):
     """Schwarzian derivative of the integral of y, from y, y', y''."""
     return ypp / y - 1.5 * (yp / y) ** 2
@@ -524,18 +529,19 @@ def schwarzian(y, yp, ypp):
 # dense linear algebra
 # ---------------------------------------------------------------------------
 
-def solve_dense(matrix, rhs, rel_tol=1e-12, cond_cap=1e12):
-    """Guarded numpy solve: residual <= rel_tol * scale, condition reported."""
+def solve_dense(matrix, rhs):
+    """Guarded numpy solve: condition <= COND_CAP and residual <=
+    SOLVE_REL_TOL * scale; returns the solution and the condition."""
     a = np.asarray(matrix, dtype=complex)
     b = np.asarray(rhs, dtype=complex)
     if a.shape[0] != a.shape[1]:
         raise SingularSystemError("solve_dense: matrix not square")
     cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > COND_CAP:
         raise SingularSystemError("solve_dense: condition %.3e beyond cap" % cond)
     x = np.linalg.solve(a, b)
     resid = np.linalg.norm(a @ x - b)
     scale = np.linalg.norm(a, ord=np.inf) * np.linalg.norm(x) + np.linalg.norm(b)
-    if resid > rel_tol * max(scale, 1e-300):
+    if resid > SOLVE_REL_TOL * max(scale, 1e-300):
         raise SingularSystemError("solve_dense: residual %.3e above tolerance" % resid)
     return x, cond

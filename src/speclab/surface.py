@@ -30,6 +30,9 @@ class ContinuationError(SurfaceError):
 SAFETY_FACTOR = 0.25     # clearance = factor * distance to nearest other singular point
 JET_RADIUS_FACTOR = 0.2
 TRACK_STEP_FACTOR = 0.2  # max continuation step relative to branch clearance
+DETOUR_PASSES = 8        # rounds of arc detours in build_path
+CROSSING_PER_ARC = 160   # polyline vertices per arc in crossing tests
+CROSSING_PER_LINE = 80   # polyline vertices per line in crossing tests
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ def _detour_line(seg, center, radius, prefer_ccw=True):
     return pieces
 
 
-def build_path(start, end, obstacles, clearances, sqrt_end=None, max_pass=8):
+def build_path(start, end, obstacles, clearances, sqrt_end=None):
     """Polygonal path from start to end with arc detours around obstacles.
 
     obstacles/clearances are parallel sequences; an obstacle within its
@@ -121,7 +124,7 @@ def build_path(start, end, obstacles, clearances, sqrt_end=None, max_pass=8):
     final leg is square-root reparametrized.
     """
     segs = [Line(complex(start), complex(end))]
-    for _ in range(max_pass):
+    for _ in range(DETOUR_PASSES):
         changed = False
         out = []
         for seg in segs:
@@ -230,11 +233,11 @@ def capsule_ccw(points, margin, label=""):
 # intersection numbers on the double cover
 # ---------------------------------------------------------------------------
 
-def _tracked_polyline(curve, contour, per_arc=160, per_line=80):
+def _tracked_polyline(curve, contour):
     """Dense polyline with tracked w at each vertex."""
     zs = []
     for seg in contour.segments:
-        n = per_arc if isinstance(seg, Arc) else per_line
+        n = CROSSING_PER_ARC if isinstance(seg, Arc) else CROSSING_PER_LINE
         t = np.linspace(0.0, 1.0, n, endpoint=False)
         zs.append(seg.point(t))
     zs.append(np.array([contour.end()]))
@@ -360,8 +363,7 @@ class SpectralCurve:
         w0 = np.sqrt(complex(nm.polyval(self.P, self.x0)))
         if template is not None:
             # keep the sheet labels continuous across perturbed builds
-            if abs(w0 - template.w0_at_x0) > abs(w0 + template.w0_at_x0):
-                w0 = -w0
+            w0 = complex(nm.nearest_root(w0, template.w0_at_x0))
             self.sheet_sign = template.sheet_sign
         else:
             phi_plus = (-nm.polyval(self.N1, self.x0) + w0) / (2 * self.Dval(self.x0))
@@ -373,21 +375,25 @@ class SpectralCurve:
                 self.sheet_sign = (-1, +1)
         self.w0_at_x0 = w0
 
-        # points over the poles, labeled by continuation from the basepoint;
-        # continuing sigma_s * w0 along the same base path lands on
-        # sigma_s * w_arr because tracking is odd in the starting value
-        self.pole_points = {}
-        for j, p in enumerate(self.spec.poles):
-            path = self.path_between(self.x0, p.x)
-            w_arr = self.track_contour(path, w_start=w0)[1]
-            for s in range(2):
-                self.pole_points[(j, s)] = SurfacePoint(
-                    p.x, s, self.sheet_sign[s] * w_arr)
-
+        # the lifts of the poles and the sheets of the simple zeros (on the
+        # lift w = N1): a cold build labels them by continuation from the
+        # basepoint, a templated one carries the template's by continuity
+        # (z0 is matched to the template's zeros in order)
+        if template is None:
+            self.pole_points = {(j, s): self.point(p.x, s)
+                                for j, p in enumerate(self.spec.poles)
+                                for s in range(2)}
+        else:
+            self.pole_points = {key: self.carry(p)
+                                for key, p in template.pole_points.items()}
         zero_pts = []
         for i, z in enumerate(z0):
             wz = complex(nm.polyval(self.N1, z))
-            sheet = self._sheet_of_point(z, wz)
+            if template is None:
+                w_sheet0 = self.w_for_sheet(z, 0)
+                sheet = 0 if abs(w_sheet0 - wz) <= abs(w_sheet0 + wz) else 1
+            else:
+                sheet = template.zeros_d0[i].sheet
             zero_pts.append(ZeroPoint(complex(z), wz, sheet, False, i))
         self.zeros_d0 = zero_pts
         branch_zeros = [ZeroPoint(complex(b), 0.0, -1, True, i)
@@ -449,27 +455,30 @@ class SpectralCurve:
             w = -s * flips
         return w
 
-    def _sheet_of_point(self, x, w_at_x):
-        """Sheet label of (x, w) via continuation from the basepoint."""
-        path = self.path_between(self.x0, complex(x))
-        wend = self.track_contour(path, w_start=self.w0_at_x0)[1]
-        # sheet s arrives with sigma_s * wend when starting from sigma_s * w0
-        for s in (0, 1):
-            if abs(self.sheet_sign[s] * wend - w_at_x) < abs(self.sheet_sign[s] * wend + w_at_x):
-                return s
-        raise ContinuationError("could not identify sheet")
-
     def w_for_sheet(self, x, sheet):
-        """w above x on the sheet with the given global label."""
-        key = (complex(x), sheet)
+        """w above x on the sheet with the given global label, by
+        continuation from the basepoint: the one routine that decides a
+        sheet by routing (monodromy loops aside)."""
+        key = complex(x)
         if key not in self._w_point_cache:
-            path = self.path_between(self.x0, complex(x))
-            wend = self.track_contour(path, w_start=self.w0_at_x0)[1]
-            self._w_point_cache[key] = self.sheet_sign[sheet] * wend
-        return self._w_point_cache[key]
+            path = self.path_between(self.x0, key)
+            self._w_point_cache[key] = self.track_contour(path, w_start=self.w0_at_x0)[1]
+        # sheet s arrives with sigma_s * w when starting from sigma_s * w0,
+        # because tracking is odd in the starting value
+        return self.sheet_sign[sheet] * self._w_point_cache[key]
 
     def point(self, x, sheet):
         return SurfacePoint(complex(x), sheet, complex(self.w_for_sheet(x, sheet)))
+
+    def carry(self, p):
+        """The point p of a nearby curve (a template, or the curve an FD
+        functional was set up on) carried onto this one by continuity: the
+        root of P above p.x nearest p.w. Raises ContinuationError when that
+        choice is ambiguous, |w - p.w| > |w + p.w| / 2."""
+        w = complex(nm.nearest_root(self.sqrtP(np.array([p.x]))[0], p.w))
+        if abs(w - p.w) > 0.5 * abs(w + p.w):
+            raise ContinuationError(f"ambiguous lift carried to x = {p.x:.6g}")
+        return SurfacePoint(p.x, p.sheet, w)
 
     # -- paths and tracking ---------------------------------------------------
 
@@ -481,12 +490,6 @@ class SpectralCurve:
             obs.append(complex(o))
             clg.append(self.clearance[i])
         return obs, clg
-
-    def clearance_of(self, x):
-        i = int(np.argmin(np.abs(self.singular_points - x)))
-        if abs(self.singular_points[i] - x) < 1e-9:
-            return self.clearance[i]
-        return SAFETY_FACTOR * float(np.min(np.abs(self.singular_points - x)))
 
     def path_between(self, a, b, sqrt_end=None):
         obs, clg = self.obstacle_lists(skip=(a, b))
@@ -558,9 +561,7 @@ class SpectralCurve:
             near = (seg.z1, (seg.z0 - seg.z1) * (1.0 - t) ** 2)
         elif end == "start":
             near = (seg.z0, (seg.z1 - seg.z0) * t ** 2)
-        s = self.sqrtP(z, near)
-        ref = wa[idx]
-        return np.where(np.abs(s - ref) <= np.abs(s + ref), s, -s)
+        return nm.nearest_root(self.sqrtP(z, near), wa[idx])
 
     # -- contour integration ---------------------------------------------------
 
@@ -575,38 +576,6 @@ class SpectralCurve:
         return self.integrate(lambda x, w: self.phi(x, w), contour, **kw)
 
     # -- monodromy -------------------------------------------------------------
-
-    def continue_sheet(self, contour, start_sheet):
-        """Track a sheet along a contour; returns (end_sheet, value log).
-
-        Validates that the contour keeps clear of the branch points except
-        for deliberate approaches at its own endpoints.
-        """
-        pts = contour.polyline(per_segment=160)
-        interior = pts[4:-4]
-        if len(interior):
-            d = np.min(np.abs(interior[:, None] - self.branch_points[None, :]),
-                       axis=1)
-            ends = [contour.start(), contour.end()]
-            end_is_branch = [min(abs(e - b) for b in self.branch_points) < 1e-9
-                             for e in ends]
-            # allow the run-in toward a branch endpoint
-            lo = np.argmax(d > 0.02) if end_is_branch[0] else 0
-            hi = len(d) - np.argmax(d[::-1] > 0.02) if end_is_branch[1] else len(d)
-            core = d[lo:hi]
-            if len(core) and float(np.min(core)) < 0.25 * float(np.min(
-                    self.clearance)):
-                raise ContinuationError(
-                    "path too close to a branch point (distance %.2e)"
-                    % float(np.min(core)))
-        w0 = self.sheet_sign[start_sheet] * self.w0_at_x0 if abs(
-            contour.start() - self.x0) < 1e-12 else self.w_for_sheet(
-                contour.start(), start_sheet)
-        z, w = self._dense_track(contour, w0)
-        w_end = w[-1]
-        ref = self.w_for_sheet(contour.end(), 0)
-        end_sheet = 0 if abs(w_end - ref) <= abs(w_end + ref) else 1
-        return end_sheet, (z, w)
 
     def branch_loop(self, i, radius=None):
         b = complex(self.branch_points[i])
@@ -876,16 +845,10 @@ def _transported(curve, template, cuts):
     cycles = []
     start_w = []
     for c, w_old in zip(template.cycles, template.start_w):
-        w = complex(curve.sqrtP(np.array([c.start()]))[0])
-        if abs(w - w_old) > abs(w + w_old):
-            w = -w
+        w = complex(nm.nearest_root(curve.sqrtP(np.array([c.start()]))[0], w_old))
         if abs(w - w_old) > LIFT_JUMP_MAX * abs(w_old):
             return None
-        # a copy of its own, so the per-curve caches of the template's
-        # contour stay with the template's curve
-        c = replace(c)
-        c._start_w = (curve, w)
-        cycles.append(c)
+        cycles.append(_starting_on(curve, c, w))
         start_w.append(w)
     g = len(template.a_cycles)
     return HomologyBasis(cycles[:g], cycles[g:], cuts,
@@ -973,7 +936,7 @@ def intersection_matrix(curve, basis):
     return m
 
 
-def zero_paths(curve, basis=None):
+def zero_paths(curve):
     """Reference paths from x_r to every other zero (branch or simple)."""
     paths = []
     targets = []
@@ -990,28 +953,49 @@ def zero_paths(curve, basis=None):
     return paths, targets
 
 
-def path_to_point(curve, target_x, target_w, start=None, sqrt_end=None, label=""):
-    """Tracked path from x_r (or start) landing on the prescribed lift.
+def path_to_point(curve, target_x, target_w, sqrt_end=None, label=""):
+    """Tracked path from x_r, starting on x_r's own lift, landing on the
+    prescribed lift.
 
     If the direct route arrives on the wrong sheet, reroute through the
     vicinity of the first branch point, with or without a full loop around
     it, whichever lands on the requested lift.
     """
-    src = curve.x_r if start is None else start
+    src = curve.x_r
 
     def candidates():
         yield curve.path_between(src.x, target_x, sqrt_end=sqrt_end)
         yield from _rerouted_paths(curve, src.x, target_x)
 
     for path in candidates():
-        path.start_sheet = src.sheet
-        path.label = label
+        path = _starting_on(curve, path, src.w, start_sheet=src.sheet, label=label)
         if target_w is None:
             return path
-        w_end = curve.track_contour(path, curve.contour_start_w(path))[1]
+        w_end = curve.track_contour(path, src.w)[1]
         if abs(w_end - target_w) <= abs(w_end + target_w):
             return path
     raise ContinuationError("no routing landed on the requested lift")
+
+
+def carry_path(curve, path, end):
+    """A path from x_r of a nearby curve carried onto curve: its first
+    segment now starts at curve's x_r and its last ends at `end`, the
+    segments between are kept, and it starts on x_r's lift. An integral
+    along it is continuous in the moduli while no singular point crosses
+    the path, which re-routing would not be (a detour arc can flip side)."""
+    segs = list(path.segments)
+    segs[0] = replace(segs[0], z0=curve.x_r.x)
+    segs[-1] = replace(segs[-1], z1=complex(end))
+    return _starting_on(curve, path, curve.x_r.w, segments=segs)
+
+
+def _starting_on(curve, contour, w, **changes):
+    """A copy of contour (with changes) that starts on the lift w of curve.
+    The copy has per-curve caches of its own, so those of the original stay
+    with the curve they were made on."""
+    c = replace(contour, **changes)
+    c._start_w = (curve, complex(w))
+    return c
 
 
 def _rerouted_paths(curve, a, b):

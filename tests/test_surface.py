@@ -7,6 +7,8 @@ from speclab import moduli
 from speclab import numerics as nm
 from speclab import surface as sf
 from speclab.differentials import Geometry
+from speclab.generator import generate
+from speclab.harness import Session
 from speclab.instances import load_instance
 
 
@@ -70,19 +72,8 @@ class TestContinuation:
         w_bowed = curve.track_contour(bowed, w0)[1]
         assert abs(w_direct - w_bowed) < 1e-8 * max(1.0, abs(w_direct))
 
-    def test_root_collision_raises(self, ell4):
-        curve = ell4.curve
-        b = complex(curve.branch_points[0])
-        bad = nm.Contour([nm.Line(b + 0.3, b + 1e-7), nm.Line(b + 1e-7, b + 0.3j)])
-        with pytest.raises(sf.ContinuationError, match="close to a branch"):
-            curve.continue_sheet(bad, 0)
-
     def test_continue_sheet_roundtrip(self, ell4):
-        curve = ell4.curve
-        loop = curve.branch_loop(0)
-        end_sheet, log = curve.continue_sheet(
-            nm.Contour(loop.segments, label="loop"), 0)
-        assert end_sheet == 1  # single branch loop swaps the sheets
+        assert ell4.curve.monodromy(0) == (1, 0)  # a single branch loop swaps the sheets
 
     def test_reroutes_built_only_when_needed(self, g2_23, monkeypatch):
         curve = g2_23.curve
@@ -102,6 +93,52 @@ class TestContinuation:
         assert len(calls) == 1
         w_other = curve.track_contour(other, curve.contour_start_w(other))[1]
         assert abs(w_other + w_end) < 1e-8 * max(1.0, abs(w_end))
+
+
+class TestCarry:
+    def test_templated_build_carries_instead_of_routing(self, g2_23, monkeypatch):
+        curve = g2_23.curve
+        coeffs = moduli.coefficient_vector(curve.spec)
+        spec2 = moduli.spec_with_coefficients(curve.spec, coeffs * (1.0 + 1e-3j))
+        calls = []
+        real = sf.SpectralCurve.path_between
+        monkeypatch.setattr(sf.SpectralCurve, "path_between",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        curve2 = sf.build_surface(spec2, template=curve)
+        assert calls == []
+        assert [z.sheet for z in curve2.zeros_d0] == [z.sheet for z in curve.zeros_d0]
+        for key, p in curve.pole_points.items():
+            w = curve2.pole_points[key].w
+            assert abs(w - p.w) < abs(w + p.w)
+
+    def test_carry_refuses_an_ambiguous_lift(self, ell4):
+        curve = ell4.curve
+        p = curve.point(curve.x0 + 0.5 + 0.25j, 1)
+        assert abs(curve.carry(p).w - p.w) <= 1e-12 * abs(p.w)
+        with pytest.raises(sf.ContinuationError, match="ambiguous"):
+            curve.carry(sf.SurfacePoint(p.x, p.sheet, 1j * p.w))
+
+    def test_branch_path_integral_continuous_across_fd_builds(self):
+        # on this g2-23 draw the routed leg to branch zero 3 flipped a detour
+        # arc between the +-eps builds of C(1,1,2), and the integral jumped
+        # by 6.7; the carried path moves it by O(eps)
+        ses = Session(generate("g2-23", seed_base=51888810))
+        eng = ses.eng
+        index = eng.coord_index("C(1,1,2)")
+        paths, targets = sf.zero_paths(ses.curve)
+        path = paths[targets.index(3)]
+        assert ses.curve.zeros[3].is_branch
+
+        def central(eps):
+            vals = []
+            for offset in (eps, -eps):
+                c, _ = eng.build(index, offset)
+                vals.append(c.integrate_v(sf.carry_path(c, path, c.zeros[3].x)).value)
+            return (vals[0] - vals[1]) / (2 * eps)
+
+        eps = eng.eps_for(index)
+        coarse, fine = central(eps), central(eps / 2)
+        assert abs(coarse - fine) <= 1e-2 * abs(fine)
 
 
 class TestSquareRootLeg:

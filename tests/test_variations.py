@@ -108,7 +108,7 @@ class TestTau:
         vals = vr._zero_frame_residues(geo, 0)
         idx = len(ses.curve.branch_points)  # first simple zero
         fr = geo.frames.frame(idx)
-        circle = geo.frames.eval_circle(fr, scale=0.6, k=256)
+        circle = geo.frames.eval_circle(fr, k=256)
         eta = circle["eta"]
         num = circle["G"][:, 0]
         from speclab import numerics as nm
