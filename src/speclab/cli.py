@@ -6,7 +6,8 @@
   speclab sweep    --instance <path|label> --functional <name> --coord <name>
                    --eps-list <csv> [--out table.csv]
 
-Exit code 0 iff every gating check of the run passes.
+Exit codes: 0 = every gating check passed, 1 = a gating check failed,
+2 = error (bad arguments or an exception, printed with its traceback).
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import harness
-from .instances import BUILTIN_LABELS, InstanceError
+from .instances import BUILTIN_LABELS
 
 
 def main(argv=None):
@@ -77,8 +79,9 @@ def main(argv=None):
                     fh.write(csv)
             print(csv, end="")
             return 0
-    except (harness.HarnessError, InstanceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # an error, never a gating result
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 2
 

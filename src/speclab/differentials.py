@@ -41,23 +41,22 @@ class PeriodData:
         self.basis = basis
         g = curve.counts.genus
         self.g = g
-        raw_a = np.zeros((g, g), dtype=complex)
-        raw_b = np.zeros((g, g), dtype=complex)
-        for k in range(g):
-            fn = lambda x, w, k=k: x ** k / w
-            for a in range(g):
-                raw_a[a, k] = curve.integrate(fn, basis.a_cycles[a]).value
-                raw_b[a, k] = curve.integrate(fn, basis.b_cycles[a]).value
-        self.raw_a = raw_a
-        self.raw_b = raw_b
+        # one pass per cycle over [x^0/w, ..., x^(g-1)/w, v/dx]
+        def fn(x, w):
+            return np.stack([x ** k / w for k in range(g)] + [curve.phi(x, w)], axis=-1)
+
+        a_rows = np.array([curve.integrate_stack(fn, c).value for c in basis.a_cycles])
+        b_rows = np.array([curve.integrate_stack(fn, c).value for c in basis.b_cycles])
+        raw_a = self.raw_a = a_rows[:, :g]
+        raw_b = self.raw_b = b_rows[:, :g]
         # v_alpha = sum_k M[alpha, k] x^k / w; M raw_a^T = I normalizes a-periods
         m, cond = nm.solve_dense(raw_a.T, np.eye(g))
         self.M = m
         self.gram_cond = cond
         self.omega = raw_b @ np.linalg.inv(raw_a) if g else np.zeros((0, 0))
         self._validate()
-        self.A_of_v = np.array([curve.integrate_v(c).value for c in basis.a_cycles])
-        self.B_of_v = np.array([curve.integrate_v(c).value for c in basis.b_cycles])
+        self.A_of_v = a_rows[:, g]
+        self.B_of_v = b_rows[:, g]
         self._theta = None
         self._odd = None
 
@@ -245,12 +244,7 @@ class AbelMap:
         return n + self.period.omega @ m
 
     def integrate_v_alpha(self, contour):
-        g = self.period.g
-        out = np.zeros(g, dtype=complex)
-        for a in range(g):
-            fn = lambda x, w, a=a: self.period.V(x, w)[..., a]
-            out[a] = self.curve.integrate(fn, contour).value
-        return out
+        return self.curve.integrate_stack(self.period.V, contour).value
 
     def zero_anchor(self, zero_index):
         z = self.curve.zeros[zero_index]

@@ -212,8 +212,7 @@ def suite_surface(ses, chk):
     chk.add_flag("Im-period-matrix-positive", "Riemann-relations",
                  float(np.min(np.linalg.eigvalsh(om.imag))) > 0,
                  detail=float(np.min(np.linalg.eigvalsh(om.imag))))
-    norm = np.array([[curve.integrate(lambda x, w, a=a: geo.period.V(x, w)[..., a],
-                                      c).value for a in range(g)]
+    norm = np.array([curve.integrate_stack(geo.period.V, c).value
                      for c in geo.basis.a_cycles])
     _tensor_check(chk, "a-normalization", "2.10", norm, np.eye(g), 1e-10,
                   absolute=True)

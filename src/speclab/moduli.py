@@ -175,10 +175,12 @@ def coord_jacobian(curve, geo_or_basis, circles=None):
     names = coordinate_names(curve.spec, genus)
     jac = np.zeros((len(names), len(layout)), dtype=complex)
     tangents = [coefficient_tangent(curve, ell, i) for ell, i in layout]
+
+    def stacked(x, w):
+        return np.stack([tan(x, w) for tan in tangents], axis=-1)
+    for a in range(genus):
+        jac[a] = curve.integrate_stack(stacked, basis.a_cycles[a]).value
     for c, tan in enumerate(tangents):
-        row = 0
-        for a in range(genus):
-            jac[row + a, c] = curve.integrate(tan, basis.a_cycles[a]).value
         row = genus
         for j, p in enumerate(curve.spec.poles):
             for s in range(curve.n):

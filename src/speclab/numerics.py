@@ -403,69 +403,61 @@ def gl_antiderivative_matrix(order):
 
 @dataclass
 class QuadResult:
-    value: complex
-    error: float
+    value: complex      # shape (k,) from integrate_stack
+    error: float        # shape (k,) from integrate_stack
     n_eval: int
 
 
-def integrate(fn, contour, rel_tol=QUAD_REL_TOL, abs_floor=1e-14, max_depth=24,
-              order=12):
-    """Adaptive Gauss-Legendre integral of fn along a contour.
+def integrate_stack(fn, contour, rel_tol=QUAD_REL_TOL, abs_floor=1e-14, max_depth=24,
+                    order=12):
+    """Adaptive Gauss-Legendre integrals of a stack of integrands along a
+    contour, in one pass.
 
-    fn(seg_index, t_array, z_array) -> integrand values relative to dz;
-    the engine multiplies by the segment tangent. The error estimate compares
-    order-n with order-2n panels and is summed over accepted panels.
+    fn(seg_index, t_array, z_array) -> shape (n, k): k integrands relative to
+    dz at n nodes; the engine multiplies by the segment tangent. Each panel is
+    visited depth-first and fn is called once on its order-n and order-2n
+    nodes together. Integrand c passes a panel when the two rules differ by
+    at most max(rel_tol * scale_c, abs_floor), scale_c being c's running
+    maximum of |fine| over the panels visited so far; the panel is split if
+    any integrand fails. The error estimate is summed over accepted panels.
     """
-    total = 0.0 + 0.0j
-    err = 0.0
+    t_lo, w_lo = _gl_nodes(order)
+    t_hi, w_hi = _gl_nodes(2 * order)
+    t_pair = np.concatenate([t_lo, t_hi])
     n_eval = 0
-    # first pass to set an absolute scale
-    scale_acc = 0.0
-    panels_all = []
-    for si, seg in enumerate(contour.segments):
-        panels_all.append((si, seg, 0.0, 1.0, 0))
-    stack = panels_all[::-1]
-    results = []
+    scale = total = err = 0.0
+    stack = [(si, seg, 0.0, 1.0, 0) for si, seg in enumerate(contour.segments)][::-1]
     while stack:
         si, seg, ta, tb, depth = stack.pop()
-        coarse, fine, neval = _panel_pair(fn, si, seg, ta, tb, order)
-        n_eval += neval
-        e = abs(fine - coarse)
-        scale_acc = max(scale_acc, abs(fine))
-        tol_here = max(rel_tol * max(scale_acc, abs(fine)), abs_floor)
-        if e <= tol_here or depth >= max_depth:
+        h = tb - ta
+        tt = ta + h * t_pair
+        f = fn(si, tt, seg.point(tt)) * seg.tangent(tt)[:, None]
+        coarse = h * (w_lo @ f[:order])
+        fine = h * (w_hi @ f[order:])
+        n_eval += 3 * order
+        e = np.abs(fine - coarse)
+        scale = np.fmax(scale, np.abs(fine))  # a NaN never sets the scale
+        tol_here = np.maximum(rel_tol * scale, abs_floor)
+        if np.all(e <= tol_here) or depth >= max_depth:
             # at the depth cap, tolerate a roundoff-floor plateau but fail on
             # genuinely unresolved or non-finite panels
-            if depth >= max_depth and not e <= max(1e3 * tol_here, 3e-9):
+            if depth >= max_depth and not np.all(e <= np.maximum(1e3 * tol_here, 3e-9)):
                 raise QuadratureError(
                     "quadrature subdivision exhausted on segment %d of %s "
-                    "(panel error %.3e)" % (si, contour.label or "contour", e))
-            results.append((fine, e))
+                    "(panel error %.3e)" % (si, contour.label or "contour", np.max(e)))
+            total, err = total + fine, err + e
         else:
             tm = 0.5 * (ta + tb)
             stack.append((si, seg, tm, tb, depth + 1))
             stack.append((si, seg, ta, tm, depth + 1))
-    total = sum(r[0] for r in results)
-    err = sum(r[1] for r in results)
     return QuadResult(total, err, n_eval)
 
 
-def _panel_pair(fn, si, seg, ta, tb, order):
-    h = tb - ta
-    vals = []
-    for o in (order, 2 * order):
-        t, w = _gl_nodes(o)
-        tt = ta + h * t
-        z = seg.point(tt)
-        f = fn(si, tt, z)
-        dz = seg.tangent(tt)
-        vals.append(h * np.sum(w * f * dz))
-    return vals[0], vals[1], 3 * order
-
-
-def integrate_function(fn, contour, **kw):
-    """integrate() for plain integrands fn(z_array)."""
-    return integrate(lambda si, t, z: fn(z), contour, **kw)
+def integrate(fn, contour, **kw):
+    """Adaptive Gauss-Legendre integral of one integrand fn(seg_index,
+    t_array, z_array) -> values relative to dz: integrate_stack with k = 1."""
+    res = integrate_stack(lambda si, t, z: fn(si, t, z)[:, None], contour, **kw)
+    return QuadResult(res.value[0], float(res.error[0]), res.n_eval)
 
 
 # ---------------------------------------------------------------------------

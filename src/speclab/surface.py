@@ -565,12 +565,21 @@ class SpectralCurve:
 
     # -- contour integration ---------------------------------------------------
 
+    def _on_contour(self, fn, contour):
+        """fn(x, w) as an integrand of numerics' engine: w is matched once
+        per call, that is once per panel pair."""
+        def wrapped(si, t, z):
+            return fn(z, self.w_on_segment(contour, si, t, z))
+        return wrapped
+
     def integrate(self, fn, contour, **kw):
         """Integrate fn(x, w) (value relative to dx) along a tracked contour."""
-        def wrapped(si, t, z):
-            w = self.w_on_segment(contour, si, t, z)
-            return fn(z, w)
-        return nm.integrate(wrapped, contour, **kw)
+        return nm.integrate(self._on_contour(fn, contour), contour, **kw)
+
+    def integrate_stack(self, fn, contour, **kw):
+        """Integrate fn(x, w) -> shape (n, k), k integrands relative to dx,
+        along a tracked contour in one adaptive pass; value has shape (k,)."""
+        return nm.integrate_stack(self._on_contour(fn, contour), contour, **kw)
 
     def integrate_v(self, contour, **kw):
         return self.integrate(lambda x, w: self.phi(x, w), contour, **kw)

@@ -5,7 +5,7 @@ from speclab import generator, moduli
 from speclab import numerics as nm
 from speclab import surface as sf
 from speclab.differentials import (AbelMap, ContourField, DifferentialError,
-                                   second_kind, third_kind)
+                                   PeriodData, second_kind, third_kind)
 from speclab.harness import Session
 
 
@@ -132,6 +132,53 @@ class TestAbel:
                             lambda path: np.full(ell4.geo.genus, np.nan + 0j))
         with pytest.raises(DifferentialError, match="abel->"):
             abel.at(ell4.curve.branch_points[0], None)
+
+
+class TestStackedIntegrals:
+    """PeriodData and AbelMap.integrate_v_alpha integrate all their
+    integrands in one pass per contour; the per-integrand loops here are the
+    reference. Tolerance: 1e-11 relative to each contour's largest entry."""
+
+    TOL = 1e-11
+
+    def close(self, got, want):
+        return np.max(np.abs(got - want)) <= self.TOL * np.max(np.abs(want))
+
+    def test_period_data_matches_loops(self, g2_23):
+        curve, basis, per = g2_23.curve, g2_23.geo.basis, g2_23.geo.period
+        g = per.g
+        raw = {}
+        for name, cycles in (("a", basis.a_cycles), ("b", basis.b_cycles)):
+            rows = []
+            for c in cycles:
+                row = [curve.integrate(lambda x, w, k=k: x ** k / w, c).value
+                       for k in range(g)]
+                rows.append(row + [curve.integrate_v(c).value])
+            raw[name] = np.array(rows)
+        for i in range(g):
+            assert self.close(np.append(per.raw_a[i], per.A_of_v[i]), raw["a"][i])
+            assert self.close(np.append(per.raw_b[i], per.B_of_v[i]), raw["b"][i])
+        omega = raw["b"][:, :g] @ np.linalg.inv(raw["a"][:, :g])
+        assert self.close(per.omega, omega)
+
+    def test_abel_integrals_match_loops(self, g2_23):
+        curve, per, abel = g2_23.curve, g2_23.geo.period, g2_23.geo.abel
+        paths, _ = sf.zero_paths(curve)
+        for path in paths:
+            want = np.array([curve.integrate(lambda x, w, a=a: per.V(x, w)[..., a],
+                                             path).value for a in range(per.g)])
+            assert self.close(abel.integrate_v_alpha(path), want)
+
+    def test_period_data_one_pass_per_cycle(self, g2_23, monkeypatch):
+        calls = {"integrate": 0, "integrate_stack": 0}
+        for name in calls:
+            def counted(self, *args, _orig=getattr(sf.SpectralCurve, name),
+                        _name=name, **kw):
+                calls[_name] += 1
+                return _orig(self, *args, **kw)
+            monkeypatch.setattr(sf.SpectralCurve, name, counted)
+        PeriodData(g2_23.curve, g2_23.geo.basis)
+        assert calls == {"integrate": 0, "integrate_stack": 2 * g2_23.geo.genus}
 
 
 class TestThetaKernels:

@@ -89,6 +89,15 @@ class TestCLI:
         rc2 = cli.main(["verify", "--instance", "ell4", "--suite", "foo"])
         assert rc2 == 2
 
+    def test_internal_error_exits_2(self, capsys):
+        # an exception is an error (2), never a gating failure (1)
+        rc = cli.main(["sweep", "--instance", "ell4", "--functional", "omega",
+                       "--coord", "Z9", "--eps-list", "1e-3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "error: VariationError: unrecognized coordinate name 'Z9'" in err
+
     def test_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         rc = cli.main(["sweep", "--instance", "ell4", "--functional", "omega",

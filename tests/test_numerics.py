@@ -60,26 +60,26 @@ class TestSeries:
 class TestQuadrature:
     def test_circle_dz_over_z(self):
         c = nm.circle(0.0, 1.0)
-        res = nm.integrate_function(lambda z: 1.0 / z, c)
+        res = nm.integrate(lambda si, t, z: 1.0 / z, c)
         assert abs(res.value - 2j * np.pi) < 1e-12
         assert res.error >= abs(res.value - 2j * np.pi) or res.error < 1e-12
 
     def test_cubic_segment(self):
         c = nm.Contour([nm.Line(0.0, 1.0)])
-        res = nm.integrate_function(lambda z: z ** 3, c)
+        res = nm.integrate(lambda si, t, z: z ** 3, c)
         assert abs(res.value - 0.25) < 1e-14
         assert res.error >= abs(res.value - 0.25) or res.error < 1e-13
 
     def test_oscillatory_estimate_conservative(self):
         c = nm.Contour([nm.Line(0.0, 1.0)])
-        res = nm.integrate_function(lambda z: np.exp(8j * np.pi * z), c)
+        res = nm.integrate(lambda si, t, z: np.exp(8j * np.pi * z), c)
         exact = (np.exp(8j * np.pi) - 1.0) / (8j * np.pi)
         assert abs(res.value - exact) <= max(res.error, 1e-12)
 
     def test_sqrt_end_parametrization(self):
         # integral of 1/sqrt(z) from 1 to 0 along the real axis ( = -2 )
         seg = nm.Line(1.0, 0.0, sqrt_end="end")
-        res = nm.integrate_function(lambda z: 1.0 / np.sqrt(z + 0j), nm.Contour([seg]))
+        res = nm.integrate(lambda si, t, z: 1.0 / np.sqrt(z + 0j), nm.Contour([seg]))
         assert abs(res.value - (-2.0)) < 1e-10
 
     def test_non_finite_panel_raises(self):
@@ -88,6 +88,59 @@ class TestQuadrature:
         c = nm.Contour([nm.Line(0.0, 1.0)], label="leg")
         with pytest.raises(nm.QuadratureError, match="leg"):
             nm.integrate(lambda si, t, z: np.where(t > 0.99, np.nan, 1.0), c, max_depth=3)
+
+
+class TestQuadratureStack:
+    """numerics.integrate_stack: one adaptive pass serves a stack of
+    integrands, each held to its own tolerance."""
+
+    FNS = (lambda z: 1.0 / z, lambda z: z ** 3, lambda z: np.exp(8j * np.pi * z))
+    EXACT = (2j * np.pi, 0.0, 0.0)
+
+    def stacked(self, si, t, z):
+        return np.stack([f(z) for f in self.FNS], axis=-1)
+
+    def test_matches_scalar_and_closed_forms(self):
+        c = nm.circle(0.0, 1.0)
+        res = nm.integrate_stack(self.stacked, c)
+        assert res.value.shape == (3,) and res.error.shape == (3,)
+        for col, (f, exact) in enumerate(zip(self.FNS, self.EXACT)):
+            bound = max(res.error[col], 1e-12)
+            one = nm.integrate(lambda si, t, z, f=f: f(z), c)
+            assert abs(res.value[col] - one.value) <= bound
+            assert abs(res.value[col] - exact) <= bound
+            # each integrand is resolved as far as it is on its own
+            assert res.error[col] <= 10 * one.error + 1e-14
+
+    def test_non_finite_column_raises(self):
+        c = nm.Contour([nm.Line(0.0, 1.0)], label="leg")
+
+        def fn(si, t, z):
+            return np.stack([z, np.where(t > 0.99, np.nan, 1.0)], axis=-1)
+
+        with pytest.raises(nm.QuadratureError, match="leg"):
+            nm.integrate_stack(fn, c, max_depth=3)
+
+    def test_one_call_per_panel_pair(self):
+        calls = []
+
+        def fn(si, t, z):
+            calls.append(t.copy())
+            return self.stacked(si, t, z)
+
+        res = nm.integrate_stack(fn, nm.circle(0.0, 1.0))
+        assert len(calls) > 1  # the oscillatory column forces splits
+        assert len(calls) * 36 == res.n_eval
+        t12, _ = nm._gl_nodes(12)
+        t24, _ = nm._gl_nodes(24)
+        panels = set()
+        for t in calls:
+            # the 12 and 24 nodes of one panel [ta, tb], in one call
+            h = (t[1] - t[0]) / (t12[1] - t12[0])
+            ta = t[0] - h * t12[0]
+            assert np.allclose(t, ta + h * np.concatenate([t12, t24]), atol=1e-14)
+            panels.add((round(ta, 12), round(h, 12)))
+        assert len(panels) == len(calls)
 
 
 class TestCircleJet:
