@@ -246,16 +246,6 @@ class AbelMap:
     def integrate_v_alpha(self, contour):
         return self.curve.integrate_stack(self.period.V, contour).value
 
-    def zero_anchor(self, zero_index):
-        z = self.curve.zeros[zero_index]
-        if z.is_branch:
-            return self.at(z.x, None)
-        return self.at(z.x, z.w)
-
-    def pole_anchor(self, j, s):
-        p = self.curve.pole_points[(j, s)]
-        return self.at(p.x, p.w)
-
 
 # ---------------------------------------------------------------------------
 # contour fields: node-synchronized data for kernel periods

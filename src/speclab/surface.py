@@ -33,6 +33,7 @@ TRACK_STEP_FACTOR = 0.2  # max continuation step relative to branch clearance
 DETOUR_PASSES = 8        # rounds of arc detours in build_path
 CROSSING_PER_ARC = 160   # polyline vertices per arc in crossing tests
 CROSSING_PER_LINE = 80   # polyline vertices per line in crossing tests
+CROSSING_BLOCK = 16      # consecutive polyline edges per block box in crossing tests
 
 
 @dataclass(frozen=True)
@@ -233,58 +234,82 @@ def capsule_ccw(points, margin, label=""):
 # intersection numbers on the double cover
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Polyline:
+    """A contour's crossing-test polyline: vertices z with tracked w, and
+    the bounding boxes (min x, max x, min y, max y) of its edges, padded to
+    whole blocks of CROSSING_BLOCK edges with empty boxes, and of each block."""
+    z: np.ndarray
+    w: np.ndarray
+    box: np.ndarray = field(init=False)    # (4, blocks, CROSSING_BLOCK)
+    block: np.ndarray = field(init=False)  # (4, blocks)
+
+    def __post_init__(self):
+        p0, p1 = self.z[:-1], self.z[1:]
+        n = len(p0)
+        pad = -n % CROSSING_BLOCK
+        box = np.empty((4, n + pad))
+        box[:, n:] = [[np.inf], [-np.inf], [np.inf], [-np.inf]]
+        box[0, :n] = np.minimum(p0.real, p1.real)
+        box[1, :n] = np.maximum(p0.real, p1.real)
+        box[2, :n] = np.minimum(p0.imag, p1.imag)
+        box[3, :n] = np.maximum(p0.imag, p1.imag)
+        self.box = box.reshape(4, -1, CROSSING_BLOCK)
+        self.block = np.stack([self.box[0].min(axis=1), self.box[1].max(axis=1),
+                               self.box[2].min(axis=1), self.box[3].max(axis=1)])
+
+
+def _boxes_overlap(b1, b2):
+    return (b1[0] <= b2[1]) & (b2[0] <= b1[1]) & (b1[2] <= b2[3]) & (b2[2] <= b1[3])
+
+
 def _tracked_polyline(curve, contour):
-    """Dense polyline with tracked w at each vertex."""
-    zs = []
-    for seg in contour.segments:
-        n = CROSSING_PER_ARC if isinstance(seg, Arc) else CROSSING_PER_LINE
-        t = np.linspace(0.0, 1.0, n, endpoint=False)
-        zs.append(seg.point(t))
-    zs.append(np.array([contour.end()]))
-    z = np.concatenate(zs)
-    w0 = curve.contour_start_w(contour)
-    w = curve.track_w(z, w0)
-    return z, w
+    """Dense polyline with tracked w at each vertex (cached on the contour
+    for the curve it was tracked on)."""
+    cached = getattr(contour, "_tracked", None)
+    if cached is None or cached[0] is not curve:
+        zs = []
+        for seg in contour.segments:
+            n = CROSSING_PER_ARC if isinstance(seg, Arc) else CROSSING_PER_LINE
+            t = np.linspace(0.0, 1.0, n, endpoint=False)
+            zs.append(seg.point(t))
+        zs.append(np.array([contour.end()]))
+        z = np.concatenate(zs)
+        w = curve.track_w(z, curve.contour_start_w(contour))
+        contour._tracked = (curve, _Polyline(z, w))
+    return contour._tracked[1]
 
 
 def intersection_number(curve, c1, c2):
-    """Signed intersection number of two tracked closed/relative contours."""
-    z1, w1 = _tracked_polyline(curve, c1)
-    z2, w2 = _tracked_polyline(curve, c2)
-    p0, p1 = z1[:-1], z1[1:]
-    q0, q1 = z2[:-1], z2[1:]
-    wa = w1[:-1]
-    wb = w2[:-1]
-    d1 = p1 - p0
-    d2 = q1 - q0
-    # bounding-box prefilter
-    min1x = np.minimum(p0.real, p1.real)[:, None]
-    max1x = np.maximum(p0.real, p1.real)[:, None]
-    min1y = np.minimum(p0.imag, p1.imag)[:, None]
-    max1y = np.maximum(p0.imag, p1.imag)[:, None]
-    min2x = np.minimum(q0.real, q1.real)[None, :]
-    max2x = np.maximum(q0.real, q1.real)[None, :]
-    min2y = np.minimum(q0.imag, q1.imag)[None, :]
-    max2y = np.maximum(q0.imag, q1.imag)[None, :]
-    cand = ((min1x <= max2x) & (min2x <= max1x) &
-            (min1y <= max2y) & (min2y <= max1y))
-    ii, jj = np.nonzero(cand)
-    if len(ii) == 0:
+    """Signed intersection number of two tracked closed/relative contours.
+
+    Edge pairs whose bounding boxes overlap go to the hit test; they are
+    found among the edges of block pairs whose block boxes overlap."""
+    l1 = _tracked_polyline(curve, c1)
+    l2 = _tracked_polyline(curve, c2)
+    k1, k2 = np.nonzero(_boxes_overlap(l1.block[:, :, None], l2.block[:, None, :]))
+    pair, b1, b2 = np.nonzero(_boxes_overlap(l1.box[:, k1, :, None],
+                                             l2.box[:, k2, None, :]))
+    if len(pair) == 0:
         return 0
-    a = d1[ii]
-    b = -d2[jj]
-    rhs = q0[jj] - p0[ii]
+    ii = k1[pair] * CROSSING_BLOCK + b1
+    jj = k2[pair] * CROSSING_BLOCK + b2
+    z1, w1, z2, w2 = l1.z, l1.w, l2.z, l2.w
+    p0, q0 = z1[ii], z2[jj]
+    a = z1[ii + 1] - p0
+    d2 = z2[jj + 1] - q0
+    b = -d2
+    rhs = q0 - p0
     det = a.real * b.imag - a.imag * b.real
     ok = np.abs(det) > 1e-14
     s = np.where(ok, (rhs.real * b.imag - rhs.imag * b.real) / np.where(ok, det, 1), -1)
     t = np.where(ok, (a.real * rhs.imag - a.imag * rhs.real) / np.where(ok, det, 1), -1)
     hits = ok & (s >= 0) & (s < 1) & (t >= 0) & (t < 1)
     total = 0
-    for idx in np.nonzero(hits)[0]:
-        i, j = ii[idx], jj[idx]
-        wa_i, wb_j = wa[i], wb[j]
+    for k in np.nonzero(hits)[0]:
+        wa_i, wb_j = w1[ii[k]], w2[jj[k]]
         if abs(wa_i - wb_j) < abs(wa_i + wb_j):  # same sheet
-            cross = (d1[i].conjugate() * d2[j]).imag
+            cross = (a[k].conjugate() * d2[k]).imag
             total += 1 if cross > 0 else -1
     return total
 

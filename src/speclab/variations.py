@@ -381,46 +381,36 @@ def tau_gradient(curve, geo, gamma, branch_data=None, enforce_residue_free=True)
     return -TWO_PI_I * term1 - (1j * math.pi / 8.0) * term2
 
 
-def tau_gradient_oracle(curve, geo, gamma, branch_data=None):
+def tau_gradient_oracle(curve, geo, branch_data=None):
     """Chain-rule evaluation of d(ln tau)/dA_gamma through the period
-    coordinates: dual-contour integrals of B_reg/v paired with the
-    derivatives of the period coordinates, with small-circle corrections
-    restoring duality against the reference paths."""
+    coordinates, as the vector over gamma: dual-contour integrals of B_reg/v
+    paired with the derivatives of the period coordinates, with small-circle
+    corrections restoring duality against the reference paths. Only the
+    derivatives of the period coordinates depend on gamma."""
     from .differentials import ContourField
     bd = branch_data or BranchData(geo)
     g = geo.genus
     basis = geo.basis
     omega = geo.period.omega
-    vg = holomorphic_unit(curve, geo.period, gamma)
 
     # residues of B_reg/v at every zero (branch points and simple zeros)
     res_at = [complex(_residue(*bd.breg_over_v(idx)))
               for idx in range(len(curve.zeros))]
 
     paths, targets = sf.zero_paths(curve)
-    # d P_{l_i} / d A_gamma: path integral of v_gamma plus branch endpoint term
-    dP = []
-    for path, idx in zip(paths, targets):
-        val = curve.integrate(vg.fn, path).value
-        if curve.zeros[idx].is_branch:
-            val -= bd.endpoint_factor(idx, vg)
-        dP.append(val)
 
     # kernel integrals over the a/b representatives
     def breg_kernel(pan):
         d = geo.kernels.sb_minus_sv(pan["z"], pan["w"], pan["A"], pan["V"])
         return d / (6.0 * curve.phi(pan["z"], pan["w"]))
 
-    int_a = []
-    int_b = []
+    dual_a = []
+    dual_b = []
     for d in range(g):
         cf_a = ContourField(curve, geo.period, geo.abel, basis.a_cycles[d])
         cf_b = ContourField(curve, geo.period, geo.abel, basis.b_cycles[d])
-        int_a.append(cf_a.integrate_kernel(breg_kernel))
-        int_b.append(cf_b.integrate_kernel(breg_kernel))
-
-    total = 0.0 + 0.0j
-    for d in range(g):
+        int_a = cf_a.integrate_kernel(breg_kernel)
+        int_b = cf_b.integrate_kernel(breg_kernel)
         # duality corrections from crossings with the reference paths
         corr_a = 0.0 + 0.0j
         corr_b = 0.0 + 0.0j
@@ -431,12 +421,23 @@ def tau_gradient_oracle(curve, geo, gamma, branch_data=None):
                 corr_a += nb * TWO_PI_I * res_at[idx]
             if na:
                 corr_b -= na * TWO_PI_I * res_at[idx]
-        dual_a = -int_b[d] + corr_a    # dual of a_d is -b_d (+ corrections)
-        dual_b = int_a[d] + corr_b     # dual of b_d is +a_d (+ corrections)
-        total += (1.0 if d == gamma else 0.0) * dual_a + omega[gamma, d] * dual_b
-    for val, (path, idx) in zip(dP, zip(paths, targets)):
-        total += val * TWO_PI_I * res_at[idx]
-    return total
+        dual_a.append(-int_b + corr_a)    # dual of a_d is -b_d (+ corrections)
+        dual_b.append(int_a + corr_b)     # dual of b_d is +a_d (+ corrections)
+
+    out = np.empty(g, dtype=complex)
+    for gamma in range(g):
+        vg = holomorphic_unit(curve, geo.period, gamma)
+        total = 0.0 + 0.0j
+        for d in range(g):
+            total += (1.0 if d == gamma else 0.0) * dual_a[d] + omega[gamma, d] * dual_b[d]
+        # d P_{l_i} / d A_gamma: path integral of v_gamma plus branch endpoint term
+        for path, idx in zip(paths, targets):
+            val = curve.integrate(vg.fn, path).value
+            if curve.zeros[idx].is_branch:
+                val -= bd.endpoint_factor(idx, vg)
+            total += val * TWO_PI_I * res_at[idx]
+        out[gamma] = total
+    return out
 
 
 # ---------------------------------------------------------------------------

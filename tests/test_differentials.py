@@ -92,8 +92,8 @@ class TestThirdKind:
             u = third_kind(curve, geo.period, j, s)
             bu = np.array([curve.integrate(u.fn, c).value
                            for c in geo.basis.b_cycles])
-            rhs = 2j * np.pi * (geo.abel.pole_anchor(j, s)
-                                - geo.abel.pole_anchor(0, 0))
+            p, p0 = curve.pole_points[(j, s)], curve.pole_points[(0, 0)]
+            rhs = 2j * np.pi * (geo.abel.at(p.x, p.w) - geo.abel.at(p0.x, p0.w))
             assert np.max(np.abs(bu - rhs)) < 1e-9
 
     def test_base_point_rejected(self, ell4):
@@ -291,7 +291,7 @@ class TestThetaKernels:
                 circle = geo.frames.eval_circle(fr, k=64)
                 kv = (circle["G"][:, 0] * circle["G"][:, g - 1] / circle["Y"])
                 res = np.fft.fft(kv)[-1] / len(kv) * abs(circle["eta"][0])
-                Agl = ab.zero_anchor(idx)[0]
+                Agl = ab.at(z.x, None if z.is_branch else z.w)[0]
                 rhs += Agl * res
             assert abs(lhs - 2j * np.pi * rhs) < 1e-8 * max(1.0, abs(lhs))
 

@@ -26,6 +26,12 @@ class TestRunSuite:
             assert len(check["lhs"]) == 2
         json.loads(report.to_json())
 
+    def test_absolute_flag_in_report(self):
+        report = harness.run_suite("ell4", "surface")
+        checks = {c["name"]: c for c in report.as_dict()["checks"]}
+        assert checks["period-matrix-symmetric"]["absolute"] is True
+        assert checks["intersection-matrix-canonical"]["absolute"] is False
+
     def test_tau_requires_residue_free(self):
         with pytest.raises(harness.HarnessError, match="residue-free"):
             harness.run_suite("g2-23", "tau")

@@ -264,6 +264,70 @@ class TestTransport:
             assert dense - r <= float(np.max(np.abs(np.diff(z))))
 
 
+def _all_pairs_crossings(curve, c1, c2):
+    """Reference for intersection_number: every edge pair whose bounding
+    boxes overlap goes to the hit test, found on one dense N1 x N2 filter."""
+    l1 = sf._tracked_polyline(curve, c1)
+    l2 = sf._tracked_polyline(curve, c2)
+    p0, p1, q0, q1 = l1.z[:-1], l1.z[1:], l2.z[:-1], l2.z[1:]
+    d1, d2 = p1 - p0, q1 - q0
+    cand = ((np.minimum(p0.real, p1.real)[:, None] <= np.maximum(q0.real, q1.real)[None, :])
+            & (np.minimum(q0.real, q1.real)[None, :] <= np.maximum(p0.real, p1.real)[:, None])
+            & (np.minimum(p0.imag, p1.imag)[:, None] <= np.maximum(q0.imag, q1.imag)[None, :])
+            & (np.minimum(q0.imag, q1.imag)[None, :] <= np.maximum(p0.imag, p1.imag)[:, None]))
+    total = 0
+    for i, j in zip(*np.nonzero(cand)):
+        a, b, rhs = d1[i], -d2[j], q0[j] - p0[i]
+        det = a.real * b.imag - a.imag * b.real
+        if abs(det) <= 1e-14:
+            continue
+        s = (rhs.real * b.imag - rhs.imag * b.real) / det
+        t = (a.real * rhs.imag - a.imag * rhs.real) / det
+        wa, wb = l1.w[i], l2.w[j]
+        if 0 <= s < 1 and 0 <= t < 1 and abs(wa - wb) < abs(wa + wb):
+            total += 1 if (d1[i].conjugate() * d2[j]).imag > 0 else -1
+    return total
+
+
+class TestCrossings:
+    def test_blocked_filter_matches_all_pairs(self, ell4, g2_5, g2_23, g2_resfree):
+        for ses in (ell4, g2_5, g2_23, g2_resfree):
+            curve, cycles = ses.curve, ses.geo.basis.cycles
+            paths, _ = sf.zero_paths(curve)
+            counts = [(sf.intersection_number(curve, c1, c2),
+                       _all_pairs_crossings(curve, c1, c2))
+                      for c1 in cycles for c2 in cycles + paths]
+            assert all(n == ref for n, ref in counts)
+            assert any(n != 0 for n, _ in counts[len(cycles) ** 2:])
+
+    def test_polyline_cached_on_its_own_curve(self, g2_23, monkeypatch):
+        curve, base = g2_23.curve, g2_23.geo.basis
+        a, b = base.a_cycles[0], base.b_cycles[0]
+        line = sf._tracked_polyline(curve, a)
+        sf._tracked_polyline(curve, b)
+        calls = []
+        real = sf.SpectralCurve.track_w
+        monkeypatch.setattr(sf.SpectralCurve, "track_w",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        assert sf.intersection_number(curve, a, b) == 1
+        assert calls == []
+        assert sf._tracked_polyline(curve, a) is line
+
+    def test_carried_copy_retracks_on_perturbed_curve(self, g2_23):
+        curve, base = g2_23.curve, g2_23.geo.basis
+        eng = g2_23.eng
+        curve2, geo2 = eng.build(0, eng.eps_for(0))
+        assert geo2.basis.transported
+        for c, c2 in zip(base.cycles, geo2.basis.cycles):
+            assert c2.segments is c.segments
+            line = sf._tracked_polyline(curve, c)
+            line2 = sf._tracked_polyline(curve2, c2)
+            assert line2 is not line
+            assert c._tracked[0] is curve and c2._tracked[0] is curve2
+            assert np.array_equal(line2.z, line.z)
+            assert not np.array_equal(line2.w, line.w)
+
+
 class TestGenericN:
     def test_n3_build_counts(self):
         spec = load_instance("n3-smoke")

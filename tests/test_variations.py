@@ -116,6 +116,15 @@ class TestTau:
         direct = np.mean(num / den * eta)  # (1/2 pi i) oint f d eta
         assert abs(direct - vals[idx]) < 1e-9 * max(1.0, abs(vals[idx]))
 
+    def test_oracle_vector_matches_residue_formula(self, g2_resfree):
+        curve, geo = g2_resfree.curve, g2_resfree.geo
+        bd = g2_resfree.branch_data
+        oracle = vr.tau_gradient_oracle(curve, geo, bd)
+        assert oracle.shape == (geo.genus,)
+        for gamma in range(geo.genus):
+            f = vr.tau_gradient(curve, geo, gamma, bd)
+            assert abs(f - oracle[gamma]) <= 1e-4 * max(abs(f), abs(oracle[gamma]))
+
 
 class TestResidueDirections:
     def test_g2_5_residue_direction_fd(self, g2_5):
