@@ -436,14 +436,6 @@ class Kernels:
         cy, _ = nm.laurent_window(curve.phi(xi, wi).reshape(n, K_RING), rho, range(3))
         return sb - nm.schwarzian(cy[:, 0], cy[:, 1], 2.0 * cy[:, 2])
 
-    def breg_at(self, x, w):
-        """(S_B - S_v)/6 in the base coordinate at a regular point."""
-        x = np.array([complex(x)])
-        w = np.array([complex(w)])
-        A = self.abel.at(x[0], w[0])[None, :]
-        d = self.sb_minus_sv(x, w, A, self.period.V(x, w))
-        return complex(d[0]) / 6.0
-
 
 # ---------------------------------------------------------------------------
 # local frames: circles at branch points and at simple zeros

@@ -301,6 +301,7 @@ class FDEngine:
         self.nav = nav
         self.eps_rel = eps_rel
         self._cache = {}
+        self._move_cache = {}
 
     def coord_index(self, name):
         names = self.nav.coordinates().names
@@ -323,8 +324,6 @@ class FDEngine:
         """Predicted branch-point displacement per unit step of coordinate
         `index`, from the chart Jacobian and the root sensitivities of the
         discriminant (caps eps on stiff instances)."""
-        if not hasattr(self, "_move_cache"):
-            self._move_cache = {}
         if index in self._move_cache:
             return self._move_cache[index]
         curve = self.nav.curve

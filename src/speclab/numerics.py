@@ -2,8 +2,9 @@
 
 Polynomial root finding (simultaneous Aberth-Ehrlich iteration with a
 companion-matrix fallback), truncated power-series algebra, directed contours
-made of line/arc segments, adaptive Gauss-Legendre quadrature along contours,
-discrete-Fourier Laurent windows on circles, and guarded dense solves.
+made of line/arc segments, adaptive Gauss-Legendre quadrature along contours
+(one integrand call per refinement level), discrete-Fourier Laurent windows on
+circles, and guarded dense solves.
 
 Everything is plain numpy; evaluators passed in must accept vectorized
 complex arguments.
@@ -405,7 +406,7 @@ def gl_antiderivative_matrix(order):
 class QuadResult:
     value: complex      # shape (k,) from integrate_stack
     error: float        # shape (k,) from integrate_stack
-    n_eval: int
+    n_eval: int         # integrand evaluations, speculative panels included
 
 
 def integrate_stack(fn, contour, rel_tol=QUAD_REL_TOL, abs_floor=1e-14, max_depth=24,
@@ -414,43 +415,90 @@ def integrate_stack(fn, contour, rel_tol=QUAD_REL_TOL, abs_floor=1e-14, max_dept
     contour, in one pass.
 
     fn(seg_index, t_array, z_array) -> shape (n, k): k integrands relative to
-    dz at n nodes; the engine multiplies by the segment tangent. Each panel is
-    visited depth-first and fn is called once on its order-n and order-2n
-    nodes together. Integrand c passes a panel when the two rules differ by
-    at most max(rel_tol * scale_c, abs_floor), scale_c being c's running
-    maximum of |fine| over the panels visited so far; the panel is split if
-    any integrand fails. The error estimate is summed over accepted panels.
+    dz at n nodes, seg_index giving each node's segment; the engine
+    multiplies by the segment tangent. Every panel gets the order-n and
+    order-2n rules. Integrand c passes a panel when the two differ by at
+    most max(rel_tol * scale_c, abs_floor), scale_c being c's running
+    maximum of |fine| over the panels visited so far, depth first; the
+    panel is split if any integrand fails. The error estimate is summed over
+    accepted panels.
+
+    Panels are evaluated a refinement level at a time, in one fn call per
+    level: it takes the children of every panel that may split, that is
+    every panel that fails against the running maximum of its own and its
+    ancestors' |fine|, a lower bound of the depth-first scale. The
+    depth-first pass then runs on the stored panels, so its decisions,
+    scales and summation order do not depend on the batching; n_eval counts
+    every node evaluated, those of children it does not visit included.
     """
     t_lo, w_lo = _gl_nodes(order)
     t_hi, w_hi = _gl_nodes(2 * order)
     t_pair = np.concatenate([t_lo, t_hi])
-    n_eval = 0
-    scale = total = err = 0.0
-    stack = [(si, seg, 0.0, 1.0, 0) for si, seg in enumerate(contour.segments)][::-1]
-    while stack:
-        si, seg, ta, tb, depth = stack.pop()
+    segs = contour.segments
+    # one row per panel, a level at a time; child[p] is the first of the
+    # two children of panel p, or -1
+    si = np.arange(len(segs))
+    ta, tb = np.zeros(len(segs)), np.ones(len(segs))
+    bound = 0.0
+    levels, child = [], []
+    n_done = 0
+    while len(si):
         h = tb - ta
-        tt = ta + h * t_pair
-        f = fn(si, tt, seg.point(tt)) * seg.tangent(tt)[:, None]
-        coarse = h * (w_lo @ f[:order])
-        fine = h * (w_hi @ f[order:])
-        n_eval += 3 * order
+        tt = (ta[:, None] + h[:, None] * t_pair).ravel()
+        node_seg = np.repeat(si, len(t_pair))
+        z = np.empty(len(tt), dtype=complex)
+        tangent = np.empty(len(tt), dtype=complex)
+        cuts = (np.flatnonzero(np.diff(node_seg)) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [len(tt)]):  # si is sorted
+            on = slice(lo, hi)
+            z[on] = segs[node_seg[lo]].point(tt[on])
+            tangent[on] = segs[node_seg[lo]].tangent(tt[on])
+        f = (fn(node_seg, tt, z) * tangent[:, None]).reshape(len(si), len(t_pair), -1)
+        coarse = h[:, None] * (w_lo @ f[:, :order])
+        fine = h[:, None] * (w_hi @ f[:, order:])
         e = np.abs(fine - coarse)
-        scale = np.fmax(scale, np.abs(fine))  # a NaN never sets the scale
+        abs_fine = np.abs(fine)
+        bound = np.fmax(bound, abs_fine)  # a NaN never sets the bound
+        may_split = ~np.all(e <= np.maximum(rel_tol * bound, abs_floor), axis=1)
+        if len(levels) >= max_depth:
+            may_split[:] = False
+        n_next = 2 * int(np.count_nonzero(may_split))
+        first = np.full(len(si), -1)
+        first[may_split] = n_done + len(si) + np.arange(0, n_next, 2)
+        levels.append((si, fine, abs_fine, e))
+        child.append(first)
+        n_done += len(si)
+        tm = 0.5 * (ta + tb)
+        si = np.repeat(si[may_split], 2)
+        ta = np.stack([ta[may_split], tm[may_split]], axis=1).ravel()
+        tb = np.stack([tm[may_split], tb[may_split]], axis=1).ravel()
+        bound = np.repeat(bound[may_split], 2, axis=0)
+    seg_of = np.concatenate([lv[0] for lv in levels])
+    fines = np.concatenate([lv[1] for lv in levels])
+    abs_fines = np.concatenate([lv[2] for lv in levels])
+    errs = np.concatenate([lv[3] for lv in levels])
+    capped = np.repeat(np.arange(len(levels)) >= max_depth,
+                       [len(lv[0]) for lv in levels]).tolist()
+    child = np.concatenate(child).tolist()
+
+    scale = total = err = 0.0
+    stack = list(range(len(segs)))[::-1]
+    while stack:
+        p = stack.pop()
+        scale = np.fmax(scale, abs_fines[p])  # a NaN never sets the scale
         tol_here = np.maximum(rel_tol * scale, abs_floor)
-        if np.all(e <= tol_here) or depth >= max_depth:
-            # at the depth cap, tolerate a roundoff-floor plateau but fail on
-            # genuinely unresolved or non-finite panels
-            if depth >= max_depth and not np.all(e <= np.maximum(1e3 * tol_here, 3e-9)):
-                raise QuadratureError(
-                    "quadrature subdivision exhausted on segment %d of %s "
-                    "(panel error %.3e)" % (si, contour.label or "contour", np.max(e)))
-            total, err = total + fine, err + e
-        else:
-            tm = 0.5 * (ta + tb)
-            stack.append((si, seg, tm, tb, depth + 1))
-            stack.append((si, seg, ta, tm, depth + 1))
-    return QuadResult(total, err, n_eval)
+        # a panel without children passed against its bound, or is capped
+        if child[p] >= 0 and not (errs[p] <= tol_here).all():
+            stack += (child[p] + 1, child[p])
+            continue
+        # at the depth cap, tolerate a roundoff-floor plateau but fail on
+        # genuinely unresolved or non-finite panels
+        if capped[p] and not (errs[p] <= np.maximum(1e3 * tol_here, 3e-9)).all():
+            raise QuadratureError(
+                "quadrature subdivision exhausted on segment %d of %s "
+                "(panel error %.3e)" % (seg_of[p], contour.label or "contour", np.max(errs[p])))
+        total, err = total + fines[p], err + errs[p]
+    return QuadResult(total, err, n_done * len(t_pair))
 
 
 def integrate(fn, contour, **kw):

@@ -34,6 +34,7 @@ DETOUR_PASSES = 8        # rounds of arc detours in build_path
 CROSSING_PER_ARC = 160   # polyline vertices per arc in crossing tests
 CROSSING_PER_LINE = 80   # polyline vertices per line in crossing tests
 CROSSING_BLOCK = 16      # consecutive polyline edges per block box in crossing tests
+LIFT_JUMP_MAX = 0.25     # largest relative change of a carried lift (cycle start, anchor)
 
 
 @dataclass(frozen=True)
@@ -437,19 +438,23 @@ class SpectralCurve:
 
     # -- basic evaluators (n = 2) -------------------------------------------
 
-    def sqrtP(self, x, near=None):
+    def sqrtP(self, x, near=()):
         """w candidates: sqrt of the discriminant, evaluated in factored form
         (lead * prod (x - e_i)) so there is no cancellation near the branch
-        points; the expanded form loses ~4 digits there. near = (e, dx)
-        replaces the factor x - e of the branch point e by dx, for points
-        closer to e than the rounding of x resolves."""
+        points; the expanded form loses ~4 digits there. Each (e, at, dx) of
+        near replaces the factor x - e of the branch point e by dx at x[at],
+        for points closer to e than the rounding of x resolves."""
         x = np.asarray(x, dtype=complex)
         if getattr(self, "branch_points", None) is None or len(
                 self.branch_points) != len(self.P) - 1:
             return np.sqrt(nm.polyval(self.P, x))
         prod = np.full_like(x, self.P[-1])
         for e in self.branch_points:
-            prod = prod * (near[1] if near is not None and e == near[0] else x - e)
+            factor = x - e
+            for e_near, at, dx in near:
+                if e_near == e:
+                    factor[at] = dx
+            prod = prod * factor
         return np.sqrt(prod)
 
     def Dval(self, x):
@@ -554,45 +559,91 @@ class SpectralCurve:
     def anchors(self, contour):
         """Per-segment anchor grids (t, w) of tracked w for matching the sign
         of w in integrands. Anchors with tiny |w| (the exact branch endpoint
-        of a square-root leg) carry an arbitrary sign and are left out."""
+        of a square-root leg) carry an arbitrary sign and are left out.
+
+        A contour carried from a template (see _starting_on) takes the
+        template's anchors on the segments they share (_carried_anchors);
+        the other segments are tracked densely, one track_w call per run of
+        consecutive ones."""
         cached = getattr(contour, "_anchors", None)
         if cached is None or cached[0] is not self:
+            carried = self._carried_anchors(contour)
             w_run = self.contour_start_w(contour)
-            data = []
-            for seg in contour.segments:
-                npts = self._track_points(seg)
-                t = np.linspace(0.0, 1.0, npts)
-                w = self.track_w(seg.point(t), w_run)
-                w_run = w[-1]
-                good = np.abs(w) > 1e-6 * float(np.median(np.abs(w)) + 1e-300)
-                data.append((t, w) if np.all(good) else (t[good], w[good]))
+            data, run = [], []
+            for k, seg in enumerate(contour.segments):
+                if k not in carried:
+                    run.append(seg)
+                    continue
+                data += self._tracked_run(run, w_run)
+                run = []
+                data.append(carried[k])
+                w_run = carried[k][1][-1]
+            data += self._tracked_run(run, w_run)
             contour._anchors = (self, data)
         return contour._anchors[1]
 
+    def _tracked_run(self, segs, w_start):
+        """Dense anchors (t, w) on consecutive segments, from w_start."""
+        if not segs:
+            return []
+        ts = [np.linspace(0.0, 1.0, self._track_points(seg)) for seg in segs]
+        w = self.track_w(np.concatenate([seg.point(t) for seg, t in zip(segs, ts)]),
+                         w_start)
+        out = []
+        for t, wk in zip(ts, np.split(w, np.cumsum([len(t) for t in ts])[:-1])):
+            good = np.abs(wk) > 1e-6 * float(np.median(np.abs(wk)) + 1e-300)
+            out.append((t, wk) if np.all(good) else (t[good], wk[good]))
+        return out
+
+    def _carried_anchors(self, contour):
+        """{segment index: (t, w)} on the segments contour shares with its
+        template, if the template has anchors: at the template's anchor
+        points, the root of P nearest the template's w. Empty when any
+        anchor moves by more than LIFT_JUMP_MAX of |w| (the guard of
+        `carry`), so that the whole contour is tracked afresh."""
+        template, shared = getattr(contour, "_template", (None, ()))
+        cached = getattr(template, "_anchors", None)
+        if cached is None or not shared:
+            return {}
+        grids = [cached[1][k] for k in shared]
+        z = np.concatenate([contour.segments[k].point(t) for k, (t, _) in zip(shared, grids)])
+        w_t = np.concatenate([w for _, w in grids])
+        w = nm.nearest_root(self.sqrtP(z), w_t)
+        if np.any(np.abs(w - w_t) > LIFT_JUMP_MAX * np.abs(w_t)):
+            return {}
+        parts = np.split(w, np.cumsum([len(t) for t, _ in grids])[:-1])
+        return {k: (t, wk) for k, (t, _), wk in zip(shared, grids, parts)}
+
     def w_on_segment(self, contour, seg_index, t, z):
-        """w at parameters t of one segment, matched to the tracked anchors.
+        """w at nodes t of a contour, each matched to the tracked anchors of
+        its segment; seg_index is each node's segment.
 
         The radial approach to a branch endpoint keeps the phase stable, so
         the farther anchor left in its place by anchors() matches safely.
         """
-        ta, wa = self.anchors(contour)[seg_index]
-        idx = np.clip(np.searchsorted(ta, t), 0, len(ta) - 1)
-        # on a square-root leg x - e at the branch-point end is exact in the
-        # parameter, while x itself rounds onto e as t nears the end
-        seg = contour.segments[seg_index]
-        end = getattr(seg, "sqrt_end", None)
-        near = None
-        if end == "end":
-            near = (seg.z1, (seg.z0 - seg.z1) * (1.0 - t) ** 2)
-        elif end == "start":
-            near = (seg.z0, (seg.z1 - seg.z0) * t ** 2)
-        return nm.nearest_root(self.sqrtP(z, near), wa[idx])
+        anchors = self.anchors(contour)
+        ref = np.empty(len(t), dtype=complex)
+        near = []
+        cuts = (np.flatnonzero(np.diff(seg_index)) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [len(t)]):  # runs on one segment
+            at = slice(lo, hi)
+            ta, wa = anchors[seg_index[lo]]
+            ref[at] = wa[np.clip(np.searchsorted(ta, t[at]), 0, len(ta) - 1)]
+            # on a square-root leg x - e at the branch-point end is exact in
+            # the parameter, while x itself rounds onto e as t nears the end
+            seg = contour.segments[seg_index[lo]]
+            end = getattr(seg, "sqrt_end", None)
+            if end == "end":
+                near.append((seg.z1, at, (seg.z0 - seg.z1) * (1.0 - t[at]) ** 2))
+            elif end == "start":
+                near.append((seg.z0, at, (seg.z1 - seg.z0) * t[at] ** 2))
+        return nm.nearest_root(self.sqrtP(z, near), ref)
 
     # -- contour integration ---------------------------------------------------
 
     def _on_contour(self, fn, contour):
         """fn(x, w) as an integrand of numerics' engine: w is matched once
-        per call, that is once per panel pair."""
+        per call, that is once per refinement level."""
         def wrapped(si, t, z):
             return fn(z, self.w_on_segment(contour, si, t, z))
         return wrapped
@@ -809,9 +860,6 @@ class HomologyBasis:
         return self.a_cycles + self.b_cycles
 
 
-LIFT_JUMP_MAX = 0.25  # largest relative change of w at a carried cycle's start
-
-
 def homology_basis(curve, template_basis=None):
     """Capsule realization of the standard nested hyperelliptic basis.
 
@@ -882,7 +930,7 @@ def _transported(curve, template, cuts):
         w = complex(nm.nearest_root(curve.sqrtP(np.array([c.start()]))[0], w_old))
         if abs(w - w_old) > LIFT_JUMP_MAX * abs(w_old):
             return None
-        cycles.append(_starting_on(curve, c, w))
+        cycles.append(_starting_on(curve, c, w, carried=range(len(c.segments))))
         start_w.append(w)
     g = len(template.a_cycles)
     return HomologyBasis(cycles[:g], cycles[g:], cuts,
@@ -1014,21 +1062,27 @@ def path_to_point(curve, target_x, target_w, sqrt_end=None, label=""):
 def carry_path(curve, path, end):
     """A path from x_r of a nearby curve carried onto curve: its first
     segment now starts at curve's x_r and its last ends at `end`, the
-    segments between are kept, and it starts on x_r's lift. An integral
-    along it is continuous in the moduli while no singular point crosses
-    the path, which re-routing would not be (a detour arc can flip side)."""
+    segments between are kept with their anchors, and it starts on x_r's
+    lift. An integral along it is continuous in the moduli while no
+    singular point crosses the path, which re-routing would not be (a
+    detour arc can flip side)."""
     segs = list(path.segments)
     segs[0] = replace(segs[0], z0=curve.x_r.x)
     segs[-1] = replace(segs[-1], z1=complex(end))
-    return _starting_on(curve, path, curve.x_r.w, segments=segs)
+    return _starting_on(curve, path, curve.x_r.w, carried=range(1, len(segs) - 1),
+                        segments=segs)
 
 
-def _starting_on(curve, contour, w, **changes):
+def _starting_on(curve, contour, w, carried=(), **changes):
     """A copy of contour (with changes) that starts on the lift w of curve.
     The copy has per-curve caches of its own, so those of the original stay
-    with the curve they were made on."""
+    with the curve they were made on. `carried` indexes the segments the
+    copy shares with contour: their anchors are carried from contour's
+    (SpectralCurve.anchors)."""
     c = replace(contour, **changes)
     c._start_w = (curve, complex(w))
+    if carried:
+        c._template = (contour, tuple(carried))
     return c
 
 

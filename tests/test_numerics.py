@@ -90,6 +90,44 @@ class TestQuadrature:
             nm.integrate(lambda si, t, z: np.where(t > 0.99, np.nan, 1.0), c, max_depth=3)
 
 
+def _depth_first_stack(fn, contour, rel_tol=nm.QUAD_REL_TOL, abs_floor=1e-14,
+                       max_depth=24, order=12):
+    """Reference for numerics.integrate_stack: the depth-first engine that
+    calls fn once per panel, on its order-n and order-2n nodes together."""
+    t_lo, w_lo = nm._gl_nodes(order)
+    t_hi, w_hi = nm._gl_nodes(2 * order)
+    t_pair = np.concatenate([t_lo, t_hi])
+    n_eval = 0
+    scale = total = err = 0.0
+    stack = [(si, seg, 0.0, 1.0, 0) for si, seg in enumerate(contour.segments)][::-1]
+    while stack:
+        si, seg, ta, tb, depth = stack.pop()
+        h = tb - ta
+        tt = ta + h * t_pair
+        f = fn(np.full(len(tt), si), tt, seg.point(tt)) * seg.tangent(tt)[:, None]
+        coarse = h * (w_lo @ f[:order])
+        fine = h * (w_hi @ f[order:])
+        n_eval += 3 * order
+        e = np.abs(fine - coarse)
+        scale = np.fmax(scale, np.abs(fine))
+        tol_here = np.maximum(rel_tol * scale, abs_floor)
+        if np.all(e <= tol_here) or depth >= max_depth:
+            if depth >= max_depth and not np.all(e <= np.maximum(1e3 * tol_here, 3e-9)):
+                raise nm.QuadratureError(
+                    "quadrature subdivision exhausted on segment %d of %s "
+                    "(panel error %.3e)" % (si, contour.label or "contour", np.max(e)))
+            total, err = total + fine, err + e
+        else:
+            tm = 0.5 * (ta + tb)
+            stack.append((si, seg, tm, tb, depth + 1))
+            stack.append((si, seg, ta, tm, depth + 1))
+    return nm.QuadResult(total, err, n_eval)
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 class TestQuadratureStack:
     """numerics.integrate_stack: one adaptive pass serves a stack of
     integrands, each held to its own tolerance."""
@@ -99,6 +137,16 @@ class TestQuadratureStack:
 
     def stacked(self, si, t, z):
         return np.stack([f(z) for f in self.FNS], axis=-1)
+
+    @staticmethod
+    def branch_leg(si, t, z):
+        # a smooth column, and x^(1/4) and log(x)/sqrt(x) on the square-root
+        # leg into 0 (segment 1), taken from x = (1 - t)^2 there, exact in t;
+        # their singular end forces panels down to the depth cap
+        x = np.where(si == 1, (1.0 - t) ** 2, z) + 0j
+        return np.stack([np.ones_like(x), x ** 0.25, np.log(x) / np.sqrt(x)], axis=-1)
+
+    LEG = nm.Contour([nm.Line(1.0 + 1.0j, 1.0), nm.Line(1.0, 0.0, sqrt_end="end")])
 
     def test_matches_scalar_and_closed_forms(self):
         c = nm.circle(0.0, 1.0)
@@ -112,35 +160,49 @@ class TestQuadratureStack:
             # each integrand is resolved as far as it is on its own
             assert res.error[col] <= 10 * one.error + 1e-14
 
+    def test_bitwise_equal_to_depth_first(self):
+        for fn, c in ((self.stacked, nm.circle(0.0, 1.0)), (self.branch_leg, self.LEG)):
+            res = nm.integrate_stack(fn, c)
+            ref = _depth_first_stack(fn, c)
+            assert _same_bits(res.value, ref.value) and _same_bits(res.error, ref.error)
+            # the speculative panels are counted, and cost little
+            assert ref.n_eval <= res.n_eval <= 1.25 * ref.n_eval
+        assert ref.n_eval >= 36 * 30  # the leg went deep
+
     def test_non_finite_column_raises(self):
         c = nm.Contour([nm.Line(0.0, 1.0)], label="leg")
 
         def fn(si, t, z):
             return np.stack([z, np.where(t > 0.99, np.nan, 1.0)], axis=-1)
 
-        with pytest.raises(nm.QuadratureError, match="leg"):
+        with pytest.raises(nm.QuadratureError, match="leg") as got:
             nm.integrate_stack(fn, c, max_depth=3)
+        with pytest.raises(nm.QuadratureError) as want:
+            _depth_first_stack(fn, c, max_depth=3)
+        assert str(got.value) == str(want.value)
 
-    def test_one_call_per_panel_pair(self):
+    def test_one_call_per_level(self):
         calls = []
 
         def fn(si, t, z):
-            calls.append(t.copy())
+            calls.append((si.copy(), t.copy()))
             return self.stacked(si, t, z)
 
         res = nm.integrate_stack(fn, nm.circle(0.0, 1.0))
         assert len(calls) > 1  # the oscillatory column forces splits
-        assert len(calls) * 36 == res.n_eval
+        assert sum(len(t) for _, t in calls) == res.n_eval
         t12, _ = nm._gl_nodes(12)
         t24, _ = nm._gl_nodes(24)
-        panels = set()
-        for t in calls:
-            # the 12 and 24 nodes of one panel [ta, tb], in one call
-            h = (t[1] - t[0]) / (t12[1] - t12[0])
-            ta = t[0] - h * t12[0]
-            assert np.allclose(t, ta + h * np.concatenate([t12, t24]), atol=1e-14)
-            panels.add((round(ta, 12), round(h, 12)))
-        assert len(panels) == len(calls)
+        pair = np.concatenate([t12, t24])
+        for level, (si, t) in enumerate(calls):
+            # call `level` holds whole panels of width 2^-level, the 12 and
+            # 24 nodes of each, and no panel twice
+            h = 0.5 ** level
+            ta = t.reshape(-1, 36)[:, 0] - h * t12[0]
+            assert np.allclose(t, (ta[:, None] + h * pair).ravel(), atol=1e-14)
+            assert np.allclose(ta / h, np.round(ta / h), atol=1e-9)
+            assert len(set(np.round(ta, 12))) == len(ta)
+            assert np.all(si == 0)
 
 
 class TestCircleJet:

@@ -152,7 +152,7 @@ class TestSquareRootLeg:
         seg = path.segments[k]
         assert seg.sqrt_end == "end"
         s = np.array([1e-5, 1e-7, 1e-9])
-        w = curve.w_on_segment(path, k, 1.0 - s, seg.point(1.0 - s))
+        w = curve.w_on_segment(path, np.full(len(s), k), 1.0 - s, seg.point(1.0 - s))
         expect = nm.polyval(nm.polyder(curve.P), e) * (seg.z0 - e) * s ** 2
         assert np.all(np.abs(w ** 2 - expect) <= 1e-6 * np.abs(expect))
 
@@ -262,6 +262,102 @@ class TestTransport:
             dense = float(np.min(np.abs(z[:, None] - base.origin[None, :])))
             assert r <= dense + 1e-14
             assert dense - r <= float(np.max(np.abs(np.diff(z))))
+
+
+def _w_carried_and_dense(curve, contour):
+    """w at every quadrature node of v along contour, from its carried
+    anchors and from a copy of it that has no template, so it is tracked
+    densely."""
+    dense = sf._starting_on(curve, contour, curve.contour_start_w(contour))
+    got, want = [], []
+
+    def fn(si, t, z):
+        got.append(curve.w_on_segment(contour, si, t, z))
+        want.append(curve.w_on_segment(dense, si, t, z))
+        return curve.phi(z, got[-1])
+
+    nm.integrate(fn, contour)
+    return np.concatenate(got), np.concatenate(want)
+
+
+def _carried_legs(ses, curve):
+    """Every zero leg of the session's curve (anchored there) carried onto
+    curve, as the dm-cubic branch-integral functional carries them."""
+    paths, targets = sf.zero_paths(ses.curve)
+    for path in paths:
+        ses.curve.integrate_v(path)
+    return [(path, sf.carry_path(curve, path, curve.zeros[i].x))
+            for path, i in zip(paths, targets)]
+
+
+class TestCarriedAnchors:
+    """A carried contour takes its w anchors from its template's: the same
+    w at every quadrature node as dense tracking on the new curve."""
+
+    def check_carried(self, curve, pairs):
+        n_carried = 0
+        for template, c in pairs:
+            shared = [k for k, seg in enumerate(c.segments)
+                      if seg is template.segments[k]]
+            got, want = _w_carried_and_dense(curve, c)
+            assert np.array_equal(got, want)
+            # the shared segments kept the template's anchor grids
+            for k in shared:
+                assert c._anchors[1][k][0] is template._anchors[1][k][0]
+            n_carried += len(shared)
+        assert n_carried > 0
+
+    @staticmethod
+    def anchored_basis(ses):
+        base = ses.geo.basis
+        for c in base.cycles:
+            ses.curve.anchors(c)
+        return base
+
+    def test_perturbed_build(self, g2_23):
+        base = self.anchored_basis(g2_23)
+        curve2 = _perturbed(g2_23)
+        carried = sf.homology_basis(curve2, template_basis=base)
+        assert carried.transported
+        self.check_carried(curve2, list(zip(base.cycles, carried.cycles))
+                           + _carried_legs(g2_23, curve2))
+
+    def test_fd_build(self, g2_23):
+        # the FD builds are Newton chains of carries from the session's basis
+        base = self.anchored_basis(g2_23)
+        eng = moduli.FDEngine(g2_23.nav)
+        curve3, geo3 = eng.build(0, eng.eps_for(0))
+        assert geo3.basis.transported
+        self.check_carried(curve3, list(zip(base.cycles, geo3.basis.cycles))
+                           + _carried_legs(g2_23, curve3))
+
+    def test_turned_template_falls_back_to_dense(self, g2_23):
+        base = self.anchored_basis(g2_23)
+        curve2 = _perturbed(g2_23)
+        start_w = sf.homology_basis(curve2, template_basis=base).start_w
+        for c, w0 in zip(base.cycles, start_w):
+            turned = sf._starting_on(g2_23.curve, c, c._start_w[1])
+            turned._anchors = (g2_23.curve, [(t, 1j * w) for t, w in c._anchors[1]])
+            carried = sf._starting_on(curve2, turned, w0, carried=range(len(c.segments)))
+            dense = sf._starting_on(curve2, c, w0)
+            for (t1, w1), (t2, w2) in zip(curve2.anchors(carried), curve2.anchors(dense)):
+                assert np.array_equal(t1, t2) and np.array_equal(w1, w2)
+            got, want = _w_carried_and_dense(curve2, carried)
+            assert np.array_equal(got, want)
+
+    def test_one_track_per_run_matches_segmentwise(self, g2_23):
+        # dense anchors tracked in one call per contour equal those tracked
+        # segment by segment, each from the end of the one before
+        curve = g2_23.curve
+        paths, _ = sf.zero_paths(curve)
+        for c in g2_23.geo.basis.cycles + paths:
+            w_run = curve.contour_start_w(c)
+            for seg, (t, w) in zip(c.segments, curve.anchors(c)):
+                full = np.linspace(0.0, 1.0, curve._track_points(seg))
+                ws = curve.track_w(seg.point(full), w_run)
+                w_run = ws[-1]
+                keep = np.isin(full, t)
+                assert np.array_equal(t, full[keep]) and np.array_equal(w, ws[keep])
 
 
 def _all_pairs_crossings(curve, c1, c2):
