@@ -248,77 +248,27 @@ class AbelMap:
 
 
 # ---------------------------------------------------------------------------
-# contour fields: node-synchronized data for kernel periods
+# kernel periods
 # ---------------------------------------------------------------------------
 
-FIELD_ORDER = 20       # Gauss-Legendre nodes per panel of a contour field
-FIELD_MIN_PANELS = 2   # fewest panels per segment
-
-
 class ContourField:
-    """Fixed composite Gauss-Legendre discretization of a contour carrying
-    (x, w, V, Abel) at every node, for integrating theta-kernel integrands.
+    """Integrals of theta kernels kernel(x, w, V) along one contour, V being
+    the normalized differentials relative to dx, through the adaptive
+    engine (SpectralCurve.integrate).
 
-    The Abel values come from the spectral antiderivative of V on each panel,
-    accumulated along the contour from the start anchor, so they are exactly
-    the continuous Abel continuation along the contour itself.
-    """
+    Kept as a class only for the benchmark: perfbench/layers.py traces
+    ContourField.integrate_kernel. Fold it into tau_gradient_oracle at the
+    next change of the benchmark."""
 
-    def __init__(self, curve, period, abel, contour):
+    def __init__(self, curve, period, contour):
         self.curve = curve
+        self.period = period
         self.contour = contour
-        t_nodes, t_w = nm._gl_nodes(FIELD_ORDER)
-        S = nm.gl_antiderivative_matrix(FIELD_ORDER)
-        start = contour.start()
-        w0 = curve.contour_start_w(contour)
-        A_run = abel.at(start, w0)
-        panels = []
-        w_run = w0
-        for si, seg in enumerate(contour.segments):
-            npan = max(FIELD_MIN_PANELS, int(math.ceil(
-                seg.length() / max(1e-9, 0.8 * _seg_clearance(curve, seg)))))
-            npan = min(npan, 64)
-            for p in range(npan):
-                ta, tb = p / npan, (p + 1) / npan
-                tt = ta + (tb - ta) * t_nodes
-                z = seg.point(tt)
-                dz = seg.tangent(tt) * (tb - ta)
-                zchain = np.concatenate([[seg.point(ta)], z, [seg.point(tb)]])
-                wchain = curve.track_w(zchain, w_run)
-                w = wchain[1:-1]
-                w_run = wchain[-1]
-                V = period.V(z, w)                  # (order, g)
-                integ = V * dz[:, None]             # d(A)/dt on the panel
-                A_nodes = A_run[None, :] + S @ integ
-                A_end = A_run + t_w @ integ
-                panels.append({"z": z, "w": w, "V": V, "A": A_nodes,
-                               "dz": dz, "wq": t_w})
-                A_run = A_end
-        self.panels = panels
 
     def integrate_kernel(self, kernel):
-        """Sum of kernel(panel) . weights over the contour.
-
-        kernel(panel) receives the panel dict and returns integrand values
-        relative to dx at the panel nodes.
-        """
-        total = 0.0 + 0.0j
-        for pan in self.panels:
-            vals = kernel(pan)
-            total += np.sum(pan["wq"] * vals * pan["dz"])
-        return total
-
-    def nodes(self):
-        z = np.concatenate([p["z"] for p in self.panels])
-        w = np.concatenate([p["w"] for p in self.panels])
-        V = np.concatenate([p["V"] for p in self.panels])
-        A = np.concatenate([p["A"] for p in self.panels])
-        return z, w, V, A
-
-
-def _seg_clearance(curve, seg):
-    mid = seg.point(np.linspace(0.04, 0.96, 24))
-    return float(np.min(np.abs(mid[:, None] - curve.singular_points[None, :])))
+        """Integral of kernel(x, w, V), a value relative to dx, over the contour."""
+        return self.curve.integrate(
+            lambda x, w: kernel(x, w, self.period.V(x, w)), self.contour).value
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +278,8 @@ def _seg_clearance(curve, seg):
 K_RING = 16          # samples on an S_B ring
 RING_ORDER = 10      # jet order integrated for the Abel offsets on a base ring
 RING_FRACTION = 0.3  # base ring radius over the point's clearance
+RING_BATCH = 64      # most points of sb_minus_sv whose rings go to theta at once,
+                     # which bounds the memory of the lattice sums
 
 
 class Kernels:
@@ -414,10 +366,16 @@ class Kernels:
                             A_ring.reshape(n * k, -1), V_ring.reshape(n * k, -1))
         return 6.0 * np.mean(b.reshape(n, k) - 1.0 / zeta ** 2, axis=1)
 
-    def sb_minus_sv(self, x, w, A, V):
+    def sb_minus_sv(self, x, w, V):
         """S_B - S_v = 6 B_reg in the base coordinate at regular points x
-        with lifts w, Abel vectors A and V (n, g), from one ring of K_RING
-        points at RING_FRACTION of each point's clearance."""
+        with lifts w and V (n, g), from one ring of K_RING points at
+        RING_FRACTION of each point's clearance. The ring carries Abel
+        vectors relative to its centre, which B reads only through their
+        differences."""
+        if len(x) > RING_BATCH:
+            cut = list(range(RING_BATCH, len(x), RING_BATCH))
+            return np.concatenate([self.sb_minus_sv(*part) for part in
+                                   zip(np.split(x, cut), np.split(w, cut), np.split(V, cut))])
         curve = self.curve
         n = len(x)
         clearance = np.min(np.abs(x[:, None] - curve.singular_points[None, :]), axis=1)
@@ -432,7 +390,7 @@ class Kernels:
         A_off = np.zeros(Vi.shape, dtype=complex)
         for m in range(RING_ORDER + 1):
             A_off += cV[:, None, :, m] / (m + 1) * (zeta ** (m + 1))[:, :, None]
-        sb = self.sb_ring(A, V, zeta, A[:, None, :] + A_off, Vi)
+        sb = self.sb_ring(np.zeros(V.shape, dtype=complex), V, zeta, A_off, Vi)
         cy, _ = nm.laurent_window(curve.phi(xi, wi).reshape(n, K_RING), rho, range(3))
         return sb - nm.schwarzian(cy[:, 0], cy[:, 1], 2.0 * cy[:, 2])
 

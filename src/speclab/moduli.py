@@ -357,20 +357,17 @@ class FDEngine:
             self._cache[key] = (nav2.curve, nav2.geo)
         return self._cache[key]
 
-    def derivative(self, functional, name_or_index, eps=None):
-        index = (name_or_index if isinstance(name_or_index, int)
-                 else self.coord_index(name_or_index))
-        eps = eps if eps is not None else self.eps_for(index)
+    def derivative(self, functional, name):
+        index = self.coord_index(name)
+        eps = self.eps_for(index)
         d1 = self._central(functional, index, eps)
         d2 = self._central(functional, index, eps / 2.0)
         value = (4.0 * d2 - d1) / 3.0
         gap = float(np.max(np.abs(np.asarray(d2) - np.asarray(d1))))
         return FDResult(value, d1, d2, gap)
 
-    def central(self, functional, name_or_index, eps):
-        index = (name_or_index if isinstance(name_or_index, int)
-                 else self.coord_index(name_or_index))
-        return self._central(functional, index, eps)
+    def central(self, functional, name, eps):
+        return self._central(functional, self.coord_index(name), eps)
 
     def _central(self, functional, index, eps):
         cp, gp = self.build(index, +eps)

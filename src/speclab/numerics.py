@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 ROOT_TOL = 1e-12
-QUAD_REL_TOL = 1e-12
+QUAD_REL_TOL = 1e-12    # integrate_stack's panel test, relative to an integrand's scale
+QUAD_ABS_FLOOR = 1e-14  # integrate_stack's panel test, absolute floor
+QUAD_ORDER = 12         # Gauss-Legendre nodes of a panel's coarse rule; the fine has twice
 JET_TAIL_TOL = 1e-10
 CLUSTER_TOL = 1e-7
 SOLVE_REL_TOL = 1e-12  # largest residual of a dense solve, relative to its scale
@@ -372,36 +374,6 @@ def _gl_nodes(order):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@functools.lru_cache(maxsize=None)
-def gl_antiderivative_matrix(order):
-    """S with (S f)(j) = integral of the GL interpolant of f from the panel
-    start to node j, for values f on the [0,1] Gauss-Legendre nodes.
-
-    Built in the Legendre basis for stability: values -> coefficients by
-    exact quadrature, antiderivative via the three-term recurrence.
-    """
-    t, w = _gl_nodes(order)
-    x = 2.0 * t - 1.0
-    pvals = np.zeros((order + 1, order))
-    pvals[0] = 1.0
-    if order > 0:
-        pvals[1] = x
-    for m in range(1, order):
-        pvals[m + 1] = ((2 * m + 1) * x * pvals[m] - m * pvals[m - 1]) / (m + 1)
-    # coefficients c_m = (2m+1)/2 * sum w_half f P_m  (w on [0,1] => factor 2)
-    coef_mat = pvals[:order] * (2.0 * np.arange(order)[:, None] + 1.0) * w[None, :]
-    # antiderivative on [-1,1]: Int P_m = (P_{m+1} - P_{m-1}) / (2m+1)
-    anti = np.zeros((order, order))
-    for m in range(order):
-        upper = pvals[m + 1]
-        lower = pvals[m - 1] if m >= 1 else np.ones(order)
-        upper0 = (-1.0) ** (m + 1)
-        lower0 = (-1.0) ** (m - 1) if m >= 1 else 1.0
-        anti[m] = ((upper - upper0) - (lower - lower0)) / (2 * m + 1)
-    # map to [0,1] parametrization: dt = dx/2
-    return 0.5 * (anti.T @ coef_mat)
-
-
 @dataclass
 class QuadResult:
     value: complex      # shape (k,) from integrate_stack
@@ -409,18 +381,17 @@ class QuadResult:
     n_eval: int         # integrand evaluations, speculative panels included
 
 
-def integrate_stack(fn, contour, rel_tol=QUAD_REL_TOL, abs_floor=1e-14, max_depth=24,
-                    order=12):
+def integrate_stack(fn, contour, max_depth=24):
     """Adaptive Gauss-Legendre integrals of a stack of integrands along a
     contour, in one pass.
 
     fn(seg_index, t_array, z_array) -> shape (n, k): k integrands relative to
     dz at n nodes, seg_index giving each node's segment; the engine
     multiplies by the segment tangent. Every panel gets the order-n and
-    order-2n rules. Integrand c passes a panel when the two differ by at
-    most max(rel_tol * scale_c, abs_floor), scale_c being c's running
-    maximum of |fine| over the panels visited so far, depth first; the
-    panel is split if any integrand fails. The error estimate is summed over
+    order-2n rules, n = QUAD_ORDER. Integrand c passes a panel when the two
+    differ by at most max(QUAD_REL_TOL * scale_c, QUAD_ABS_FLOOR), scale_c
+    being c's running maximum of |fine| over the panels visited so far,
+    depth first; the panel is split if any integrand fails. The error estimate is summed over
     accepted panels.
 
     Panels are evaluated a refinement level at a time, in one fn call per
@@ -431,6 +402,7 @@ def integrate_stack(fn, contour, rel_tol=QUAD_REL_TOL, abs_floor=1e-14, max_dept
     scales and summation order do not depend on the batching; n_eval counts
     every node evaluated, those of children it does not visit included.
     """
+    order = QUAD_ORDER
     t_lo, w_lo = _gl_nodes(order)
     t_hi, w_hi = _gl_nodes(2 * order)
     t_pair = np.concatenate([t_lo, t_hi])
@@ -459,7 +431,7 @@ def integrate_stack(fn, contour, rel_tol=QUAD_REL_TOL, abs_floor=1e-14, max_dept
         e = np.abs(fine - coarse)
         abs_fine = np.abs(fine)
         bound = np.fmax(bound, abs_fine)  # a NaN never sets the bound
-        may_split = ~np.all(e <= np.maximum(rel_tol * bound, abs_floor), axis=1)
+        may_split = ~np.all(e <= np.maximum(QUAD_REL_TOL * bound, QUAD_ABS_FLOOR), axis=1)
         if len(levels) >= max_depth:
             may_split[:] = False
         n_next = 2 * int(np.count_nonzero(may_split))
@@ -486,7 +458,7 @@ def integrate_stack(fn, contour, rel_tol=QUAD_REL_TOL, abs_floor=1e-14, max_dept
     while stack:
         p = stack.pop()
         scale = np.fmax(scale, abs_fines[p])  # a NaN never sets the scale
-        tol_here = np.maximum(rel_tol * scale, abs_floor)
+        tol_here = np.maximum(QUAD_REL_TOL * scale, QUAD_ABS_FLOOR)
         # a panel without children passed against its bound, or is capped
         if child[p] >= 0 and not (errs[p] <= tol_here).all():
             stack += (child[p] + 1, child[p])
@@ -501,10 +473,10 @@ def integrate_stack(fn, contour, rel_tol=QUAD_REL_TOL, abs_floor=1e-14, max_dept
     return QuadResult(total, err, n_done * len(t_pair))
 
 
-def integrate(fn, contour, **kw):
+def integrate(fn, contour, max_depth=24):
     """Adaptive Gauss-Legendre integral of one integrand fn(seg_index,
     t_array, z_array) -> values relative to dz: integrate_stack with k = 1."""
-    res = integrate_stack(lambda si, t, z: fn(si, t, z)[:, None], contour, **kw)
+    res = integrate_stack(lambda si, t, z: fn(si, t, z)[:, None], contour, max_depth)
     return QuadResult(res.value[0], float(res.error[0]), res.n_eval)
 
 

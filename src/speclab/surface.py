@@ -531,14 +531,19 @@ class SpectralCurve:
         return w[0], w[-1]
 
     def _dense_track(self, contour, w_start):
+        z = self._track_nodes(contour)
+        return z, self.track_w(z, w_start)
+
+    def _track_nodes(self, contour):
+        """Points along a contour spaced densely enough to continue w (or the
+        root vector) from one to the next, ending at the contour's end."""
         zs = []
         for seg in contour.segments:
             npts = self._track_points(seg)
             t = np.linspace(0.0, 1.0, npts, endpoint=False)
             zs.append(seg.point(t))
         zs.append(np.array([contour.end()]))
-        z = np.concatenate(zs)
-        return z, self.track_w(z, w_start)
+        return np.concatenate(zs)
 
     def _track_points(self, seg):
         length = seg.length()
@@ -648,33 +653,27 @@ class SpectralCurve:
             return fn(z, self.w_on_segment(contour, si, t, z))
         return wrapped
 
-    def integrate(self, fn, contour, **kw):
+    def integrate(self, fn, contour):
         """Integrate fn(x, w) (value relative to dx) along a tracked contour."""
-        return nm.integrate(self._on_contour(fn, contour), contour, **kw)
+        return nm.integrate(self._on_contour(fn, contour), contour)
 
-    def integrate_stack(self, fn, contour, **kw):
+    def integrate_stack(self, fn, contour):
         """Integrate fn(x, w) -> shape (n, k), k integrands relative to dx,
         along a tracked contour in one adaptive pass; value has shape (k,)."""
-        return nm.integrate_stack(self._on_contour(fn, contour), contour, **kw)
+        return nm.integrate_stack(self._on_contour(fn, contour), contour)
 
-    def integrate_v(self, contour, **kw):
-        return self.integrate(lambda x, w: self.phi(x, w), contour, **kw)
+    def integrate_v(self, contour):
+        return self.integrate(lambda x, w: self.phi(x, w), contour)
 
     # -- monodromy -------------------------------------------------------------
 
     def branch_loop(self, i, radius=None):
         b = complex(self.branch_points[i])
-        r = radius if radius is not None else self._branch_clearance(i)
+        r = radius if radius is not None else self.clearance[i]
         approach = self.path_between(self.x0, b + r)
         return Contour(approach.segments
                        + nm.circle(b, r).segments
                        + approach.reversed().segments, label=f"loop{i}")
-
-    def _branch_clearance(self, i):
-        b = self.branch_points[i]
-        others = np.delete(self.singular_points,
-                           int(np.argmin(np.abs(self.singular_points - b))))
-        return SAFETY_FACTOR * float(np.min(np.abs(others - b)))
 
     def monodromy(self, i):
         """Sheet permutation of the small loop around branch point i."""
@@ -798,18 +797,7 @@ def _track_roots(curve, xs, start_roots):
 
 
 def _monodromy_generic(curve, i):
-    b = complex(curve.branch_points[i])
-    r = curve._branch_clearance(i)
-    approach = curve.path_between(curve.x0, b + r)
-    loop = Contour(approach.segments + nm.circle(b, r).segments
-                   + approach.reversed().segments)
-    zs = []
-    for seg in loop.segments:
-        npts = curve._track_points(seg)
-        t = np.linspace(0.0, 1.0, npts, endpoint=False)
-        zs.append(seg.point(t))
-    zs.append(np.array([loop.end()]))
-    z = np.concatenate(zs)
+    z = curve._track_nodes(curve.branch_loop(i))
     # sheet order at the basepoint: lexicographic in (Re, Im)
     base = _roots_at(curve, curve.x0)
     base = base[np.lexsort((base.imag, base.real))]
@@ -1090,7 +1078,7 @@ def _rerouted_paths(curve, a, b):
     """Yields two detour routes through the first branch point's clearance circle:
     with and without a full loop around it (the loop swaps sheets)."""
     bp = complex(curve.branch_points[0])
-    r = curve._branch_clearance(0)
+    r = curve.clearance[0]
     p_in = bp + r * _unit(a - bp)
     leg1 = curve.path_between(a, p_in)
     leg2 = curve.path_between(p_in, b)

@@ -326,19 +326,6 @@ def vary_log_prime_form(curve, geo, direction, p1, p2, branch_data=None):
     return bd.residue_sum(direction.differential, kernel)
 
 
-def vary_kernel(curve, geo, target, direction, points, branch_data=None):
-    """Dispatch for the three kernel-variation formulas."""
-    if target == "valpha":
-        return vary_valpha(curve, geo, direction, points[0], branch_data)
-    if target == "B":
-        return vary_bidifferential(curve, geo, direction, points[0], points[1],
-                                   branch_data)
-    if target == "lnE":
-        return vary_log_prime_form(curve, geo, direction, points[0], points[1],
-                                   branch_data)
-    raise VariationError(f"unknown kernel target {target!r}")
-
-
 # ---------------------------------------------------------------------------
 # Bergman tau gradient
 # ---------------------------------------------------------------------------
@@ -400,17 +387,14 @@ def tau_gradient_oracle(curve, geo, branch_data=None):
     paths, targets = sf.zero_paths(curve)
 
     # kernel integrals over the a/b representatives
-    def breg_kernel(pan):
-        d = geo.kernels.sb_minus_sv(pan["z"], pan["w"], pan["A"], pan["V"])
-        return d / (6.0 * curve.phi(pan["z"], pan["w"]))
+    def breg_kernel(x, w, V):
+        return geo.kernels.sb_minus_sv(x, w, V) / (6.0 * curve.phi(x, w))
 
     dual_a = []
     dual_b = []
     for d in range(g):
-        cf_a = ContourField(curve, geo.period, geo.abel, basis.a_cycles[d])
-        cf_b = ContourField(curve, geo.period, geo.abel, basis.b_cycles[d])
-        int_a = cf_a.integrate_kernel(breg_kernel)
-        int_b = cf_b.integrate_kernel(breg_kernel)
+        int_a, int_b = (ContourField(curve, geo.period, c).integrate_kernel(breg_kernel)
+                        for c in (basis.a_cycles[d], basis.b_cycles[d]))
         # duality corrections from crossings with the reference paths
         corr_a = 0.0 + 0.0j
         corr_b = 0.0 + 0.0j

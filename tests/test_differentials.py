@@ -200,12 +200,14 @@ class TestThetaKernels:
         assert abs(kern.bhat_point(p1, p2) - kern.bhat_point(p2, p1)) < 1e-12
         A2 = ab.at(p2.x, p2.w)
         V2 = per.V(np.array([p2.x]), np.array([p2.w]))[0]
-        cf = ContourField(ses.curve, per, ab, ses.geo.basis.a_cycles[0])
+        cf = ContourField(ses.curve, per, ses.geo.basis.a_cycles[0])
 
-        def kernel(pan):
-            n = len(pan["z"])
-            return kern.bhat_batch(pan["A"], pan["V"],
-                                   np.broadcast_to(A2, (n, len(A2))).copy(),
+        def kernel(x, w, V):
+            # B depends on the Abel vectors only modulo the lattice, so the
+            # nodes' own Abel values serve as well as a continuation along a1
+            A = np.array([ab.at(xi, wi) for xi, wi in zip(x, w)])
+            n = len(x)
+            return kern.bhat_batch(A, V, np.broadcast_to(A2, (n, len(A2))).copy(),
                                    np.broadcast_to(V2, (n, len(V2))).copy())
 
         assert abs(cf.integrate_kernel(kernel)) < 1e-9
@@ -245,11 +247,11 @@ class TestThetaKernels:
         # a-period in x at fixed y (oint_a v_1 = 1)
         p1, p2 = ses.eval_points(2)
 
-        def kernel(pan):
-            return np.array([B_rat(sf.SurfacePoint(z, -1, w), p2)
-                             for z, w in zip(pan["z"], pan["w"])])
+        def kernel(x, w, V):
+            return np.array([B_rat(sf.SurfacePoint(z, -1, wz), p2)
+                             for z, wz in zip(x, w)])
 
-        cf = ContourField(curve, geo.period, geo.abel, geo.basis.a_cycles[0])
+        cf = ContourField(curve, geo.period, geo.basis.a_cycles[0])
         pa = cf.integrate_kernel(kernel)
         V1_p1 = geo.period.V(np.array([p1.x]), np.array([p1.w]))[0][0]
         got = B_rat(p1, p2) - pa * V1_p1
@@ -300,8 +302,7 @@ def _breg_formula(geo, p):
     production ring of Kernels.sb_minus_sv."""
     x = np.array([complex(p.x)])
     w = np.array([complex(p.w)])
-    A = geo.abel.at(x[0], w[0])[None, :]
-    d = geo.kernels.sb_minus_sv(x, w, A, geo.period.V(x, w))
+    d = geo.kernels.sb_minus_sv(x, w, geo.period.V(x, w))
     return complex(d[0]) / 6.0
 
 

@@ -90,8 +90,8 @@ class TestQuadrature:
             nm.integrate(lambda si, t, z: np.where(t > 0.99, np.nan, 1.0), c, max_depth=3)
 
 
-def _depth_first_stack(fn, contour, rel_tol=nm.QUAD_REL_TOL, abs_floor=1e-14,
-                       max_depth=24, order=12):
+def _depth_first_stack(fn, contour, rel_tol=nm.QUAD_REL_TOL, abs_floor=nm.QUAD_ABS_FLOOR,
+                       max_depth=24, order=nm.QUAD_ORDER):
     """Reference for numerics.integrate_stack: the depth-first engine that
     calls fn once per panel, on its order-n and order-2n nodes together."""
     t_lo, w_lo = nm._gl_nodes(order)

@@ -143,8 +143,7 @@ class TestResidueDirections:
         p1, p2 = ses.eval_points(2)
         name = "C(2,2,1)"
         d = vr.direction_differential(ses.curve, ses.geo, name)
-        got = vr.vary_kernel(ses.curve, ses.geo, "B", d, [p1, p2],
-                             ses.branch_data)
+        got = vr.vary_bidifferential(ses.curve, ses.geo, d, p1, p2, ses.branch_data)
 
         def B_at(c, g):
             ra = sf.SurfacePoint(p1.x, p1.sheet, c.w_for_sheet(p1.x, p1.sheet))
