@@ -337,14 +337,8 @@ class Kernels:
         svals = self.h_density(z, wline)
         if np.min(np.abs(svals)) < 1e-10 * np.max(np.abs(svals)):
             raise DifferentialError("h-density vanishes along tracking path")
-        h = np.empty(len(svals), dtype=complex)
-        h[0] = np.sqrt(svals[0])
-        roots = np.sqrt(svals[1:])
-        hprev = h[0]
-        for i, r in enumerate(roots):
-            hprev = r if abs(r - hprev) <= abs(r + hprev) else -r
-            h[i + 1] = hprev
-        self._h_cache[key] = complex(h[-1])
+        roots = np.sqrt(svals)
+        self._h_cache[key] = complex(nm.continue_root(roots, roots[0])[-1])
         return self._h_cache[key]
 
     def prime_form(self, p1, p2):

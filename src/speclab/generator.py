@@ -30,9 +30,9 @@ from .instances import InstanceSpec, Pole, dump_instance, parse_instance
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
-def _ladder(rng, count, x0=-1.2, x1=1.2, jitter=0.22):
-    xs = np.linspace(x0, x1, count)
-    pts = xs + rng.uniform(-0.08, 0.08, count) + 1j * rng.uniform(-jitter, jitter, count)
+def _ladder(rng, count):
+    xs = np.linspace(-1.2, 1.2, count)
+    pts = xs + rng.uniform(-0.08, 0.08, count) + 1j * rng.uniform(-0.22, 0.22, count)
     return np.sort_complex(pts)
 
 
@@ -50,7 +50,7 @@ def _draw(label, n, poles, rng, residue_free=False):
     e = _ladder(rng, p)
     if residue_free:
         e = _tune_ladder_residue_free(e, poles)
-    if _min_sep(e) < 0.15:
+    if sf._min_pairwise(e) < 0.15:
         raise ModuliHint("ladder points too close after tuning")
     P = _poly_from_roots(e)
     d1 = sk - 2
@@ -68,19 +68,9 @@ def _draw(label, n, poles, rng, residue_free=False):
     raise ModuliHint("no acceptable zero layout for this ladder")
 
 
-def _min_sep(pts):
-    pts = np.asarray(pts)
-    if len(pts) < 2:
-        return np.inf
-    d = np.abs(pts[:, None] - pts[None, :]) + np.eye(len(pts)) * 1e9
-    return float(np.min(d))
-
-
-def _layout_ok(e, N2, pole_xs, gap=0.1):
+def _layout_ok(e, N2, pole_xs):
     """Cheap pre-filter: zeros of v clear of branch points, poles and each
     other, and the lexicographically maximal zero not a branch point."""
-    if len(nm.polytrim(N2)) - 1 != len(e):
-        pass
     try:
         z = nm.poly_roots(N2).roots
     except nm.RootFindingError:
@@ -88,7 +78,7 @@ def _layout_ok(e, N2, pole_xs, gap=0.1):
     if len(z) != len(nm.polytrim(N2)) - 1:
         return False
     allpts = np.concatenate([e, z])
-    if _min_sep(allpts) < gap:
+    if sf._min_pairwise(allpts) < 0.1:
         return False
     if pole_xs.size and float(np.min(np.abs(
             allpts[:, None] - pole_xs[None, :]))) < 0.3:
@@ -122,7 +112,7 @@ def _sqrt_residue_defects(P, poles):
     return np.array(out)
 
 
-def _tune_ladder_residue_free(e, poles, iters=60):
+def _tune_ladder_residue_free(e, poles):
     """Least-norm Newton on all ladder points so the sqrt parts of the
     residues vanish; the minimal update keeps the ladder well separated."""
     e = np.array(e, dtype=complex)
@@ -131,7 +121,7 @@ def _tune_ladder_residue_free(e, poles, iters=60):
     def defect(pts):
         return _sqrt_residue_defects(_poly_from_roots(pts), poles)
 
-    for _ in range(iters):
+    for _ in range(60):
         f = defect(e)
         if float(np.max(np.abs(f))) < 1e-14:
             return e
@@ -205,10 +195,7 @@ def _vet(spec, need_geometry=True):
         return curve, None
     geo = Geometry(curve)
     m = sf.intersection_matrix(curve, geo.basis)
-    g = geo.genus
-    expect = np.block([[np.zeros((g, g), dtype=int), np.eye(g, dtype=int)],
-                       [-np.eye(g, dtype=int), np.zeros((g, g), dtype=int)]])
-    if not np.array_equal(m, expect):
+    if not np.array_equal(m, sf.canonical_intersection(geo.genus)):
         raise sf.SurfaceError(f"intersection matrix not canonical:\n{m}")
     geo.period  # build and validate the period data (symmetry, Im > 0)
     if geo.period.gram_cond > 1e6:
@@ -235,7 +222,10 @@ def _rescale(spec, curve, geo):
     return InstanceSpec(spec.label, spec.n, spec.poles, numer)
 
 
-def generate(label, max_attempts=160, seed_base=None):
+MAX_ATTEMPTS = 160  # seeds tried per generate call
+
+
+def generate(label, seed_base=None):
     recipes = {
         "ell4": dict(n=2, poles=[(0.0 + 0.0j, 4)], seed=101),
         "g2-5": dict(n=2, poles=[(2.1 + 0.0j, 1), (1.1 + 1.8j, 1), (-0.9 + 1.9j, 1),
@@ -248,7 +238,7 @@ def generate(label, max_attempts=160, seed_base=None):
     rec = recipes[label]
     base = rec["seed"] if seed_base is None else seed_base
     last = None
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng(base * 1000 + attempt)
         try:
             if rec["n"] == 3:
@@ -271,7 +261,7 @@ def generate(label, max_attempts=160, seed_base=None):
                 DifferentialError, ModuliHint) as exc:
             last = exc
             continue
-    raise RuntimeError(f"could not generate '{label}' after {max_attempts} "
+    raise RuntimeError(f"could not generate '{label}' after {MAX_ATTEMPTS} "
                        f"attempts; last failure: {last}")
 
 

@@ -231,7 +231,10 @@ class GenericityReport:
         return "; ".join(f"{i.check}: {i.message}" for i in self.issues)
 
 
-def validate_genericity(spec, curve, margin=1e-4):
+GENERICITY_MARGIN = 1e-4  # least separation (or |P'|), relative to its scale
+
+
+def validate_genericity(spec, curve):
     """Check the non-degeneracy assumptions the numerics rely on.
 
     Requires the built curve (branch points, zeros, fiber data). Verifies:
@@ -257,7 +260,7 @@ def validate_genericity(spec, curve, margin=1e-4):
         d = np.abs(bp[:, None] - bp[None, :]) + np.eye(len(bp)) * 1e9
         min_sep = float(np.min(d))
         margins["branch_separation"] = min_sep / scale
-        if min_sep < margin * scale:
+        if min_sep < GENERICITY_MARGIN * scale:
             ij = np.unravel_index(np.argmin(d), d.shape)
             issues.append(GenericityIssue(
                 "non-simple branch point",
@@ -270,14 +273,14 @@ def validate_genericity(spec, curve, margin=1e-4):
     pscale = float(np.max(np.abs(P)))
     margins["disc_derivative"] = float(np.min(vals)) / pscale if len(bp) else np.inf
     for b, v in zip(bp, vals):
-        if v < margin * pscale:
+        if v < GENERICITY_MARGIN * pscale:
             issues.append(GenericityIssue(
                 "non-simple branch point", f"discriminant derivative tiny at {b:.6g}", [b]))
 
     # poles distinct from branch points (fibers unramified)
     for p in spec.poles:
         dmin = float(np.min(np.abs(bp - p.x))) if len(bp) else np.inf
-        if dmin < margin * scale:
+        if dmin < GENERICITY_MARGIN * scale:
             issues.append(GenericityIssue(
                 "pole collides with branch point",
                 f"pole {p.x:.6g} within {dmin:.3g} of a branch point", [p.x]))
@@ -288,15 +291,15 @@ def validate_genericity(spec, curve, margin=1e-4):
     z0 = np.array([z.x for z in curve.zeros_d0])
     if len(z0):
         dz = np.abs(z0[:, None] - z0[None, :]) + np.eye(len(z0)) * 1e9
-        if float(np.min(dz)) < margin * scale:
+        if float(np.min(dz)) < GENERICITY_MARGIN * scale:
             issues.append(GenericityIssue(
                 "non-simple zero", "two zeros of the cover differential coincide", []))
         for z in z0:
-            if float(np.min(np.abs(bp - z))) < margin * scale:
+            if float(np.min(np.abs(bp - z))) < GENERICITY_MARGIN * scale:
                 issues.append(GenericityIssue(
                     "zero at branch point", f"zero {z:.6g} meets a branch point", [z]))
             for p in spec.poles:
-                if abs(z - p.x) < margin * scale:
+                if abs(z - p.x) < GENERICITY_MARGIN * scale:
                     issues.append(GenericityIssue(
                         "zero at pole", f"zero {z:.6g} meets pole {p.x:.6g}", [z]))
         margins["zero_separation"] = float(np.min(dz)) / scale

@@ -109,9 +109,9 @@ def coordinates_of(curve, geo_or_basis, circles=None):
     return ModuliPoint(names, np.array(vec, dtype=complex))
 
 
-def residue_sum(curve, circles=None):
+def residue_sum(curve):
     """Sum of all residues of v over the pole fibers (should vanish)."""
-    circles = circles or PoleCircles(curve)
+    circles = PoleCircles(curve)
     total = 0.0 + 0.0j
     for j, _ in enumerate(curve.spec.poles):
         for s in range(curve.n):
@@ -204,13 +204,13 @@ class Navigator:
     theta, kernels) is built lazily only when a functional asks for it.
     """
 
-    def __init__(self, curve, geo=None, circles=None, basis=None):
+    def __init__(self, curve, geo=None, basis=None):
         self.curve = curve
         self._geo = geo
         self.basis = (geo.basis if geo is not None
                       else basis if basis is not None
                       else sf.homology_basis(curve))
-        self.circles = circles or PoleCircles(curve)
+        self.circles = PoleCircles(curve)
         self._coords = None
         self._jac = None
 

@@ -169,7 +169,7 @@ class RootReport:
     converged: bool
 
 
-def poly_roots(coeffs, tol=ROOT_TOL, max_iter=120, cluster_tol=CLUSTER_TOL):
+def poly_roots(coeffs, cluster_tol=CLUSTER_TOL):
     """All complex roots of an ascending-coefficient polynomial.
 
     Simultaneous Aberth-Ehrlich iteration started on a deterministic ring,
@@ -191,7 +191,7 @@ def poly_roots(coeffs, tol=ROOT_TOL, max_iter=120, cluster_tol=CLUSTER_TOL):
     dc = polyder(cn)
 
     converged = False
-    for _ in range(max_iter):
+    for _ in range(120):
         p = polyval(cn, z)
         dp = polyval(dc, z)
         newton = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0.0)
@@ -206,12 +206,12 @@ def poly_roots(coeffs, tol=ROOT_TOL, max_iter=120, cluster_tol=CLUSTER_TOL):
             break
     res = _residuals(cn, z)
     scale = _coeff_scale(cn, z)
-    if not converged and np.any(res > tol * scale):
+    if not converged and np.any(res > ROOT_TOL * scale):
         z = np.roots(cn[::-1])  # companion-matrix eigenvalues
         z = _polish(cn, dc, z)
         res = _residuals(cn, z)
         scale = _coeff_scale(cn, z)
-        if np.any(res > 1e3 * tol * scale):
+        if np.any(res > 1e3 * ROOT_TOL * scale):
             raise RootFindingError("poly_roots: no convergence (worst residual %.3e)"
                                    % float(np.max(res / scale)))
     z = _polish(cn, dc, z)
@@ -223,8 +223,8 @@ def poly_roots(coeffs, tol=ROOT_TOL, max_iter=120, cluster_tol=CLUSTER_TOL):
     return RootReport(z, mult, res, True)
 
 
-def _polish(cn, dc, z, sweeps=3):
-    for _ in range(sweeps):
+def _polish(cn, dc, z):
+    for _ in range(3):
         p = polyval(cn, z)
         dp = polyval(dc, z)
         safe = np.abs(dp) > 0
@@ -358,10 +358,9 @@ class Contour:
         return iter(self.segments)
 
 
-def circle(center, radius, orientation=+1, a0=0.0):
-    """Full circle as a one-arc contour; orientation +1 is counterclockwise."""
-    a1 = a0 + orientation * 2.0 * math.pi
-    return Contour([Arc(center, radius, a0, a1)])
+def circle(center, radius):
+    """Full counterclockwise circle as a one-arc contour."""
+    return Contour([Arc(center, radius, 0.0, 2.0 * math.pi)])
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +529,15 @@ def nearest_root(s, ref):
     """Whichever of s and -s lies nearer ref, elementwise (s on a tie): the
     square root that continues the lift ref."""
     return np.where(np.abs(s - ref) <= np.abs(s + ref), s, -s)
+
+
+def continue_root(s, start):
+    """Square roots s along an ordered point chain, signs flipped so that
+    each value lies nearer the one before than its negative does, and the
+    first nearer start (s[0] on a tie): the continuation of that lift."""
+    cons = np.abs(s[1:] - s[:-1]) <= np.abs(s[1:] + s[:-1])
+    flips = np.concatenate([[1.0], np.cumprod(np.where(cons, 1.0, -1.0))])
+    return (s if abs(s[0] - start) <= abs(s[0] + start) else -s) * flips
 
 
 def schwarzian(y, yp, ypp):

@@ -57,7 +57,7 @@ class ZeroPoint:
 # path construction
 # ---------------------------------------------------------------------------
 
-def _detour_line(seg, center, radius, prefer_ccw=True):
+def _detour_line(seg, center, radius):
     """Split a Line at a clearance circle, inserting the smaller-winding arc.
 
     Endpoints inside the disk get radial connector legs so the contour stays
@@ -98,12 +98,10 @@ def _detour_line(seg, center, radius, prefer_ccw=True):
     ccw = a1 + ((a2 - a1) % (2 * math.pi))
     cw = a1 - ((a1 - a2) % (2 * math.pi))
     # smaller winding; ties (segment through the center) go counterclockwise
-    if abs(ccw - a1) < abs(cw - a1) - 1e-12:
-        a_end = ccw
-    elif abs(cw - a1) < abs(ccw - a1) - 1e-12:
+    if abs(cw - a1) < abs(ccw - a1) - 1e-12:
         a_end = cw
     else:
-        a_end = ccw if prefer_ccw else cw
+        a_end = ccw
     pieces = []
     if start_inside:
         pieces.append(Line(seg.z0, e1))
@@ -187,8 +185,6 @@ def capsule(points, margin, label=""):
     hull = _convex_hull(pts)
     if len(hull) == 1:
         return nm.circle(hull[0], margin)
-    if len(hull) == 2:
-        hull = [hull[0], hull[1]]
     m = len(hull)
     segs = []
     for i in range(m):
@@ -213,22 +209,6 @@ def capsule(points, margin, label=""):
         else:
             out.append(Arc(s[1], margin, s[2], s[3]))
     return Contour(out, label=label)
-
-
-# hull orientation check: the monotone-chain output above is clockwise for
-# the usual convention, so fix orientation by signed area.
-
-def _signed_area(contour):
-    z = contour.polyline(per_segment=32)
-    return 0.5 * float(np.sum((z[:-1].real * z[1:].imag - z[1:].real * z[:-1].imag)))
-
-
-def capsule_ccw(points, margin, label=""):
-    c = capsule(points, margin, label)
-    if _signed_area(c) < 0:
-        c = c.reversed()
-        c.label = label
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +452,7 @@ class SpectralCurve:
 
     def track_w(self, xs, w_start):
         """Continue w = sqrt(P) along an ordered point chain."""
-        s = self.sqrtP(xs)
-        flips = np.ones(len(xs))
-        # choose the branch closest to the previous value, vectorized via
-        # sign-consistency of the principal branch between consecutive points
-        cons = np.abs(s[1:] - s[:-1]) <= np.abs(s[1:] + s[:-1])
-        step_flip = np.where(cons, 1.0, -1.0)
-        flips[1:] = np.cumprod(step_flip)
-        if abs(s[0] - w_start) <= abs(s[0] + w_start):
-            w = s * flips
-        else:
-            w = -s * flips
-        return w
+        return nm.continue_root(self.sqrtP(xs), w_start)
 
     def w_for_sheet(self, x, sheet):
         """w above x on the sheet with the given global label, by
@@ -667,9 +636,9 @@ class SpectralCurve:
 
     # -- monodromy -------------------------------------------------------------
 
-    def branch_loop(self, i, radius=None):
+    def branch_loop(self, i):
         b = complex(self.branch_points[i])
-        r = radius if radius is not None else self.clearance[i]
+        r = self.clearance[i]
         approach = self.path_between(self.x0, b + r)
         return Contour(approach.segments
                        + nm.circle(b, r).segments
@@ -933,12 +902,12 @@ def _capsule_for(curve, group, label):
     group = [complex(p) for p in group]
     excluded = [complex(q) for q in curve.singular_points
                 if min(abs(q - p) for p in group) > 1e-12]
-    hull_probe = capsule_ccw(group, 1e-9, label)
+    hull_probe = capsule(group, 1e-9, label)
     d_out = _dist_to_set(hull_probe, excluded)
     best = None
     for frac in (0.45, 0.35, 0.55, 0.25, 0.3, 0.4, 0.5, 0.62, 0.2, 0.7):
         margin = frac * d_out
-        c = capsule_ccw(group, margin, label)
+        c = capsule(group, margin, label)
         # the boundary must keep clear of every singular point, enclosed or not
         score = _dist_to_set(c, [complex(q) for q in curve.singular_points])
         if best is None or score > best[0]:
@@ -1004,6 +973,13 @@ def intersection_matrix(curve, basis):
             m[i, j] = intersection_number(curve, cycles[i], cycles[j])
             m[j, i] = -m[i, j]
     return m
+
+
+def canonical_intersection(g):
+    """The intersection matrix of a canonical basis a_1..a_g, b_1..b_g."""
+    eye = np.eye(g, dtype=int)
+    zero = np.zeros((g, g), dtype=int)
+    return np.block([[zero, eye], [-eye, zero]])
 
 
 def zero_paths(curve):

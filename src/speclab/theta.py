@@ -20,7 +20,7 @@ neglected terms of a derivative of order two,
     (2 sqrt(pi))^2 |Im(Om)^-1| (g/2) (2/rho)^g
         sum_k C(2, k) r_c^(2-k) Gamma((g+k)/2, (R - rho/2)^2),
 
-falls below `tail_tol` (relative to the largest term exp(|Yc|^2)); rho is
+falls below `TAIL_TOL` (relative to the largest term exp(|Yc|^2)); rho is
 the length of the shortest vector of the lattice Y Z^g. The bound rests on
 the balls of radius rho/2 around the points being disjoint and on
 |u|^k exp(-|u|^2) being subharmonic where |u|^2 >= k + g/2, so R never
@@ -105,7 +105,7 @@ def _grid(half):
 class Theta:
     """Lattice-sum evaluator bound to one period matrix."""
 
-    def __init__(self, omega, tail_tol=TAIL_TOL):
+    def __init__(self, omega):
         om = np.atleast_2d(np.asarray(omega, dtype=complex))
         g = om.shape[0]
         if om.shape != (g, g):
@@ -124,7 +124,6 @@ class Theta:
         self.tinv_norm = float(np.linalg.norm(self.tinv, 2))
         self.y = y
         self.yinv = np.linalg.inv(y)
-        self.tail_tol = tail_tol
         # rho = shortest nonzero |Y n|; every n no longer than the shortest
         # column of Y lies in that column's box
         pts = _grid(_box(self.yinv, float(np.min(np.linalg.norm(y, axis=0)))))
@@ -143,15 +142,15 @@ class Theta:
         return 4.0 * math.pi * self.tinv_norm * 0.5 * g * (2.0 / rho) ** g * total
 
     def radius(self, rc):
-        """Smallest R (to 1e-2) with tail_bound(R, rc) <= tail_tol."""
+        """Smallest R (to 1e-2) with tail_bound(R, rc) <= TAIL_TOL."""
         if rc not in self._radius_cache:
             lo = 0.5 * self.rho + math.sqrt(2.0 + 0.5 * self.g)
             hi = lo + 1.0
-            while self.tail_bound(hi, rc) > self.tail_tol:
+            while self.tail_bound(hi, rc) > TAIL_TOL:
                 lo, hi = hi, hi + 2.0 * (hi - lo)
             while hi - lo > 1e-2:
                 mid = 0.5 * (lo + hi)
-                if self.tail_bound(mid, rc) > self.tail_tol:
+                if self.tail_bound(mid, rc) > TAIL_TOL:
                     lo = mid
                 else:
                     hi = mid
@@ -242,8 +241,9 @@ class Theta:
         h = e["hess"] / v[:, None, None] - np.einsum("ni,nj->nij", g1, g1)
         return h, g1
 
-    def odd_nonsingular_char(self, floor=1e-6):
-        """First lexicographic odd characteristic with |grad theta(0)| > floor."""
+    def odd_nonsingular_char(self):
+        """First lexicographic odd characteristic with |grad theta(0)| above
+        1e-6 of the largest (or of 1)."""
         zero = np.zeros((1, self.g), dtype=complex)
         scale = 0.0
         grads = []
@@ -253,6 +253,6 @@ class Theta:
             grads.append(float(np.linalg.norm(g1)))
             scale = max(scale, grads[-1])
         for ch, size in zip(chars, grads):
-            if size > floor * max(scale, 1.0):
+            if size > 1e-6 * max(scale, 1.0):
                 return ch
         raise ThetaError("no nonsingular odd characteristic found")

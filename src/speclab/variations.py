@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -208,12 +208,11 @@ class BranchData:
 # endpoint corrections (branch contributions to d/dz of relative periods)
 # ---------------------------------------------------------------------------
 
-def endpoint_correction(curve, geo, direction, zero_index, branch_data=None):
+def endpoint_correction(curve, geo, direction, zero_index, bd):
     """-(h / d log(v/dx))(x_i): the extra term in the derivative of
     int_{x_r}^{x_i} v when x_i is a branch point; 0 at simple zeros."""
     if not curve.zeros[zero_index].is_branch:
         return 0.0 + 0.0j
-    bd = branch_data or BranchData(geo)
     return -bd.endpoint_factor(zero_index, direction.differential)
 
 
@@ -221,13 +220,12 @@ def endpoint_correction(curve, geo, direction, zero_index, branch_data=None):
 # first variation of the period matrix (both forms)
 # ---------------------------------------------------------------------------
 
-def vary_period_matrix(curve, geo, direction, branch_data=None):
+def vary_period_matrix(curve, geo, direction, bd):
     """d(Omega)/d(coordinate) by the branch-point residue formula.
 
     Computes both the endpoint-factor form and the single-residue form and
     requires their agreement to FORM_AGREE_TOL before returning.
     """
-    bd = branch_data or BranchData(geo)
     h = direction.differential
 
     def form1(i, c):
@@ -286,26 +284,23 @@ def _b_circle_point(geo, c, A, V):
                                   np.tile(A, (n, 1)), np.tile(V, (n, 1)))
 
 
-def vary_valpha(curve, geo, direction, point, branch_data=None):
+def vary_valpha(curve, geo, direction, point, bd):
     """d(v_alpha(x))/d(coordinate) relative to dx at the point; vector over alpha."""
-    bd = branch_data or BranchData(geo)
     A_x, V_x = _point_data(geo, point)
     return -bd.residue_sum(direction.differential, lambda i, c: (
         c["G"].T * _b_circle_point(geo, c, A_x, V_x) / c["Y"]))
 
 
-def vary_bidifferential(curve, geo, direction, p1, p2, branch_data=None):
+def vary_bidifferential(curve, geo, direction, p1, p2, bd):
     """d(B(x,y))/d(coordinate) relative to dx dy at the fixed pair."""
-    bd = branch_data or BranchData(geo)
     A1, V1 = _point_data(geo, p1)
     A2, V2 = _point_data(geo, p2)
     return -bd.residue_sum(direction.differential, lambda i, c: (
         _b_point_circle(geo, A1, V1, c) * _b_circle_point(geo, c, A2, V2) / c["Y"]))
 
 
-def vary_log_prime_form(curve, geo, direction, p1, p2, branch_data=None):
+def vary_log_prime_form(curve, geo, direction, p1, p2, bd):
     """d(ln E(x,y))/d(coordinate) at the fixed pair (h-independent kernel)."""
-    bd = branch_data or BranchData(geo)
     A1, _ = _point_data(geo, p1)
     A2, _ = _point_data(geo, p2)
     th = geo.kernels.theta
@@ -341,7 +336,7 @@ def _zero_frame_residues(geo, gamma):
     return out
 
 
-def is_residue_free(curve, tol=1e-10):
+def is_residue_free(curve):
     from .moduli import PoleCircles
     if any(p.k < 2 for p in curve.spec.poles):
         return False
@@ -352,15 +347,14 @@ def is_residue_free(curve, tol=1e-10):
             ring, w_ring = circles.ring(j, s)
             vals = curve.phi(ring, w_ring)
             total = max(total, abs(circles.laurent(j, s, vals, [1])[0]))
-    return total < tol
+    return total < 1e-10
 
 
-def tau_gradient(curve, geo, gamma, branch_data=None, enforce_residue_free=True):
+def tau_gradient(curve, geo, gamma, bd):
     """d(ln tau)/dA_gamma: branch residues of B_reg/v plus the all-zeros sum."""
-    if enforce_residue_free and not is_residue_free(curve):
+    if not is_residue_free(curve):
         raise VariationError("tau gradient requires a residue-free instance "
                              "with all pole orders >= 2")
-    bd = branch_data or BranchData(geo)
     vg = holomorphic_unit(curve, geo.period, gamma)
     # B_reg/v is sampled on K_SB points of the branch circle's radius
     term1 = bd.residue_sum(vg, lambda i, c: bd.breg_over_v(i)[0])
@@ -368,14 +362,13 @@ def tau_gradient(curve, geo, gamma, branch_data=None, enforce_residue_free=True)
     return -TWO_PI_I * term1 - (1j * math.pi / 8.0) * term2
 
 
-def tau_gradient_oracle(curve, geo, branch_data=None):
+def tau_gradient_oracle(curve, geo, bd):
     """Chain-rule evaluation of d(ln tau)/dA_gamma through the period
     coordinates, as the vector over gamma: dual-contour integrals of B_reg/v
     paired with the derivatives of the period coordinates, with small-circle
     corrections restoring duality against the reference paths. Only the
     derivatives of the period coordinates depend on gamma."""
     from .differentials import ContourField
-    bd = branch_data or BranchData(geo)
     g = geo.genus
     basis = geo.basis
     omega = geo.period.omega
@@ -428,178 +421,99 @@ def tau_gradient_oracle(curve, geo, branch_data=None):
 # multi-differential hierarchy
 # ---------------------------------------------------------------------------
 
-def _pair_b(geo, d1, d2):
-    return complex(geo.kernels.bhat_batch(d1[0][None, :], d1[1][None, :],
-                                          d2[0][None, :], d2[1][None, :])[0])
+def _cycles(n):
+    """Hamiltonian cycles on the vertices 0..n-1 up to rotation and reversal,
+    as closed walks from vertex 0."""
+    return [(0,) + p + (0,) for p in permutations(range(1, n)) if p <= p[::-1]]
 
 
-def _check_distinct(points):
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if (abs(points[i].x - points[j].x) < 1e-9
-                    and abs(points[i].w - points[j].w) < 1e-9):
-                raise VariationError("multi-differential arguments must be "
-                                     "pairwise distinct")
+def _paths(n):
+    """Walks from vertex 0 to vertex n-1 through every other vertex."""
+    return [(0,) + p + (n - 1,) for p in permutations(range(1, n - 1))]
 
 
-def _point_tuple(geo, p):
-    A, V = _point_data(geo, p)
-    vval = geo.curve.phi(np.array([p.x]), np.array([p.w]))[0]
-    return (A, V, complex(vval))
+def _chain_sum(bmat, walks):
+    """Sum over the walks of the product of bmat[a][b] along their edges;
+    the entries may be scalars or arrays of circle samples."""
+    return sum(math.prod(bmat[a][b] for a, b in zip(w, w[1:])) for w in walks)
+
+
+def _hierarchy_data(geo, points):
+    """(A, V) and v/dx at pairwise distinct points, and the matrix of B
+    between them."""
+    n = len(points)
+    for i, j in combinations(range(n), 2):
+        if (abs(points[i].x - points[j].x) < 1e-9
+                and abs(points[i].w - points[j].w) < 1e-9):
+            raise VariationError("multi-differential arguments must be "
+                                 "pairwise distinct")
+    data = [_point_data(geo, p) for p in points]
+    vs = np.array([complex(geo.curve.phi(np.array([p.x]), np.array([p.w]))[0])
+                   for p in points])
+    bmat = np.zeros((n, n), dtype=complex)
+    for i, j in combinations(range(n), 2):
+        (Ai, Vi), (Aj, Vj) = data[i], data[j]
+        bmat[i, j] = bmat[j, i] = geo.kernels.bhat_batch(
+            Ai[None, :], Vi[None, :], Aj[None, :], Vj[None, :])[0]
+    return data, vs, bmat
 
 
 def q_multidiff(curve, geo, points):
-    """Fully symmetric cycle sum; Q_2 = B^2/(v v) (no prefactor 2)."""
-    _check_distinct(points)
+    """Sum over the directed Hamiltonian cycles up to rotation, over the
+    product of the v's: twice the sum over _cycles, except at n = 2, whose
+    one cycle is its own reversal (Q_2 = B^2/(v v))."""
     n = len(points)
-    data = [_point_tuple(geo, p) for p in points]
-    bmat = _b_matrix(geo, data)
-    vs = np.array([d[2] for d in data])
-    if n == 2:
-        return bmat[0, 1] ** 2 / (vs[0] * vs[1])
-    total = 0.0 + 0.0j
-    seen = set()
-    for perm in permutations(range(1, n)):
-        cyc = (0,) + perm
-        rev = (0,) + tuple(reversed(perm))
-        if rev in seen:
-            continue
-        seen.add(cyc)
-        prod = 1.0 + 0.0j
-        for a in range(n):
-            prod *= bmat[cyc[a], cyc[(a + 1) % n]]
-        total += prod
-    return 2.0 * total / np.prod(vs)
+    _, vs, bmat = _hierarchy_data(geo, points)
+    return (2.0 if n > 2 else 1.0) * _chain_sum(bmat, _cycles(n)) / np.prod(vs)
 
 
 def r_multidiff(curve, geo, points):
     """Path sum from the first to the last argument through the middles."""
-    _check_distinct(points)
-    n = len(points)
-    data = [_point_tuple(geo, p) for p in points]
-    bmat = _b_matrix(geo, data)
-    vs = np.array([d[2] for d in data])
-    if n == 2:
-        return bmat[0, 1]
-    total = 0.0 + 0.0j
-    for perm in permutations(range(1, n - 1)):
-        order = (0,) + perm + (n - 1,)
-        prod = 1.0 + 0.0j
-        for a in range(n - 1):
-            prod *= bmat[order[a], order[a + 1]]
-        total += prod
-    middles = np.prod(vs[1:n - 1]) if n > 2 else 1.0
-    return total / middles
+    _, vs, bmat = _hierarchy_data(geo, points)
+    return _chain_sum(bmat, _paths(len(points))) / np.prod(vs[1:-1])
 
 
 def r_ab(curve, geo, alpha, beta, points):
     """v_alpha(z_1) v_beta(z_n) times the path sum over all v's."""
-    _check_distinct(points)
-    n = len(points)
-    data = [_point_tuple(geo, p) for p in points]
-    bmat = _b_matrix(geo, data)
-    vs = np.array([d[2] for d in data])
-    total = 0.0 + 0.0j
-    for perm in permutations(range(1, n - 1)):
-        order = (0,) + perm + (n - 1,)
-        prod = 1.0 + 0.0j
-        for a in range(n - 1):
-            prod *= bmat[order[a], order[a + 1]]
-        total += prod
-    va = data[0][1][alpha]
-    vb = data[-1][1][beta]
-    return va * vb * total / np.prod(vs)
+    data, vs, bmat = _hierarchy_data(geo, points)
+    return (data[0][1][alpha] * data[-1][1][beta]
+            * _chain_sum(bmat, _paths(len(points))) / np.prod(vs))
 
 
-def _b_matrix(geo, data):
-    n = len(data)
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = _pair_b(geo, data[i], data[j])
-    return out
-
-
-def hierarchy_variation(curve, geo, level, gamma, points, variant="Q",
-                        branch_data=None):
+def hierarchy_variation(curve, geo, gamma, points, variant, bd):
     """dQ_n/dA_gamma (or the R analog) with evaluation points pinned in the
-    base coordinate: branch-residue sum of the next multi-differential plus
-    the argument-transport terms."""
+    base coordinate: branch-residue sum of Q_{n+1} (R_{n+1}) with its new
+    argument t on the branch circle, plus the argument-transport terms."""
     n = len(points)
-    if n != level:
-        raise VariationError("level must match the number of points")
-    bd = branch_data or BranchData(geo)
-    data = [_point_tuple(geo, p) for p in points]
-    bmat = _b_matrix(geo, data)
-    vs = np.array([d[2] for d in data])
+    data, vs, bmat = _hierarchy_data(geo, points)
     vg = holomorphic_unit(curve, geo.period, gamma)
     vgam = np.array([vg.fn(np.array([p.x]), np.array([p.w]))[0] for p in points])
-
-    next_samples = _q_next_samples if variant == "Q" else _r_next_samples
+    # t is the last cycle vertex of Q_{n+1}; for R_{n+1} it is the last
+    # middle vertex, so the path still ends at z_n
+    slot = n if variant == "Q" else n - 1
 
     def kernel(i, c):
-        # B(z_k, t) for every argument against the circle
-        bt = np.stack([_b_point_circle(geo, d[0], d[1], c) for d in data])
-        return next_samples(bmat, vs, bt, c["Y"], n)
+        bt = [_b_point_circle(geo, A, V, c) for A, V in data]
+        big = [[*row[:slot], b, *row[slot:]] for row, b in zip(bmat, bt)]
+        big.insert(slot, [*bt[:slot], None, *bt[slot:]])
+        if variant == "Q":
+            return 2.0 * _chain_sum(big, _cycles(n + 1)) / (np.prod(vs) * c["Y"])
+        return _chain_sum(big, _paths(n + 1)) / (np.prod(vs[1:-1]) * c["Y"])
 
     residue_sum = bd.residue_sum(vg, kernel)
-
     if variant == "Q":
-        base = q_multidiff(curve, geo, points)
-        transport = base * np.sum(vgam / vs)
+        transport = q_multidiff(curve, geo, points) * np.sum(vgam / vs)
     else:
-        base = r_multidiff(curve, geo, points)
-        transport = base * np.sum(vgam[1:n - 1] / vs[1:n - 1]) if n > 2 else 0.0
+        transport = r_multidiff(curve, geo, points) * np.sum(vgam[1:-1] / vs[1:-1])
     return -residue_sum - transport
-
-
-def _q_next_samples(bmat, vs, bt, Y, n):
-    """Q_{n+1}(z_1..z_n, t) sampled over the circle parameter of t.
-
-    The (n+1)-cycles with t as a distinguished vertex are the orderings of
-    the z's up to reversal: t -> z_{p0} -> ... -> z_{p(n-1)} -> t.
-    """
-    npts = bt.shape[1]
-    total = np.zeros(npts, dtype=complex)
-    seen = set()
-    for perm in permutations(range(n)):
-        if tuple(reversed(perm)) in seen:
-            continue
-        seen.add(perm)
-        prod = np.ones(npts, dtype=complex)
-        for a in range(n - 1):
-            prod = prod * bmat[perm[a], perm[a + 1]]
-        prod = prod * bt[perm[n - 1]] * bt[perm[0]]
-        total += prod
-    return 2.0 * total / (np.prod(vs) * Y)
-
-
-def _r_next_samples(bmat, vs, bt, Y, n):
-    """Sum over insertion slots of R_{n+1}(z_1,..,t at slot,..,z_n)."""
-    npts = bt.shape[1]
-    total = np.zeros(npts, dtype=complex)
-    for perm in permutations(range(1, n - 1)):
-        order = (0,) + perm + (n - 1,)
-        # base product without t
-        for slot in range(n - 1):
-            prod = np.ones(npts, dtype=complex)
-            for a in range(n - 1):
-                if a == slot:
-                    prod = prod * bt[order[a]] * bt[order[a + 1]]
-                else:
-                    prod = prod * bmat[order[a], order[a + 1]]
-            total += prod
-    middles = np.prod(vs[1:n - 1]) if n > 2 else 1.0
-    return total / (middles * Y)
 
 
 # ---------------------------------------------------------------------------
 # second derivatives of the period matrix
 # ---------------------------------------------------------------------------
 
-def period_hessian(curve, geo, a, b, cidx, d, branch_data=None):
+def period_hessian(curve, geo, a, b, cidx, d, bd):
     """Second derivative of Omega_{ab} along A_{cidx}, A_d from branch jets."""
-    bd = branch_data or BranchData(geo)
     nbr = len(curve.branch_points)
     jets = bd.jets
     g0 = [jets[i]["g0"] for i in range(nbr)]

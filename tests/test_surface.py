@@ -167,6 +167,25 @@ class TestHomology:
                 [-np.eye(g, dtype=int), np.zeros((g, g), dtype=int)]])
             assert np.array_equal(m, expect), m
 
+    def test_capsules_counterclockwise(self, ell4, g2_23, g2_5, g2_resfree, monkeypatch):
+        # every capsule routed for the shipped bases, probes included, encloses
+        # positive signed area
+        built = []
+        capsule = sf.capsule
+
+        def recording(*args):
+            built.append(capsule(*args))
+            return built[-1]
+
+        monkeypatch.setattr(sf, "capsule", recording)
+        for ses in (ell4, g2_23, g2_5, g2_resfree):
+            sf.homology_basis(ses.curve)
+        assert len(built) >= 2 * (1 + 2 + 2 + 2)  # 2g cycles per basis
+        for c in built:
+            z = c.polyline(per_segment=32)
+            area = 0.5 * np.sum(z[:-1].real * z[1:].imag - z[1:].real * z[:-1].imag)
+            assert area > 0, c.label
+
     def test_genus1_riemann_relations(self, ell4):
         om = ell4.geo.period.omega
         assert om.shape == (1, 1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from itertools import permutations
@@ -74,8 +76,7 @@ class TestHierarchy:
         for perm in permutations(range(3)):
             v = vr.q_multidiff(ell4.curve, ell4.geo, [pts[i] for i in perm])
             assert abs(v - base) < 1e-9 * abs(base)
-        from speclab.harness import _qn_cycle_count
-        assert _qn_cycle_count(4) == 3
+        assert len(vr._cycles(4)) == 3
 
     def test_r_middle_symmetry(self, ell4):
         pts = ell4.eval_points(4)
@@ -83,6 +84,41 @@ class TestHierarchy:
         swapped = [pts[0], pts[2], pts[1], pts[3]]
         b = vr.r_multidiff(ell4.curve, ell4.geo, swapped)
         assert abs(a - b) < 1e-10 * abs(a)
+
+    @staticmethod
+    def _random_b(rng, n, samples):
+        shape = (n, n) + ((samples,) if samples else ())
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return m + np.swapaxes(m, 0, 1)  # m[a][b] is a scalar or a sample array
+
+    @staticmethod
+    def _product(bmat, order):
+        prod = 1.0
+        for a, b in zip(order, order[1:]):
+            prod = prod * bmat[a][b]
+        return prod
+
+    @pytest.mark.parametrize("samples", [0, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_cycle_sum_brute_force(self, n, samples):
+        # every order of the n vertices, closed up, counts each cycle once per
+        # rotation and direction: 2n times
+        rng = np.random.default_rng(n)
+        bmat = self._random_b(rng, n, samples)
+        want = sum(self._product(bmat, p + p[:1]) for p in permutations(range(n))) / (2 * n)
+        got = vr._chain_sum(bmat, vr._cycles(n))
+        assert len(vr._cycles(n)) == math.factorial(n - 1) // 2
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("samples", [0, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_path_sum_brute_force(self, n, samples):
+        rng = np.random.default_rng(10 + n)
+        bmat = self._random_b(rng, n, samples)
+        want = sum(self._product(bmat, p) for p in permutations(range(n))
+                   if p[0] == 0 and p[-1] == n - 1)
+        got = vr._chain_sum(bmat, vr._paths(n))
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
 
     def test_coincident_points_rejected(self, ell4):
         p1, _ = ell4.eval_points(2)
@@ -93,7 +129,7 @@ class TestHierarchy:
 class TestTau:
     def test_requires_residue_free(self, g2_23):
         with pytest.raises(vr.VariationError, match="residue-free"):
-            vr.tau_gradient(g2_23.curve, g2_23.geo, 0)
+            vr.tau_gradient(g2_23.curve, g2_23.geo, 0, g2_23.branch_data)
 
     def test_residue_free_detector(self, g2_23, g2_resfree, g2_5):
         assert not vr.is_residue_free(g2_23.curve)
