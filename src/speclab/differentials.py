@@ -15,7 +15,7 @@ stated local parameter; `V` values are relative to dx (the base chart),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,25 +98,6 @@ class PeriodData:
 # meromorphic differentials with prescribed singular parts
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Singularity:
-    pole_index: int        # j
-    sheet: int             # s
-    order: int
-    principal: dict        # ell -> coefficient of chi^-ell dchi
-
-
-@dataclass
-class MeroDifferential:
-    label: str
-    fn: object                 # evaluator (x, w) -> value relative to dx
-    singularities: list
-    a_periods: np.ndarray
-
-    def __call__(self, x, w):
-        return self.fn(x, w)
-
-
 def _w_branch_series(curve, j, s, m):
     """Taylor series of w on sheet s around pole j, in chi = x - y_j."""
     y = curve.spec.poles[j].x
@@ -125,15 +106,23 @@ def _w_branch_series(curve, j, s, m):
     return nm.series_sqrt(shifted, m, branch=w_at)
 
 
-def _holo_correction(curve, period, raw_a_periods):
-    """Coefficients d_k with sum_k d_k x^k/w having the given a-periods."""
-    d, _ = nm.solve_dense(period.raw_a, np.asarray(raw_a_periods, dtype=complex))
-    return d
+def _normalized(curve, period, raw):
+    """raw(x, w) less the holomorphic differential sum_k d_k x^k/w with the
+    same a-periods: the evaluator with zero a-periods."""
+    ra = np.array([curve.integrate(raw, c).value for c in period.basis.a_cycles])
+    d, _ = nm.solve_dense(period.raw_a, ra)
+
+    def fn(x, w):
+        x = np.asarray(x, dtype=complex)
+        corr = (x[..., None] ** np.arange(len(d)) @ d) / w
+        return raw(x, w) - corr
+    return fn
 
 
 def second_kind(curve, period, j, s, ell):
-    """Normalized differential with principal part (1/chi^ell) dchi at the
-    point over pole j on sheet s, zero a-periods, no other poles."""
+    """Evaluator (x, w) -> value/dx of the normalized differential with
+    principal part (1/chi^ell) dchi at the point over pole j on sheet s, zero
+    a-periods, no other poles."""
     kj = curve.spec.poles[j].k
     if not (2 <= ell <= kj):
         raise DifferentialError(f"second-kind order ell={ell} out of range 2..{kj}")
@@ -141,25 +130,16 @@ def second_kind(curve, period, j, s, ell):
     wser = _w_branch_series(curve, j, s, ell + 2)
     u_coeffs = 0.5 * wser[:ell]  # Taylor of W_s/2 truncated to degree ell-1
 
-    def raw(x, w, y=y, ell=ell, u=u_coeffs):
-        ux = nm.polyval(u, x - y)
+    def raw(x, w):
+        ux = nm.polyval(u_coeffs, x - y)
         return (ux + 0.5 * w) / ((x - y) ** ell * w)
-
-    ra = np.array([curve.integrate(raw, c).value for c in period.basis.a_cycles])
-    d = _holo_correction(curve, period, ra)
-
-    def fn(x, w, raw=raw, d=d):
-        x = np.asarray(x, dtype=complex)
-        corr = (x[..., None] ** np.arange(len(d)) @ d) / w
-        return raw(x, w) - corr
-
-    sing = [Singularity(j, s, ell, {ell: 1.0})]
-    return MeroDifferential(f"w[{j},{s},{ell}]", fn, sing, np.zeros(period.g))
+    return _normalized(curve, period, raw)
 
 
 def third_kind(curve, period, j, s):
-    """Normalized differential with simple poles: residue +1 over pole j on
-    sheet s, residue -1 at the (0, 0) point; zero a-periods."""
+    """Evaluator (x, w) -> value/dx of the normalized differential with
+    simple poles: residue +1 over pole j on sheet s, residue -1 at the (0, 0)
+    point; zero a-periods."""
     if (j, s) == (0, 0):
         raise DifferentialError("third-kind base point (j, s) = (0, 0) requested")
     ya = curve.spec.poles[j].x
@@ -167,34 +147,17 @@ def third_kind(curve, period, j, s):
     wa = curve.pole_points[(j, s)].w
     wb = curve.pole_points[(0, 0)].w
 
-    def raw(x, w, ya=ya, yb=yb, wa=wa, wb=wb):
+    def raw(x, w):
         return (0.5 * (wa + w)) / ((x - ya) * w) - (0.5 * (wb + w)) / ((x - yb) * w)
-
-    ra = np.array([curve.integrate(raw, c).value for c in period.basis.a_cycles])
-    d = _holo_correction(curve, period, ra)
-
-    def fn(x, w, raw=raw, d=d):
-        x = np.asarray(x, dtype=complex)
-        corr = (x[..., None] ** np.arange(len(d)) @ d) / w
-        return raw(x, w) - corr
-
-    sing = [Singularity(j, s, 1, {1: 1.0}), Singularity(0, 0, 1, {1: -1.0})]
-    return MeroDifferential(f"u[{j},{s}]", fn, sing, np.zeros(period.g))
+    return _normalized(curve, period, raw)
 
 
 def holomorphic_unit(curve, period, alpha):
-    """v_alpha as a MeroDifferential."""
+    """Evaluator (x, w) -> value/dx of the normalized holomorphic v_alpha."""
     def fn(x, w, m=period.M[alpha]):
         x = np.asarray(x, dtype=complex)
         return (x[..., None] ** np.arange(period.g) @ m) / w
-
-    return MeroDifferential(f"v[{alpha + 1}]", fn, [], _unit(period.g, alpha))
-
-
-def _unit(g, a):
-    e = np.zeros(g)
-    e[a] = 1.0
-    return e
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +364,6 @@ K_EVAL = 128      # samples on an evaluation circle
 
 @dataclass
 class FrameData:
-    kind: str                # "branch" or "zero"
     index: int               # index into curve.zeros
     center: complex
     rho: float               # radius in the frame parameter
@@ -460,9 +422,8 @@ class LocalFrames:
         g_series = [nm.polytrim(gs, rel=0.0) for gs in series[:-1]]
         anchor = self.abel.at(c, None if z.is_branch else z.w)
         abel_series = [nm.series_integrate(gs) for gs in g_series]
-        return FrameData("branch" if z.is_branch else "zero", z.index, c, rho, eta,
-                         x, w, g_series, series[-1], anchor, abel_series,
-                         float(np.max(tails)))
+        return FrameData(z.index, c, rho, eta, x, w, g_series, series[-1], anchor,
+                         abel_series, float(np.max(tails)))
 
     # -- evaluation helpers ---------------------------------------------------
 
@@ -476,30 +437,20 @@ class LocalFrames:
 
     def eval_circle(self, fr, k=K_EVAL):
         """Evaluation circle of k points at EVAL_SCALE of the frame radius:
-        parameters and point data."""
+        parameters, Abel vectors, v_alpha/d(param) and v/d(param)."""
         r = EVAL_SCALE * fr.rho
         eta = nm.circle_points(r, k)
         A, G = self.values(fr, eta)
-        Y = nm.polyval(fr.Y_series, eta)
-        if fr.kind == "branch":
-            x = fr.center + eta ** 2
-            V = G / (2.0 * eta)[:, None]
-        else:
-            x = fr.center + eta
-            V = G
-        return {"eta": eta, "rho": r, "x": x, "G": G, "Y": Y, "A": A, "V": V}
+        return {"eta": eta, "rho": r, "G": G, "Y": nm.polyval(fr.Y_series, eta), "A": A}
 
     def y_jet_values(self, fr):
-        """Center jet data: y = v/dx as a function of the frame parameter
-        (y_m = Y_{m+1}/2 on branch frames since Y = 2 eta y)."""
-        Y = fr.Y_series
-        g = fr.g_series
-        if fr.kind == "branch":
-            yc = Y[1:] / 2.0
-            return {"y0": yc[0], "yp": yc[1], "yppp": 6.0 * yc[3],
-                    "g0": np.array([gs[0] for gs in g]),
-                    "gpp": np.array([2.0 * gs[2] if len(gs) > 2 else 0.0 for gs in g])}
-        return {"Y1": Y[1]}
+        """Center jet data of a branch frame: y = v/dx as a function of the
+        frame parameter (y_m = Y_{m+1}/2 since Y = 2 eta y)."""
+        yc = fr.Y_series[1:] / 2.0
+        return {"y0": yc[0], "yp": yc[1], "yppp": 6.0 * yc[3],
+                "g0": np.array([gs[0] for gs in fr.g_series]),
+                "gpp": np.array([2.0 * gs[2] if len(gs) > 2 else 0.0
+                                 for gs in fr.g_series])}
 
 
 # ---------------------------------------------------------------------------

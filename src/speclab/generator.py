@@ -217,9 +217,7 @@ def _rescale(spec, curve, geo):
     scale = float(np.max(np.abs(coords.vector)))
     if amin < 1e-6 * scale:
         raise ModuliHint(f"degenerate chart: min |A| = {amin / scale:.2e} of scale")
-    lam = 0.25 / amin
-    numer = {ell: spec.numer[ell] * lam ** ell for ell in spec.numer}
-    return InstanceSpec(spec.label, spec.n, spec.poles, numer)
+    return moduli.scaled_spec(spec, 0.25 / amin)
 
 
 MAX_ATTEMPTS = 160  # seeds tried per generate call
@@ -251,9 +249,9 @@ def generate(label, seed_base=None):
             spec = _rescale(spec, curve, geo)
             curve, geo = _vet(spec)
             if residue_free:
-                coords = moduli.coordinates_of(curve, geo)
-                res = [abs(v) for n_, v in zip(coords.names, coords.vector)
-                       if n_.startswith("C") and n_.endswith(",1)")]
+                coords = moduli.coordinates_of(curve, geo).vector
+                res = [abs(v) for key, v in zip(moduli.coordinate_keys(spec, geo.genus), coords)
+                       if key[0] == "C" and key[3] == 1]
                 if max(res) > 1e-11:
                     raise sf.SurfaceError(f"residues not annihilated ({max(res):.2e})")
             return spec

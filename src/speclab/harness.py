@@ -215,14 +215,16 @@ def suite_surface(ses, chk):
     # scaling equivariance of the chart
     coords = ses.nav.coordinates()
     lam = 1.1 + 0.2j
-    spec2 = moduli.spec_with_coefficients(
-        ses.spec, np.concatenate([ses.spec.numer[1] * lam,
-                                  ses.spec.numer[2] * lam ** 2]))
-    curve2 = sf.build_surface(spec2, template=curve)
-    geo2 = Geometry(curve2)
-    coords2 = moduli.coordinates_of(curve2, geo2)
+    coords2 = _scaled(ses, lam)[2]
     chk.add("coordinate-scaling-equivariance", "2.8",
             coords2.vector, lam * coords.vector, 1e-9)
+
+
+def _scaled(ses, lam):
+    """(curve, geometry, coordinates) of the session's cover with v -> lam v."""
+    curve2 = sf.build_surface(moduli.scaled_spec(ses.spec, lam), template=ses.curve)
+    geo2 = Geometry(curve2)
+    return curve2, geo2, moduli.coordinates_of(curve2, geo2)
 
 
 def _sl2_reduce(tau):
@@ -295,23 +297,22 @@ def suite_dm_cubic(ses, chk):
                          for pth, i in bpairs])
 
     tensors = {}
-    for d in ses.directions():
+    for name, h in ses.directions().items():
         t0 = time.time()
-        want_v = np.array([d.differential.fn(np.array([p.x]), np.array([p.w]))[0]
-                           for p in pts])
-        fd_v = eng.derivative(v_at, d.name)
-        chk.add(f"dv/d{d.name}", "2.14-2.16", fd_v.value, want_v, 1e-5)
+        want_v = np.array([h(np.array([p.x]), np.array([p.w]))[0] for p in pts])
+        fd_v = eng.derivative(v_at, name)
+        chk.add(f"dv/d{name}", "2.14-2.16", fd_v.value, want_v, 1e-5)
 
-        want_l = np.array([curve.integrate(d.differential.fn, pth).value
-                           + vr.endpoint_correction(curve, geo, d, i, bd)
+        want_l = np.array([curve.integrate(h, pth).value
+                           + vr.endpoint_correction(curve, geo, h, i, bd)
                            for pth, i in bpairs])
-        fd_l = eng.derivative(branch_ints, d.name)
-        chk.add(f"branch-integral/d{d.name}", "4.2-bpA-bpC2", fd_l.value, want_l, 1e-5)
+        fd_l = eng.derivative(branch_ints, name)
+        chk.add(f"branch-integral/d{name}", "4.2-bpA-bpC2", fd_l.value, want_l, 1e-5)
 
-        M = vr.vary_period_matrix(curve, geo, d, bd)
-        tensors[d.name] = M
-        fd_o = eng.derivative(lambda c, gg: gg.period.omega, d.name)
-        chk.add(f"dOmega/d{d.name}", "4.1-Oh1-Oh2", M, fd_o.value, 1e-5, t0=t0)
+        M = vr.vary_period_matrix(curve, geo, h, bd)
+        tensors[name] = M
+        fd_o = eng.derivative(lambda c, gg: gg.period.omega, name)
+        chk.add(f"dOmega/d{name}", "4.1-Oh1-Oh2", M, fd_o.value, 1e-5, t0=t0)
     # internal two-form agreement is asserted inside vary_period_matrix at 1e-9
     chk.add_flag("Oh1-Oh2-internal-agreement", "4.1-Oh1=Oh2", True)
     if g >= 2:
@@ -329,13 +330,13 @@ def suite_dm_cubic(ses, chk):
     chk.add("euler-scaling-identity", "5.2.1-rescaling",
             euler / scale, np.zeros((g, g)), 1e-8, absolute=True)
     # base-coordinate reparametrization invariance of the endpoint factor
-    d0 = ses.directions()[0]
-    f_old = bd.endpoint_factor(0, d0.differential)
-    f_new = _endpoint_factor_reparam(curve, geo, d0.differential, 0)
+    h0 = next(iter(ses.directions().values()))
+    f_old = bd.endpoint_factor(0, h0)
+    f_new = _endpoint_factor_reparam(curve, geo, h0, 0)
     chk.add("endpoint-correction-reparametrization", "4.2-invariance", f_new, f_old, 1e-8)
 
 
-def _endpoint_factor_reparam(curve, geo, diff, i):
+def _endpoint_factor_reparam(curve, geo, h, i):
     """h/d log(v/d chi) at branch point i in the chart chi = 2 zeta + zeta^3."""
     b = complex(curve.branch_points[i])
     others = curve.singular_points[np.abs(curve.singular_points - b) > 1e-12]
@@ -350,7 +351,7 @@ def _endpoint_factor_reparam(curve, geo, diff, i):
     w0 = curve.sqrtP(np.array([x[0]]))[0]
     w = curve.track_w(np.append(x, x[0]), w0)[:-1]
     dzeta_dchi = 1.0 / (2.0 + 3.0 * zeta ** 2)
-    g_samples = diff.fn(x, w) * dzeta_dchi * 2.0 * chat
+    g_samples = h(x, w) * dzeta_dchi * 2.0 * chat
     y_samples = curve.phi(x, w) * dzeta_dchi
     c, _ = nm.laurent_window(np.stack([g_samples, y_samples]), rho, [0, 1])
     return c[0, 0] * c[1, 0] / c[1, 1]
@@ -368,33 +369,33 @@ def suite_kernels(ses, chk):
 
     names = _kernel_directions(ses)
     for name in names:
-        d = vr.direction_differential(curve, geo, name)
+        h = vr.direction_differential(curve, geo, name)
         t0 = time.time()
-        got = vr.vary_valpha(curve, geo, d, p1, bd)
+        got = vr.vary_valpha(curve, geo, h, p1, bd)
         fd = eng.derivative(valpha_at, name)
         chk.add(f"dv_alpha/d{name}", "4.3-va1", got, fd.value, 1e-4, t0=t0)
         for ci, (qa, qb) in enumerate(configs):
-            gotB = vr.vary_bidifferential(curve, geo, d, qa, qb, bd)
+            gotB = vr.vary_bidifferential(curve, geo, h, qa, qb, bd)
 
             def B_at(c, gg, qa=qa, qb=qb):
                 return gg.kernels.bhat_point(c.carry(qa), c.carry(qb))
 
             fdB = eng.derivative(B_at, name)
             chk.add(f"dB/d{name}[cfg{ci}]", "4.4-B1", gotB, fdB.value, 1e-4)
-        sym = abs(vr.vary_bidifferential(curve, geo, d, p1, p2, bd)
-                  - vr.vary_bidifferential(curve, geo, d, p2, p1, bd))
+        sym = abs(vr.vary_bidifferential(curve, geo, h, p1, p2, bd)
+                  - vr.vary_bidifferential(curve, geo, h, p2, p1, bd))
         chk.add(f"dB-symmetry/{name}", "4.4-B1-symmetric", sym, 0.0, 1e-8, absolute=True)
 
 
 def _kernel_directions(ses):
-    names = [f"A{a + 1}" for a in range(ses.geo.genus)]
-    coord_names = moduli.coordinate_names(ses.spec, ses.geo.genus)
-    second = [n for n in coord_names if n.startswith("C") and not n.endswith(",1)")]
-    third = [n for n in coord_names if n.startswith("C") and n.endswith(",1)")]
-    if second:
-        names.append(second[0])
-    if third:
-        names.append(third[0])
+    """Every A direction, then the first second-kind and the first
+    third-kind C direction that the chart has."""
+    g = ses.geo.genus
+    chart = list(zip(moduli.coordinate_names(ses.spec, g),
+                     moduli.coordinate_keys(ses.spec, g)))
+    names = [n for n, key in chart if key[0] == "A"]
+    for third in (False, True):
+        names += [n for n, key in chart if key[0] == "C" and (key[3] == 1) == third][:1]
     return names
 
 
@@ -421,9 +422,9 @@ def suite_prime_form(ses, chk):
         chk.add(f"dxdy-lnE-vs-B[{ci}]", "3.x-B=ddlnE", fd_r,
                 kern.bhat_point(qa, qb), 1e-8)
     for name in _kernel_directions(ses)[: ses.geo.genus + 1]:
-        d = vr.direction_differential(curve, geo, name)
+        h = vr.direction_differential(curve, geo, name)
         for ci, (qa, qb) in enumerate(pairs):
-            got = vr.vary_log_prime_form(curve, geo, d, qa, qb, bd)
+            got = vr.vary_log_prime_form(curve, geo, h, qa, qb, bd)
 
             def lnE_at(c, gg, qa=qa, qb=qb):
                 return np.log(gg.kernels.prime_form(c.carry(qa), c.carry(qb)))
@@ -487,8 +488,8 @@ def suite_hessian(ses, chk):
 
         def grad(cv, gg, c=c):
             bdd = vr.BranchData(gg)
-            dd = vr.direction_differential(cv, gg, f"A{c + 1}")
-            return vr.vary_period_matrix(cv, gg, dd, bdd)
+            h = vr.direction_differential(cv, gg, f"A{c + 1}")
+            return vr.vary_period_matrix(cv, gg, h, bdd)
 
         fd = eng.derivative(grad, f"A{d + 1}")
         chk.add(f"hessian-Omega[{a}{b}]-A{c + 1}A{d + 1}", "5.1-doubO",
@@ -546,9 +547,9 @@ def suite_hierarchy(ses, chk):
     fd = eng.derivative(q2_at, "A1")
     chk.add("dQ2/dA1-vs-FD", "varW1", got, fd.value, 1e-4)
     # R-variation at n=2 reduces to the bidifferential variation
-    d = vr.direction_differential(curve, geo, "A1")
+    h = vr.direction_differential(curve, geo, "A1")
     gotR = vr.hierarchy_variation(curve, geo, 0, [p1, p2], "R", bd)
-    gotB = vr.vary_bidifferential(curve, geo, d, p1, p2, bd)
+    gotB = vr.vary_bidifferential(curve, geo, h, p1, p2, bd)
     chk.add("dR2-reduces-to-dB", "varRn-vs-B1", gotR, gotB, 1e-10)
     # symmetry of the Q-variation in the arguments
     gotQ21 = vr.hierarchy_variation(curve, geo, 0, [p2, p1], "Q", bd)
@@ -556,15 +557,10 @@ def suite_hierarchy(ses, chk):
 
 
 def suite_scaling(ses, chk):
-    curve, geo = ses.curve, ses.geo
+    geo = ses.geo
     lam = 0.83 - 0.41j
-    spec2 = moduli.spec_with_coefficients(
-        ses.spec, np.concatenate([ses.spec.numer[1] * lam,
-                                  ses.spec.numer[2] * lam ** 2]))
-    curve2 = sf.build_surface(spec2, template=curve)
-    geo2 = Geometry(curve2)
+    curve2, geo2, coords2 = _scaled(ses, lam)
     coords = ses.nav.coordinates()
-    coords2 = moduli.coordinates_of(curve2, geo2)
     chk.add("coordinates-scale-linearly", "2.8",
             coords2.vector, lam * coords.vector, 1e-9)
     chk.add("period-matrix-scale-invariant", "5.2.1-rescaling",
@@ -643,22 +639,23 @@ def sweep_epsilon(instance, functional, coord, eps_list):
     spec = instance if hasattr(instance, "numer") else load_instance(instance)
     ses = Session(spec)
     curve, geo = ses.curve, ses.geo
+    key = moduli.lookup_coordinate(spec, geo.genus, coord)[1]
+    if functional in ("b-periods", "q2") and key[0] != "A":
+        raise HarnessError(f"the {functional} sweep needs an A coordinate, not {coord!r}")
     eng = ses.eng
     bd = ses.branch_data
     if functional == "omega":
-        d = vr.direction_differential(curve, geo, coord)
-        formula = vr.vary_period_matrix(curve, geo, d, bd)
+        h = vr.direction_differential(curve, geo, coord)
+        formula = vr.vary_period_matrix(curve, geo, h, bd)
         fn = lambda c, g: g.period.omega
         pick = lambda m: np.asarray(m).ravel()[0]
     elif functional == "b-periods":
-        alpha = int(coord[1:]) - 1
-        formula = geo.period.omega[alpha]
+        formula = geo.period.omega[key[1]]
         fn = lambda c, g: g.period.B_of_v
         pick = lambda m: np.asarray(m).ravel()[0]
     elif functional == "q2":
         pts = ses.eval_points(2, start=0.31)
-        gamma = int(coord[1:]) - 1
-        formula = vr.hierarchy_variation(curve, geo, gamma, pts, "Q", bd)
+        formula = vr.hierarchy_variation(curve, geo, key[1], pts, "Q", bd)
 
         def fn(c, g, pts=pts):
             return vr.q_multidiff(c, g, [c.carry(p) for p in pts])

@@ -36,23 +36,35 @@ class ModuliPoint:
     names: tuple
     vector: np.ndarray
 
-    @property
-    def by_name(self):
-        return dict(zip(self.names, self.vector))
 
-    def copy(self):
-        return ModuliPoint(self.names, self.vector.copy())
+def coordinate_keys(spec, genus):
+    """The chart layout: ("A", alpha), then ("C", j, s, ell) for the
+    coefficient of chi^(-ell) of v over pole j on sheet s, less the dependent
+    residue (0, 0, 1)."""
+    return tuple([("A", a) for a in range(genus)]
+                 + [("C", j, s, ell) for j, p in enumerate(spec.poles)
+                    for s in range(spec.n) for ell in range(1, p.k + 1)
+                    if (j, s, ell) != (0, 0, 1)])
 
 
 def coordinate_names(spec, genus):
-    names = [f"A{a + 1}" for a in range(genus)]
-    for j, p in enumerate(spec.poles):
-        for s in range(spec.n):
-            for ell in range(1, p.k + 1):
-                if (j, s, ell) == (0, 0, 1):
-                    continue
-                names.append(f"C({j + 1},{s + 1},{ell})")
-    return tuple(names)
+    return tuple(f"A{k[1] + 1}" if k[0] == "A" else f"C({k[1] + 1},{k[2] + 1},{k[3]})"
+                 for k in coordinate_keys(spec, genus))
+
+
+def lookup_coordinate(spec, genus, name):
+    """(index, key) of a coordinate name in the chart."""
+    names = coordinate_names(spec, genus)
+    if name not in names:
+        raise ModuliError(f"unknown coordinate {name!r}; have {names}")
+    index = names.index(name)
+    return index, coordinate_keys(spec, genus)[index]
+
+
+def scaled_spec(spec, lam):
+    """The cover with N_ell -> lam^ell N_ell, on which v -> lam v."""
+    return InstanceSpec(spec.label, spec.n, spec.poles,
+                        {ell: spec.numer[ell] * lam ** ell for ell in spec.numer})
 
 
 class PoleCircles:
@@ -76,14 +88,22 @@ class PoleCircles:
                                        w_in[-1])[1:]
                 self.data[(j, s)] = (rho, ring, w_ring)
 
-    def laurent(self, j, s, values, orders):
-        """Coefficients of chi^(-ell) for ell in orders, from ring samples."""
-        rho = self.data[(j, s)][0]
-        return nm.laurent_window(values, rho, [-ell for ell in orders])[0].tolist()
+    def windows(self, fn):
+        """{(j, s): coefficients of chi^(-ell), ell = 1..k_j, in the last
+        axis} of fn(x, w) on each ring; fn gives (K,) or stacked (K, m)."""
+        out = {}
+        for (j, s), (rho, ring, w_ring) in self.data.items():
+            vals = np.moveaxis(np.asarray(fn(ring, w_ring)), 0, -1)
+            orders = [-ell for ell in range(1, self.curve.spec.poles[j].k + 1)]
+            out[(j, s)] = nm.laurent_window(vals, rho, orders)[0]
+        return out
 
-    def ring(self, j, s):
-        rho, ring, w_ring = self.data[(j, s)]
-        return ring, w_ring
+    def singular_parts(self, fn):
+        """The C coordinates of fn in key order, in the last axis (the keys
+        of a genus-0 chart are its C keys)."""
+        win = self.windows(fn)
+        return np.stack([win[(j, s)][..., ell - 1] for _, j, s, ell
+                         in coordinate_keys(self.curve.spec, 0)], axis=-1)
 
 
 def coordinates_of(curve, geo_or_basis, circles=None):
@@ -94,31 +114,16 @@ def coordinates_of(curve, geo_or_basis, circles=None):
     """
     basis = getattr(geo_or_basis, "basis", geo_or_basis)
     circles = circles or PoleCircles(curve)
-    genus = curve.counts.genus
-    names = coordinate_names(curve.spec, genus)
-    vec = [curve.integrate_v(c).value for c in basis.a_cycles]
-    for j, p in enumerate(curve.spec.poles):
-        for s in range(curve.n):
-            ring, w_ring = circles.ring(j, s)
-            vals = curve.phi(ring, w_ring)
-            cs = circles.laurent(j, s, vals, range(1, p.k + 1))
-            for ell in range(1, p.k + 1):
-                if (j, s, ell) == (0, 0, 1):
-                    continue
-                vec.append(cs[ell - 1])
-    return ModuliPoint(names, np.array(vec, dtype=complex))
+    names = coordinate_names(curve.spec, curve.counts.genus)
+    a_periods = [curve.integrate_v(c).value for c in basis.a_cycles]
+    return ModuliPoint(names, np.concatenate([np.array(a_periods, dtype=complex),
+                                              circles.singular_parts(curve.phi)]))
 
 
 def residue_sum(curve):
     """Sum of all residues of v over the pole fibers (should vanish)."""
-    circles = PoleCircles(curve)
-    total = 0.0 + 0.0j
-    for j, _ in enumerate(curve.spec.poles):
-        for s in range(curve.n):
-            ring, w_ring = circles.ring(j, s)
-            vals = curve.phi(ring, w_ring)
-            total += circles.laurent(j, s, vals, [1])[0]
-    return total
+    return sum((win[0] for win in PoleCircles(curve).windows(curve.phi).values()),
+               0.0 + 0.0j)
 
 
 def coefficient_layout(spec):
@@ -170,28 +175,14 @@ def coord_jacobian(curve, geo_or_basis, circles=None):
     dimension count."""
     basis = getattr(geo_or_basis, "basis", geo_or_basis)
     circles = circles or PoleCircles(curve)
-    layout = coefficient_layout(curve.spec)
-    genus = curve.counts.genus
-    names = coordinate_names(curve.spec, genus)
-    jac = np.zeros((len(names), len(layout)), dtype=complex)
-    tangents = [coefficient_tangent(curve, ell, i) for ell, i in layout]
+    tangents = [coefficient_tangent(curve, ell, i)
+                for ell, i in coefficient_layout(curve.spec)]
 
     def stacked(x, w):
         return np.stack([tan(x, w) for tan in tangents], axis=-1)
-    for a in range(genus):
-        jac[a] = curve.integrate_stack(stacked, basis.a_cycles[a]).value
-    for c, tan in enumerate(tangents):
-        row = genus
-        for j, p in enumerate(curve.spec.poles):
-            for s in range(curve.n):
-                ring, w_ring = circles.ring(j, s)
-                vals = tan(ring, w_ring)
-                cs = circles.laurent(j, s, vals, range(1, p.k + 1))
-                for ell in range(1, p.k + 1):
-                    if (j, s, ell) == (0, 0, 1):
-                        continue
-                    jac[row, c] = cs[ell - 1]
-                    row += 1
+    rows = [curve.integrate_stack(stacked, c).value for c in basis.a_cycles]
+    jac = np.concatenate([np.array(rows, dtype=complex).reshape(-1, len(tangents)),
+                          circles.singular_parts(stacked).T])
     if jac.shape[0] != jac.shape[1]:
         raise ModuliError(f"chart is not square: {jac.shape}")
     return jac
@@ -304,11 +295,8 @@ class FDEngine:
         self._move_cache = {}
 
     def coord_index(self, name):
-        names = self.nav.coordinates().names
-        try:
-            return names.index(name)
-        except ValueError:
-            raise ModuliError(f"unknown coordinate {name!r}; have {names}") from None
+        curve = self.nav.curve
+        return lookup_coordinate(curve.spec, curve.counts.genus, name)[0]
 
     def eps_for(self, index):
         z = self.nav.coordinates().vector[index]

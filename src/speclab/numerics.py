@@ -324,9 +324,6 @@ class Arc:
         return Arc(self.center, self.radius, self.a1, self.a0)
 
 
-Segment = Line | Arc
-
-
 @dataclass
 class Contour:
     """Directed chain of segments, optionally tagged with a starting sheet."""
@@ -353,9 +350,6 @@ class Contour:
             t = np.linspace(0.0, 1.0, n)
             pts.append(seg.point(t))
         return np.concatenate(pts)
-
-    def __iter__(self):
-        return iter(self.segments)
 
 
 def circle(center, radius):

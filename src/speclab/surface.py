@@ -306,7 +306,6 @@ class SpectralCurve:
         self.spec = spec
         self.counts = counts_of(spec)
         self.n = spec.n
-        sk = spec.sum_k
         self.D = spec.denominator(1)
         self.N = {ell: np.asarray(spec.numer[ell], dtype=complex) for ell in spec.numer}
         if spec.n == 2:

@@ -25,15 +25,15 @@ reduces exactly to the bidifferential formula).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
 
+from . import moduli
 from . import numerics as nm
 from . import surface as sf
-from .differentials import (EVAL_SCALE, K_EVAL, K_RING, M_JET, MeroDifferential,
-                            holomorphic_unit, second_kind, third_kind)
+from .differentials import (EVAL_SCALE, K_EVAL, K_RING, M_JET, holomorphic_unit,
+                            second_kind, third_kind)
 
 
 class VariationError(RuntimeError):
@@ -44,43 +44,26 @@ TWO_PI_I = 2j * math.pi
 FORM_AGREE_TOL = 1e-9
 
 
-@dataclass
-class CoordinateDirection:
-    name: str
-    kind: str             # "A" or "C"
-    indices: tuple        # (alpha,) or (j, s, ell)
-    differential: MeroDifferential
-
-
-def parse_coordinate_name(name):
-    if name.startswith("A"):
-        return ("A", (int(name[1:]) - 1,))
-    if name.startswith("C(") and name.endswith(")"):
-        j, s, ell = (int(t) for t in name[2:-1].split(","))
-        return ("C", (j - 1, s - 1, ell))
-    raise VariationError(f"unrecognized coordinate name {name!r}")
+def _differential(curve, geo, key):
+    if key[0] == "A":
+        return holomorphic_unit(curve, geo.period, key[1])
+    _, j, s, ell = key
+    if ell >= 2:
+        return second_kind(curve, geo.period, j, s, ell)
+    return third_kind(curve, geo.period, j, s)
 
 
 def direction_differential(curve, geo, name):
-    """The differential attached to a coordinate direction."""
-    kind, idx = parse_coordinate_name(name)
-    if kind == "A":
-        diff = holomorphic_unit(curve, geo.period, idx[0])
-    else:
-        j, s, ell = idx
-        if (j, s, ell) == (0, 0, 1):
-            raise VariationError("C(1,1,1) is the dependent coordinate")
-        if ell >= 2:
-            diff = second_kind(curve, geo.period, j, s, ell)
-        else:
-            diff = third_kind(curve, geo.period, j, s)
-    return CoordinateDirection(name, kind, idx, diff)
+    """Evaluator (x, w) -> h/dx of the differential h dual to a coordinate."""
+    return _differential(curve, geo,
+                         moduli.lookup_coordinate(curve.spec, geo.genus, name)[1])
 
 
 def all_directions(curve, geo):
-    from .moduli import coordinate_names
-    return [direction_differential(curve, geo, n)
-            for n in coordinate_names(curve.spec, geo.genus)]
+    """{name: direction evaluator} in chart order."""
+    return {name: _differential(curve, geo, key) for name, key in
+            zip(moduli.coordinate_names(curve.spec, geo.genus),
+                moduli.coordinate_keys(curve.spec, geo.genus))}
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +94,15 @@ class BranchData:
         self._breg_over_v = {}
 
     # h / d log(v/dx) at branch point i, for a direction differential
-    def endpoint_factor(self, i, diff):
+    def endpoint_factor(self, i, h):
         jet = self.jets[i]
-        g0 = self.direction_series(i, diff)[0]
+        g0 = self.direction_series(i, h)[0]
         return g0 * jet["y0"] / jet["yp"]
 
-    def direction_series(self, i, diff):
+    def direction_series(self, i, h):
         """Series of h/d(eta) on branch frame i."""
         fr = self.frames[i]
-        vals = diff.fn(fr.x, fr.w) * (2.0 * fr.eta)
+        vals = h(fr.x, fr.w) * (2.0 * fr.eta)
         return nm.laurent_window(vals, fr.rho, np.arange(M_JET + 1))[0]
 
     def residue_sum(self, h, per_branch):
@@ -159,9 +142,9 @@ class BranchData:
             self._oh2[i] = {"eta": eta, "rho": rho, "G": G, "yp": yp}
         return self._oh2[i]
 
-    def direction_on(self, i, diff, eta):
+    def direction_on(self, i, h, eta):
         """Direction series evaluated at arbitrary frame parameters."""
-        return nm.polyval(self.direction_series(i, diff), eta)
+        return nm.polyval(self.direction_series(i, h), eta)
 
     # -- Bergman data ---------------------------------------------------------
 
@@ -208,25 +191,25 @@ class BranchData:
 # endpoint corrections (branch contributions to d/dz of relative periods)
 # ---------------------------------------------------------------------------
 
-def endpoint_correction(curve, geo, direction, zero_index, bd):
+def endpoint_correction(curve, geo, h, zero_index, bd):
     """-(h / d log(v/dx))(x_i): the extra term in the derivative of
     int_{x_r}^{x_i} v when x_i is a branch point; 0 at simple zeros."""
     if not curve.zeros[zero_index].is_branch:
         return 0.0 + 0.0j
-    return -bd.endpoint_factor(zero_index, direction.differential)
+    return -bd.endpoint_factor(zero_index, h)
 
 
 # ---------------------------------------------------------------------------
 # first variation of the period matrix (both forms)
 # ---------------------------------------------------------------------------
 
-def vary_period_matrix(curve, geo, direction, bd):
-    """d(Omega)/d(coordinate) by the branch-point residue formula.
+def vary_period_matrix(curve, geo, h, bd):
+    """d(Omega)/d(coordinate) by the branch-point residue formula, h the
+    coordinate's direction evaluator.
 
     Computes both the endpoint-factor form and the single-residue form and
     requires their agreement to FORM_AGREE_TOL before returning.
     """
-    h = direction.differential
 
     def form1(i, c):
         G = c["G"].T
@@ -284,22 +267,22 @@ def _b_circle_point(geo, c, A, V):
                                   np.tile(A, (n, 1)), np.tile(V, (n, 1)))
 
 
-def vary_valpha(curve, geo, direction, point, bd):
+def vary_valpha(curve, geo, h, point, bd):
     """d(v_alpha(x))/d(coordinate) relative to dx at the point; vector over alpha."""
     A_x, V_x = _point_data(geo, point)
-    return -bd.residue_sum(direction.differential, lambda i, c: (
+    return -bd.residue_sum(h, lambda i, c: (
         c["G"].T * _b_circle_point(geo, c, A_x, V_x) / c["Y"]))
 
 
-def vary_bidifferential(curve, geo, direction, p1, p2, bd):
+def vary_bidifferential(curve, geo, h, p1, p2, bd):
     """d(B(x,y))/d(coordinate) relative to dx dy at the fixed pair."""
     A1, V1 = _point_data(geo, p1)
     A2, V2 = _point_data(geo, p2)
-    return -bd.residue_sum(direction.differential, lambda i, c: (
+    return -bd.residue_sum(h, lambda i, c: (
         _b_point_circle(geo, A1, V1, c) * _b_circle_point(geo, c, A2, V2) / c["Y"]))
 
 
-def vary_log_prime_form(curve, geo, direction, p1, p2, bd):
+def vary_log_prime_form(curve, geo, h, p1, p2, bd):
     """d(ln E(x,y))/d(coordinate) at the fixed pair (h-independent kernel)."""
     A1, _ = _point_data(geo, p1)
     A2, _ = _point_data(geo, p2)
@@ -318,7 +301,7 @@ def vary_log_prime_form(curve, geo, direction, p1, p2, bd):
     # bidifferential variation through B = d_x d_y ln E, which forces the
     # opposite overall sign to the first-kind/bidifferential pattern; the
     # finite-difference oracle confirms it.
-    return bd.residue_sum(direction.differential, kernel)
+    return bd.residue_sum(h, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +320,10 @@ def _zero_frame_residues(geo, gamma):
 
 
 def is_residue_free(curve):
-    from .moduli import PoleCircles
     if any(p.k < 2 for p in curve.spec.poles):
         return False
-    circles = PoleCircles(curve)
-    total = 0.0
-    for j, p in enumerate(curve.spec.poles):
-        for s in range(curve.n):
-            ring, w_ring = circles.ring(j, s)
-            vals = curve.phi(ring, w_ring)
-            total = max(total, abs(circles.laurent(j, s, vals, [1])[0]))
-    return total < 1e-10
+    wins = moduli.PoleCircles(curve).windows(curve.phi).values()
+    return max(abs(complex(win[0])) for win in wins) < 1e-10
 
 
 def tau_gradient(curve, geo, gamma, bd):
@@ -409,7 +385,7 @@ def tau_gradient_oracle(curve, geo, bd):
             total += (1.0 if d == gamma else 0.0) * dual_a[d] + omega[gamma, d] * dual_b[d]
         # d P_{l_i} / d A_gamma: path integral of v_gamma plus branch endpoint term
         for path, idx in zip(paths, targets):
-            val = curve.integrate(vg.fn, path).value
+            val = curve.integrate(vg, path).value
             if curve.zeros[idx].is_branch:
                 val -= bd.endpoint_factor(idx, vg)
             total += val * TWO_PI_I * res_at[idx]
@@ -487,7 +463,7 @@ def hierarchy_variation(curve, geo, gamma, points, variant, bd):
     n = len(points)
     data, vs, bmat = _hierarchy_data(geo, points)
     vg = holomorphic_unit(curve, geo.period, gamma)
-    vgam = np.array([vg.fn(np.array([p.x]), np.array([p.w]))[0] for p in points])
+    vgam = np.array([vg(np.array([p.x]), np.array([p.w]))[0] for p in points])
     # t is the last cycle vertex of Q_{n+1}; for R_{n+1} it is the last
     # middle vertex, so the path still ends at z_n
     slot = n if variant == "Q" else n - 1

@@ -36,16 +36,14 @@ class TestSecondKind:
     def test_principal_part_and_periods(self, ell4):
         curve, geo = ell4.curve, ell4.geo
         wd = second_kind(curve, geo.period, 0, 0, 2)
-        circ = moduli.PoleCircles(curve)
-        ring, w_ring = circ.ring(0, 0)
-        cs = circ.laurent(0, 0, wd.fn(ring, w_ring), [1, 2, 3, 4])
+        wins = moduli.PoleCircles(curve).windows(wd)
+        cs = wins[(0, 0)]
         assert abs(cs[1] - 1.0) < 1e-9       # chi^-2 coefficient
         assert abs(cs[0]) < 1e-9 and abs(cs[2]) < 1e-9 and abs(cs[3]) < 1e-9
-        ring1, w_ring1 = circ.ring(0, 1)
-        other = circ.laurent(0, 1, wd.fn(ring1, w_ring1), [1, 2])
+        other = wins[(0, 1)][:2]
         assert max(abs(c) for c in other) < 1e-9   # no pole on the other sheet
         for c in geo.basis.a_cycles:
-            assert abs(curve.integrate(wd.fn, c).value) < 1e-10
+            assert abs(curve.integrate(wd, c).value) < 1e-10
 
     def test_b_period_bilinear_identity(self, ell4, g2_23):
         for ses, (j, s) in ((ell4, (0, 1)), (g2_23, (1, 0))):
@@ -53,11 +51,9 @@ class TestSecondKind:
             kj = curve.spec.poles[j].k
             for ell in range(2, kj + 1):
                 wd = second_kind(curve, geo.period, j, s, ell)
-                bw = np.array([curve.integrate(wd.fn, c).value
+                bw = np.array([curve.integrate(wd, c).value
                                for c in geo.basis.b_cycles])
-                circ = moduli.PoleCircles(curve)
-                ring, w_ring = circ.ring(j, s)
-                rho = circ.data[(j, s)][0]
+                rho, ring, w_ring = moduli.PoleCircles(curve).data[(j, s)]
                 rhs = []
                 for a in range(geo.genus):
                     f = np.fft.fft(geo.period.V(ring, w_ring)[:, a]) / len(ring)
@@ -74,23 +70,20 @@ class TestThirdKind:
     def test_residues_and_periods(self, g2_23):
         curve, geo = g2_23.curve, g2_23.geo
         u = third_kind(curve, geo.period, 1, 1)
-        circ = moduli.PoleCircles(curve)
-        res = {}
-        for (j, s) in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            ring, w_ring = circ.ring(j, s)
-            res[(j, s)] = circ.laurent(j, s, u.fn(ring, w_ring), [1])[0]
+        wins = moduli.PoleCircles(curve).windows(u)
+        res = {js: win[0] for js, win in wins.items()}
         assert abs(res[(0, 0)] + 1.0) < 1e-10
         assert abs(res[(1, 1)] - 1.0) < 1e-10
         assert abs(res[(0, 1)]) < 1e-10 and abs(res[(1, 0)]) < 1e-10
         assert abs(sum(res.values())) < 1e-10  # total residue vanishes
         for c in geo.basis.a_cycles:
-            assert abs(curve.integrate(u.fn, c).value) < 1e-10
+            assert abs(curve.integrate(u, c).value) < 1e-10
 
     def test_b_periods_match_abel(self, ell4, g2_5):
         for ses, (j, s) in ((ell4, (0, 1)), (g2_5, (3, 0))):
             curve, geo = ses.curve, ses.geo
             u = third_kind(curve, geo.period, j, s)
-            bu = np.array([curve.integrate(u.fn, c).value
+            bu = np.array([curve.integrate(u, c).value
                            for c in geo.basis.b_cycles])
             p, p0 = curve.pole_points[(j, s)], curve.pole_points[(0, 0)]
             rhs = 2j * np.pi * (geo.abel.at(p.x, p.w) - geo.abel.at(p0.x, p0.w))

@@ -102,7 +102,7 @@ class TestCLI:
         assert rc == 2
         err = capsys.readouterr().err
         assert "Traceback" in err
-        assert "error: VariationError: unrecognized coordinate name 'Z9'" in err
+        assert "error: ModuliError: unknown coordinate 'Z9'" in err
 
     def test_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -113,11 +113,24 @@ class TestCLI:
         assert out.read_text().startswith("eps,")
 
 
+class TestKernelDirections:
+    def test_pinned_per_instance(self, ell4, g2_5, g2_23, g2_resfree):
+        assert harness._kernel_directions(ell4) == ["A1", "C(1,1,2)", "C(1,2,1)"]
+        assert harness._kernel_directions(g2_5) == ["A1", "A2", "C(1,2,1)"]
+        for ses in (g2_23, g2_resfree):
+            assert harness._kernel_directions(ses) == ["A1", "A2", "C(1,1,2)", "C(1,2,1)"]
+
+
 class TestSweepNoiseFloor:
     def test_tiny_eps_flags_floor(self):
         rows = harness.sweep_epsilon("ell4", "omega", "A1",
                                      [1e-3, 1e-7, 5e-8])
         assert any(r["floor"] for r in rows[1:])
+
+    def test_a_only_functionals_reject_c_coordinates(self):
+        for functional in ("q2", "b-periods"):
+            with pytest.raises(harness.HarnessError, match="needs an A coordinate"):
+                harness.sweep_epsilon("ell4", functional, "C(1,1,2)", [1e-3])
 
 
 class TestFileInstances:

@@ -31,6 +31,31 @@ class TestCoordinates:
             < 1e-9 * max(1.0, np.max(np.abs(base.vector)))
 
 
+class TestChartLayout:
+    def test_keys_count_and_lookup(self, ell4, g2_5, g2_23, g2_resfree):
+        for ses in (ell4, g2_5, g2_23, g2_resfree):
+            g = ses.geo.genus
+            keys = moduli.coordinate_keys(ses.spec, g)
+            names = moduli.coordinate_names(ses.spec, g)
+            assert len(keys) == len(names) == ses.curve.counts.dim
+            for index, (name, key) in enumerate(zip(names, keys)):
+                assert moduli.lookup_coordinate(ses.spec, g, name) == (index, key)
+            for bad in ("C(1,1,1)", "Z9"):
+                with pytest.raises(moduli.ModuliError, match="unknown coordinate"):
+                    moduli.lookup_coordinate(ses.spec, g, bad)
+
+    def test_stacked_windows_equal_single_columns(self, g2_23):
+        circles = g2_23.nav.circles
+        tangents = [moduli.coefficient_tangent(g2_23.curve, ell, i)
+                    for ell, i in moduli.coefficient_layout(g2_23.spec)]
+        stacked = circles.windows(
+            lambda x, w: np.stack([tan(x, w) for tan in tangents], axis=-1))
+        for c, tan in enumerate(tangents):
+            for ring, coeffs in circles.windows(tan).items():
+                assert stacked[ring].shape == (len(tangents), len(coeffs))
+                assert np.array_equal(stacked[ring][c], coeffs)
+
+
 class TestJacobian:
     def test_square(self, ell4, g2_23):
         for ses in (ell4, g2_23):

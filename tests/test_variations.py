@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 from itertools import permutations
 
+from speclab import moduli
 from speclab import surface as sf
 from speclab import variations as vr
 
 
 class TestDirections:
     def test_dependent_coordinate_rejected(self, ell4):
-        with pytest.raises(vr.VariationError, match="dependent"):
+        with pytest.raises(moduli.ModuliError, match=r"unknown coordinate 'C\(1,1,1\)'"):
             vr.direction_differential(ell4.curve, ell4.geo, "C(1,1,1)")
 
     def test_a_direction_is_normalized_holomorphic(self, ell4):
-        d = vr.direction_differential(ell4.curve, ell4.geo, "A1")
-        assert d.kind == "A"
+        h = vr.direction_differential(ell4.curve, ell4.geo, "A1")
         for c in ell4.geo.basis.a_cycles:
-            val = ell4.curve.integrate(d.differential.fn, c).value
+            val = ell4.curve.integrate(h, c).value
             assert abs(val - 1.0) < 1e-10
 
     def test_direction_count_matches_chart(self, g2_23):
