@@ -291,13 +291,13 @@ class Kernels:
         return V @ self.grad_odd_at_zero
 
     def h_at(self, p):
-        """Square root of h^2 at a point, tracked continuously from x_r."""
+        """Square root of h^2 at a point, tracked continuously from x_r over
+        the anchors of its path."""
         key = (complex(np.round(p.x, 13)), complex(np.round(p.w, 13)))
         if key in self._h_cache:
             return self._h_cache[key]
         path = sf.path_to_point(self.curve, p.x, p.w, label="h-track")
-        z, wline = self.curve._dense_track(path, self.curve.contour_start_w(path))
-        svals = self.h_density(z, wline)
+        svals = self.h_density(*self.curve.anchor_points(path))
         if np.min(np.abs(svals)) < 1e-10 * np.max(np.abs(svals)):
             raise DifferentialError("h-density vanishes along tracking path")
         roots = np.sqrt(svals)
@@ -364,7 +364,6 @@ K_EVAL = 128      # samples on an evaluation circle
 
 @dataclass
 class FrameData:
-    index: int               # index into curve.zeros
     center: complex
     rho: float               # radius in the frame parameter
     eta: np.ndarray          # frame-parameter samples (K,)
@@ -396,8 +395,7 @@ class LocalFrames:
         eta = x - c at a simple zero c; series relative to d(eta)."""
         curve = self.curve
         c = complex(z.x)
-        others = curve.singular_points[np.abs(curve.singular_points - c) > 1e-12]
-        d = float(np.min(np.abs(others - c)))
+        d = curve.singular_distance(c)
         if z.is_branch:
             rho = math.sqrt(sf.JET_RADIUS_FACTOR * d)
             eta = nm.circle_points(rho, K_FRAME)
@@ -422,7 +420,7 @@ class LocalFrames:
         g_series = [nm.polytrim(gs, rel=0.0) for gs in series[:-1]]
         anchor = self.abel.at(c, None if z.is_branch else z.w)
         abel_series = [nm.series_integrate(gs) for gs in g_series]
-        return FrameData(z.index, c, rho, eta, x, w, g_series, series[-1], anchor,
+        return FrameData(c, rho, eta, x, w, g_series, series[-1], anchor,
                          abel_series, float(np.max(tails)))
 
     # -- evaluation helpers ---------------------------------------------------

@@ -162,7 +162,8 @@ class Checker:
         abs_err = float(errs[i])
         scale = float(max(np.max(mag(got)), np.max(mag(want))))
         rel_err = abs_err / scale if scale > 0 else abs_err
-        tol = self.tol_override or tol
+        if self.tol_override is not None:
+            tol = self.tol_override
         err = abs_err if absolute else rel_err
         self.report.checks.append(CheckResult(
             name, paper_eq, complex(got[i]), complex(want[i]), abs_err, rel_err, tol,
@@ -339,9 +340,7 @@ def suite_dm_cubic(ses, chk):
 def _endpoint_factor_reparam(curve, geo, h, i):
     """h/d log(v/d chi) at branch point i in the chart chi = 2 zeta + zeta^3."""
     b = complex(curve.branch_points[i])
-    others = curve.singular_points[np.abs(curve.singular_points - b) > 1e-12]
-    dmin = float(np.min(np.abs(others - b)))
-    rho = math.sqrt(0.15 * dmin)
+    rho = math.sqrt(0.15 * curve.singular_distance(b))
     chat = nm.circle_points(rho, 256)
     chi = chat ** 2
     zeta = chi / 2.0
@@ -599,12 +598,15 @@ def run_suite(instance, suite, tol_override=None, eps=None):
     """Execute a named suite on an instance (label, path, or InstanceSpec)."""
     if suite not in SUITES:
         raise HarnessError(f"unknown suite {suite!r}; valid: {', '.join(SUITES)}")
+    for name, value in (("tol_override", tol_override), ("eps", eps)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise HarnessError(f"{name} must be positive and finite, got {value!r}")
     spec = instance if hasattr(instance, "numer") else load_instance(instance)
     report = Report(spec.label, suite, environment={
         "platform": platform.platform(), "python": platform.python_version(),
         "numpy": np.__version__})
     ses = Session(spec)
-    if eps:
+    if eps is not None:
         ses.eng.eps_rel = eps
     chk = Checker(report, tol_override)
     if spec.n != 2:

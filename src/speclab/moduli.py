@@ -74,10 +74,7 @@ class PoleCircles:
         self.curve = curve
         self.data = {}
         for j, p in enumerate(curve.spec.poles):
-            d = float(np.min(np.abs(
-                curve.singular_points[np.abs(curve.singular_points - p.x) > 1e-12]
-                - p.x)))
-            rho = sf.JET_RADIUS_FACTOR * d
+            rho = sf.JET_RADIUS_FACTOR * curve.singular_distance(p.x)
             ring = p.x + nm.circle_points(rho, POLE_JET_SAMPLES)
             for s in range(curve.n):
                 w_center = curve.pole_points[(j, s)].w

@@ -166,7 +166,6 @@ class RootReport:
     roots: np.ndarray
     multiplicities: np.ndarray
     residuals: np.ndarray
-    converged: bool
 
 
 def poly_roots(coeffs, cluster_tol=CLUSTER_TOL):
@@ -182,7 +181,7 @@ def poly_roots(coeffs, cluster_tol=CLUSTER_TOL):
         raise RootFindingError("poly_roots: degree must be >= 1")
     if deg == 1:
         roots = np.array([-c[0] / c[1]])
-        return RootReport(roots, np.ones(1, dtype=int), _residuals(c, roots), True)
+        return RootReport(roots, np.ones(1, dtype=int), _residuals(c, roots))
 
     cn = c / c[-1]
     radius = 1.0 + np.max(np.abs(cn[:-1]))
@@ -220,7 +219,7 @@ def poly_roots(coeffs, cluster_tol=CLUSTER_TOL):
     z = z[order]
     res = res[order]
     mult = _multiplicity_flags(z, cluster_tol)
-    return RootReport(z, mult, res, True)
+    return RootReport(z, mult, res)
 
 
 def _polish(cn, dc, z):

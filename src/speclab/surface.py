@@ -31,10 +31,9 @@ SAFETY_FACTOR = 0.25     # clearance = factor * distance to nearest other singul
 JET_RADIUS_FACTOR = 0.2
 TRACK_STEP_FACTOR = 0.2  # max continuation step relative to branch clearance
 DETOUR_PASSES = 8        # rounds of arc detours in build_path
-CROSSING_PER_ARC = 160   # polyline vertices per arc in crossing tests
-CROSSING_PER_LINE = 80   # polyline vertices per line in crossing tests
 CROSSING_BLOCK = 16      # consecutive polyline edges per block box in crossing tests
 LIFT_JUMP_MAX = 0.25     # largest relative change of a carried lift (cycle start, anchor)
+_GRID_PROBES = np.linspace(0.05, 0.95, 16)  # where a segment's grid gauges its clearance
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class ZeroPoint:
     w: complex
     sheet: int
     is_branch: bool
-    index: int
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +215,10 @@ def capsule(points, margin, label=""):
 
 @dataclass
 class _Polyline:
-    """A contour's crossing-test polyline: vertices z with tracked w, and
-    the bounding boxes (min x, max x, min y, max y) of its edges, padded to
-    whole blocks of CROSSING_BLOCK edges with empty boxes, and of each block."""
+    """A contour's crossing-test polyline: its anchor points z with their
+    tracked w (SpectralCurve.anchor_points), and the bounding boxes (min x,
+    max x, min y, max y) of its edges, padded to whole blocks of
+    CROSSING_BLOCK edges with empty boxes, and of each block."""
     z: np.ndarray
     w: np.ndarray
     box: np.ndarray = field(init=False)    # (4, blocks, CROSSING_BLOCK)
@@ -245,19 +244,11 @@ def _boxes_overlap(b1, b2):
 
 
 def _tracked_polyline(curve, contour):
-    """Dense polyline with tracked w at each vertex (cached on the contour
-    for the curve it was tracked on)."""
+    """The contour's anchor grid as a polyline (cached on the contour for
+    the curve it was tracked on)."""
     cached = getattr(contour, "_tracked", None)
     if cached is None or cached[0] is not curve:
-        zs = []
-        for seg in contour.segments:
-            n = CROSSING_PER_ARC if isinstance(seg, Arc) else CROSSING_PER_LINE
-            t = np.linspace(0.0, 1.0, n, endpoint=False)
-            zs.append(seg.point(t))
-        zs.append(np.array([contour.end()]))
-        z = np.concatenate(zs)
-        w = curve.track_w(z, curve.contour_start_w(contour))
-        contour._tracked = (curve, _Polyline(z, w))
+        contour._tracked = (curve, _Polyline(*curve.anchor_points(contour)))
     return contour._tracked[1]
 
 
@@ -359,7 +350,7 @@ class SpectralCurve:
         if self.n == 2:
             self._build_n2(template, z0)
         else:
-            self.zeros_d0 = [ZeroPoint(z, 0.0, -1, False, i) for i, z in enumerate(z0)]
+            self.zeros_d0 = [ZeroPoint(z, 0.0, -1, False) for z in z0]
             self.zeros = list(self.zeros_d0)
 
         self.genericity = validate_genericity(spec, self)
@@ -399,10 +390,9 @@ class SpectralCurve:
                 sheet = 0 if abs(w_sheet0 - wz) <= abs(w_sheet0 + wz) else 1
             else:
                 sheet = template.zeros_d0[i].sheet
-            zero_pts.append(ZeroPoint(complex(z), wz, sheet, False, i))
+            zero_pts.append(ZeroPoint(complex(z), wz, sheet, False))
         self.zeros_d0 = zero_pts
-        branch_zeros = [ZeroPoint(complex(b), 0.0, -1, True, i)
-                        for i, b in enumerate(self.branch_points)]
+        branch_zeros = [ZeroPoint(complex(b), 0.0, -1, True) for b in self.branch_points]
         self.zeros = branch_zeros + zero_pts
 
         if template is None:
@@ -459,8 +449,8 @@ class SpectralCurve:
         sheet by routing (monodromy loops aside)."""
         key = complex(x)
         if key not in self._w_point_cache:
-            path = self.path_between(self.x0, key)
-            self._w_point_cache[key] = self.track_contour(path, w_start=self.w0_at_x0)[1]
+            path = _starting_on(self, self.path_between(self.x0, key), self.w0_at_x0)
+            self._w_point_cache[key] = self.end_w(path)
         # sheet s arrives with sigma_s * w when starting from sigma_s * w0,
         # because tracking is odd in the starting value
         return self.sheet_sign[sheet] * self._w_point_cache[key]
@@ -480,6 +470,11 @@ class SpectralCurve:
 
     # -- paths and tracking ---------------------------------------------------
 
+    def singular_distance(self, c):
+        """Distance from c to the nearest singular point other than c."""
+        sp = self.singular_points
+        return float(np.min(np.abs(sp[np.abs(sp - c) > 1e-12] - c)))
+
     def obstacle_lists(self, skip=()):
         obs, clg = [], []
         for i, o in enumerate(self.singular_points):
@@ -493,32 +488,14 @@ class SpectralCurve:
         obs, clg = self.obstacle_lists(skip=(a, b))
         return build_path(a, b, obs, clg, sqrt_end=sqrt_end)
 
-    def track_contour(self, contour, w_start):
-        """w at the start and end of a contour, stepping densely enough."""
-        z, w = self._dense_track(contour, w_start)
-        return w[0], w[-1]
-
-    def _dense_track(self, contour, w_start):
-        z = self._track_nodes(contour)
-        return z, self.track_w(z, w_start)
-
-    def _track_nodes(self, contour):
-        """Points along a contour spaced densely enough to continue w (or the
-        root vector) from one to the next, ending at the contour's end."""
-        zs = []
-        for seg in contour.segments:
-            npts = self._track_points(seg)
-            t = np.linspace(0.0, 1.0, npts, endpoint=False)
-            zs.append(seg.point(t))
-        zs.append(np.array([contour.end()]))
-        return np.concatenate(zs)
-
-    def _track_points(self, seg):
-        length = seg.length()
-        mid = seg.point(np.linspace(0.05, 0.95, 16))
-        dmin = float(np.min(np.abs(mid[:, None] - self.branch_points[None, :])))
-        dmin = max(dmin, 1e-6)
-        return int(min(4096, max(12, 4 * length / (TRACK_STEP_FACTOR * dmin))))
+    def grid(self, seg):
+        """Parameters t in [0, 1] on a segment, both ends included, spaced
+        densely enough to continue w (or the root vector) from one point to
+        the next: the grid of the anchors and of generic-n monodromy."""
+        mid = seg.point(_GRID_PROBES)
+        dmin = max(float(np.min(np.abs(mid[:, None] - self.branch_points[None, :]))), 1e-6)
+        n = int(min(4096, max(12, 4 * seg.length() / (TRACK_STEP_FACTOR * dmin))))
+        return np.linspace(0.0, 1.0, n)
 
     def contour_start_w(self, contour):
         """w at a contour's start for its designated starting sheet (cached
@@ -537,7 +514,9 @@ class SpectralCurve:
         A contour carried from a template (see _starting_on) takes the
         template's anchors on the segments they share (_carried_anchors);
         the other segments are tracked densely, one track_w call per run of
-        consecutive ones."""
+        consecutive ones. These grids are the one tracked sampling of a
+        contour on a curve: crossing tests (anchor_points) and the end lift
+        (end_w) read them too."""
         cached = getattr(contour, "_anchors", None)
         if cached is None or cached[0] is not self:
             carried = self._carried_anchors(contour)
@@ -559,14 +538,31 @@ class SpectralCurve:
         """Dense anchors (t, w) on consecutive segments, from w_start."""
         if not segs:
             return []
-        ts = [np.linspace(0.0, 1.0, self._track_points(seg)) for seg in segs]
+        ts = [self.grid(seg) for seg in segs]
         w = self.track_w(np.concatenate([seg.point(t) for seg, t in zip(segs, ts)]),
                          w_start)
+        start = np.cumsum([0] + [len(t) for t in ts[:-1]])
+        a = np.abs(w)
+        # a segment whose least |w| clears the bound at its largest keeps
+        # every anchor without the median: the bound at the median is lower
+        clear = np.minimum.reduceat(a, start) > 1e-6 * (np.maximum.reduceat(a, start) + 1e-300)
         out = []
-        for t, wk in zip(ts, np.split(w, np.cumsum([len(t) for t in ts])[:-1])):
-            good = np.abs(wk) > 1e-6 * float(np.median(np.abs(wk)) + 1e-300)
+        for t, wk, ak, ok in zip(ts, np.split(w, start[1:]), np.split(a, start[1:]), clear):
+            good = ok or ak > 1e-6 * float(np.median(ak) + 1e-300)
             out.append((t, wk) if np.all(good) else (t[good], wk[good]))
         return out
+
+    def anchor_points(self, contour):
+        """The anchors as one chain: points z of the contour and their w."""
+        anchors = self.anchors(contour)
+        z = np.concatenate([seg.point(t) for seg, (t, _) in zip(contour.segments, anchors)])
+        return z, np.concatenate([w for _, w in anchors])
+
+    def end_w(self, contour):
+        """w at the contour's end, continued from its start lift: the last
+        anchor (so the end must not be a branch point, whose anchor is left
+        out)."""
+        return self.anchors(contour)[-1][1][-1]
 
     def _carried_anchors(self, contour):
         """{segment index: (t, w)} on the segments contour shares with its
@@ -646,8 +642,7 @@ class SpectralCurve:
     def monodromy(self, i):
         """Sheet permutation of the small loop around branch point i."""
         if self.n == 2:
-            loop = self.branch_loop(i)
-            w_end = self.track_contour(loop, w_start=self.w0_at_x0)[1]
+            w_end = self.end_w(_starting_on(self, self.branch_loop(i), self.w0_at_x0))
             if abs(w_end - self.w0_at_x0) < abs(w_end + self.w0_at_x0):
                 return (0, 1)
             return (1, 0)
@@ -765,7 +760,7 @@ def _track_roots(curve, xs, start_roots):
 
 
 def _monodromy_generic(curve, i):
-    z = curve._track_nodes(curve.branch_loop(i))
+    z = np.concatenate([seg.point(curve.grid(seg)) for seg in curve.branch_loop(i).segments])
     # sheet order at the basepoint: lexicographic in (Re, Im)
     base = _roots_at(curve, curve.x0)
     base = base[np.lexsort((base.imag, base.real))]
@@ -800,7 +795,6 @@ def build_surface(spec, template=None):
 class HomologyBasis:
     a_cycles: list
     b_cycles: list
-    cuts: list
     b_flipped: list = field(default_factory=list)
     # transport record: the singular points the capsules were routed around,
     # and per cycle (a then b) the contour's distance to them, its routing
@@ -847,9 +841,8 @@ def homology_basis(curve, template_basis=None):
         raise SurfaceError("homology basis not implemented for n>2")
     e = curve.branch_points
     g = curve.counts.genus
-    cuts = [(e[2 * i], e[2 * i + 1]) for i in range(g + 1)]
     if template_basis is not None:
-        basis = _transported(curve, template_basis, cuts)
+        basis = _transported(curve, template_basis)
         if basis is not None:
             return basis
     built = [_capsule_for(curve, [e[2 * i], e[2 * i + 1]], f"a{i + 1}")
@@ -857,7 +850,7 @@ def homology_basis(curve, template_basis=None):
     built += [_capsule_for(curve, list(e[2 * i + 1: 2 * g + 1]), f"b{i + 1}")
               for i in range(g)]
     basis = HomologyBasis([c for c, _, _ in built[:g]],
-                          [c for c, _, _ in built[g:]], cuts,
+                          [c for c, _, _ in built[g:]],
                           origin=curve.singular_points.copy(),
                           clearances=[r for _, r, _ in built],
                           floors=[f for _, _, f in built])
@@ -872,7 +865,7 @@ def homology_basis(curve, template_basis=None):
     return basis
 
 
-def _transported(curve, template, cuts):
+def _transported(curve, template):
     """The template's cycles carried onto curve, or None if the clearance
     bound or the lift continuity fails (see homology_basis)."""
     if template.origin is None or len(template.origin) != len(curve.singular_points):
@@ -889,8 +882,7 @@ def _transported(curve, template, cuts):
         cycles.append(_starting_on(curve, c, w, carried=range(len(c.segments))))
         start_w.append(w)
     g = len(template.a_cycles)
-    return HomologyBasis(cycles[:g], cycles[g:], cuts,
-                         list(template.b_flipped), template.origin,
+    return HomologyBasis(cycles[:g], cycles[g:], list(template.b_flipped), template.origin,
                          template.clearances, template.floors, start_w,
                          transported=True)
 
@@ -1016,7 +1008,7 @@ def path_to_point(curve, target_x, target_w, sqrt_end=None, label=""):
         path = _starting_on(curve, path, src.w, start_sheet=src.sheet, label=label)
         if target_w is None:
             return path
-        w_end = curve.track_contour(path, src.w)[1]
+        w_end = curve.end_w(path)
         if abs(w_end - target_w) <= abs(w_end + target_w):
             return path
     raise ContinuationError("no routing landed on the requested lift")

@@ -47,6 +47,18 @@ class TestRunSuite:
         report = harness.run_suite("ell4", "scaling", tol_override=1e-16)
         assert not report.passed  # absurdly tight override must gate
 
+    @pytest.mark.parametrize("value", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_tolerance_override_must_be_positive(self, value):
+        # 0 is an override, not "no override": it is refused, never replaced
+        # by the pinned tolerances
+        with pytest.raises(harness.HarnessError, match="tol_override"):
+            harness.run_suite("ell4", "scaling", tol_override=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_eps_override_must_be_positive(self, value):
+        with pytest.raises(harness.HarnessError, match="eps"):
+            harness.run_suite("ell4", "scaling", eps=value)
+
 
 class TestDescribe:
     def test_ell4(self):
@@ -94,6 +106,12 @@ class TestCLI:
         assert doc["pass"] is True
         rc2 = cli.main(["verify", "--instance", "ell4", "--suite", "foo"])
         assert rc2 == 2
+
+    @pytest.mark.parametrize("flag", ["--tol", "--eps"])
+    def test_zero_override_exits_2(self, flag, capsys):
+        rc = cli.main(["verify", "--instance", "ell4", "--suite", "scaling", flag, "0"])
+        assert rc == 2
+        assert "error: HarnessError" in capsys.readouterr().err
 
     def test_internal_error_exits_2(self, capsys):
         # an exception is an error (2), never a gating failure (1)

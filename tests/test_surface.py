@@ -44,7 +44,7 @@ class TestContinuation:
         x0 = curve.x0
         loop = nm.circle(x0 + 0.3, 0.1)
         w0 = curve.sqrtP(np.array([loop.start()]))[0]
-        w_start, w_end = curve.track_contour(loop, w0)
+        w_end = curve.end_w(sf._starting_on(curve, loop, w0))
         assert abs(w_end - w0) < 1e-9 * max(1.0, abs(w0))
 
     def test_single_branch_loop_swaps(self, ell4):
@@ -68,8 +68,8 @@ class TestContinuation:
         bowed = nm.Contour(curve.path_between(a, via).segments
                            + curve.path_between(via, b).segments)
         w0 = curve.w_for_sheet(a, curve.x_r.sheet)
-        w_direct = curve.track_contour(direct, w0)[1]
-        w_bowed = curve.track_contour(bowed, w0)[1]
+        w_direct = curve.end_w(sf._starting_on(curve, direct, w0))
+        w_bowed = curve.end_w(sf._starting_on(curve, bowed, w0))
         assert abs(w_direct - w_bowed) < 1e-8 * max(1.0, abs(w_direct))
 
     def test_continue_sheet_roundtrip(self, ell4):
@@ -84,14 +84,14 @@ class TestContinuation:
         x = curve.x0 + 0.5 + 0.25j
         direct = sf.path_to_point(curve, x, None)
         assert calls == []
-        w_end = curve.track_contour(direct, curve.contour_start_w(direct))[1]
+        w_end = curve.end_w(direct)
         same = sf.path_to_point(curve, x, w_end)
         assert calls == []
         assert same.segments == direct.segments
         # the other lift still reroutes, and lands on it
         other = sf.path_to_point(curve, x, -w_end)
         assert len(calls) == 1
-        w_other = curve.track_contour(other, curve.contour_start_w(other))[1]
+        w_other = curve.end_w(other)
         assert abs(w_other + w_end) < 1e-8 * max(1.0, abs(w_end))
 
 
@@ -372,7 +372,7 @@ class TestCarriedAnchors:
         for c in g2_23.geo.basis.cycles + paths:
             w_run = curve.contour_start_w(c)
             for seg, (t, w) in zip(c.segments, curve.anchors(c)):
-                full = np.linspace(0.0, 1.0, curve._track_points(seg))
+                full = curve.grid(seg)
                 ws = curve.track_w(seg.point(full), w_run)
                 w_run = ws[-1]
                 keep = np.isin(full, t)
@@ -441,6 +441,49 @@ class TestCrossings:
             assert c._tracked[0] is curve and c2._tracked[0] is curve2
             assert np.array_equal(line2.z, line.z)
             assert not np.array_equal(line2.w, line.w)
+
+
+def _counting(monkeypatch, owner, name):
+    """Record the arguments of every call of owner.name."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    return calls
+
+
+class TestOneGrid:
+    """The anchors are the one tracked sampling of a contour on a curve: the
+    landing check, the quadrature and the crossing polyline all read them."""
+
+    def test_fresh_abel_path_tracked_once_per_candidate(self, g2_23, monkeypatch):
+        eng = g2_23.eng
+        curve, geo = eng.build(0, eng.eps_for(0))
+        geo.period  # the basis cycles are anchored before counting
+        tracks = _counting(monkeypatch, sf.SpectralCurve, "track_w")
+        candidates = _counting(monkeypatch, sf, "_starting_on")
+        x = curve.x0 + 0.5 + 0.25j
+        w = curve.sqrtP(np.array([x]))[0]
+        for lift in (w, -w):  # one lift lands directly, the other reroutes
+            assert np.all(np.isfinite(geo.abel.at(x, lift)))
+        assert len(candidates) >= 3
+        assert len(tracks) == len(candidates)
+
+    def test_carried_cycle_polyline_is_its_anchors(self, g2_23, monkeypatch):
+        base = TestCarriedAnchors.anchored_basis(g2_23)
+        curve2 = _perturbed(g2_23)
+        carried = sf.homology_basis(curve2, template_basis=base)
+        assert carried.transported
+        tracks = _counting(monkeypatch, sf.SpectralCurve, "track_w")
+        for template, c in zip(base.cycles, carried.cycles):
+            line = sf._tracked_polyline(curve2, c)
+            anchors = curve2.anchors(c)
+            z = np.concatenate([seg.point(t) for seg, (t, _) in zip(c.segments, anchors)])
+            assert np.array_equal(line.z, z)
+            assert np.array_equal(line.w, np.concatenate([w for _, w in anchors]))
+            # the template's grid, re-solved on the new curve
+            assert all(t is t0 for (t, _), (t0, _) in zip(anchors, template._anchors[1]))
+        assert tracks == []
 
 
 class TestGenericN:
