@@ -106,10 +106,10 @@ def _w_branch_series(curve, j, s, m):
     return nm.series_sqrt(shifted, m, branch=w_at)
 
 
-def _normalized(curve, period, raw):
+def _normalized(period, raw):
     """raw(x, w) less the holomorphic differential sum_k d_k x^k/w with the
     same a-periods: the evaluator with zero a-periods."""
-    ra = np.array([curve.integrate(raw, c).value for c in period.basis.a_cycles])
+    ra = np.array([period.curve.integrate(raw, c).value for c in period.basis.a_cycles])
     d, _ = nm.solve_dense(period.raw_a, ra)
 
     def fn(x, w):
@@ -119,10 +119,11 @@ def _normalized(curve, period, raw):
     return fn
 
 
-def second_kind(curve, period, j, s, ell):
+def second_kind(period, j, s, ell):
     """Evaluator (x, w) -> value/dx of the normalized differential with
     principal part (1/chi^ell) dchi at the point over pole j on sheet s, zero
     a-periods, no other poles."""
+    curve = period.curve
     kj = curve.spec.poles[j].k
     if not (2 <= ell <= kj):
         raise DifferentialError(f"second-kind order ell={ell} out of range 2..{kj}")
@@ -133,15 +134,16 @@ def second_kind(curve, period, j, s, ell):
     def raw(x, w):
         ux = nm.polyval(u_coeffs, x - y)
         return (ux + 0.5 * w) / ((x - y) ** ell * w)
-    return _normalized(curve, period, raw)
+    return _normalized(period, raw)
 
 
-def third_kind(curve, period, j, s):
+def third_kind(period, j, s):
     """Evaluator (x, w) -> value/dx of the normalized differential with
     simple poles: residue +1 over pole j on sheet s, residue -1 at the (0, 0)
     point; zero a-periods."""
     if (j, s) == (0, 0):
         raise DifferentialError("third-kind base point (j, s) = (0, 0) requested")
+    curve = period.curve
     ya = curve.spec.poles[j].x
     yb = curve.spec.poles[0].x
     wa = curve.pole_points[(j, s)].w
@@ -149,10 +151,10 @@ def third_kind(curve, period, j, s):
 
     def raw(x, w):
         return (0.5 * (wa + w)) / ((x - ya) * w) - (0.5 * (wb + w)) / ((x - yb) * w)
-    return _normalized(curve, period, raw)
+    return _normalized(period, raw)
 
 
-def holomorphic_unit(curve, period, alpha):
+def holomorphic_unit(period, alpha):
     """Evaluator (x, w) -> value/dx of the normalized holomorphic v_alpha."""
     def fn(x, w, m=period.M[alpha]):
         x = np.asarray(x, dtype=complex)
@@ -223,14 +225,13 @@ class ContourField:
     ContourField.integrate_kernel. Fold it into tau_gradient_oracle at the
     next change of the benchmark."""
 
-    def __init__(self, curve, period, contour):
-        self.curve = curve
+    def __init__(self, period, contour):
         self.period = period
         self.contour = contour
 
     def integrate_kernel(self, kernel):
         """Integral of kernel(x, w, V), a value relative to dx, over the contour."""
-        return self.curve.integrate(
+        return self.period.curve.integrate(
             lambda x, w: kernel(x, w, self.period.V(x, w)), self.contour).value
 
 
@@ -250,8 +251,6 @@ class Kernels:
         self.curve = curve
         self.period = period
         self.abel = abel
-        self.theta = period.theta
-        self.odd = period.odd_char
         self._h_cache = {}
         self._grad0 = None
 
@@ -259,7 +258,7 @@ class Kernels:
     def grad_odd_at_zero(self):
         if self._grad0 is None:
             z = np.zeros((1, self.period.g), dtype=complex)
-            self._grad0 = self.theta.eval(z, self.odd, derivs=1)["grad"][0]
+            self._grad0 = self.period.theta.eval(z, self.period.odd_char, derivs=1)["grad"][0]
         return self._grad0
 
     # -- low-level batched bidifferential -----------------------------------
@@ -271,7 +270,7 @@ class Kernels:
         normalized basis relative to each point's local parameter.
         """
         z = np.asarray(A2) - np.asarray(A1)
-        h, _ = self.theta.loghess(z, self.odd)
+        h, _ = self.period.theta.loghess(z, self.period.odd_char)
         return -np.einsum("nij,ni,nj->n", h, np.asarray(V1), np.asarray(V2))
 
     def bhat_point(self, p1, p2):
@@ -308,7 +307,7 @@ class Kernels:
         """E(x,y) relative to the dx half-densities at the two points."""
         A1 = self.abel.at(p1.x, p1.w)
         A2 = self.abel.at(p2.x, p2.w)
-        th = self.theta.value((A2 - A1)[None, :], self.odd)[0]
+        th = self.period.theta.value((A2 - A1)[None, :], self.period.odd_char)[0]
         return complex(th / (self.h_at(p1) * self.h_at(p2)))
 
     # -- local S_B / Bergman regularization ----------------------------------
@@ -456,7 +455,9 @@ class LocalFrames:
 # ---------------------------------------------------------------------------
 
 class Geometry:
-    """Curve + homology + periods + Abel + kernels + frames, built lazily."""
+    """Curve + homology + periods + Abel + kernels + frames + branch data,
+    built lazily: the one handle on a cover that every formula, functional
+    and chart call takes."""
 
     def __init__(self, curve, basis=None):
         self.curve = curve
@@ -465,6 +466,7 @@ class Geometry:
         self._abel = None
         self._kernels = None
         self._frames = None
+        self._branch = None
 
     @property
     def period(self):
@@ -489,6 +491,13 @@ class Geometry:
         if self._frames is None:
             self._frames = LocalFrames(self.curve, self.period, self.abel)
         return self._frames
+
+    @property
+    def branch(self):
+        if self._branch is None:
+            from .variations import BranchData
+            self._branch = BranchData(self)
+        return self._branch
 
     @property
     def genus(self):

@@ -179,7 +179,9 @@ def _draw_n3(label, poles, rng):
     return InstanceSpec(label, 3, [Pole(complex(x), k) for x, k in poles], numer)
 
 
-def _vet(spec, need_geometry=True):
+def _vet(spec):
+    """The cover's Geometry once it passes validation; None for n > 2,
+    whose covers are vetted for genericity only."""
     curve = sf.build_surface(spec)
     rep = curve.genericity
     if not rep.ok:
@@ -188,11 +190,9 @@ def _vet(spec, need_geometry=True):
         if val < 0.02:
             raise sf.SurfaceError(f"margin {key} too small ({val:.3g})")
     if spec.n != 2:
-        return curve, None
+        return None
     if curve.x_r.is_branch:
         raise sf.SurfaceError("x_r on branch locus")
-    if not need_geometry:
-        return curve, None
     geo = Geometry(curve)
     m = sf.intersection_matrix(curve, geo.basis)
     if not np.array_equal(m, sf.canonical_intersection(geo.genus)):
@@ -204,15 +204,15 @@ def _vet(spec, need_geometry=True):
     scale = float(np.linalg.norm(geo.kernels.grad_odd_at_zero))
     if scale < 1e-3:
         raise sf.SurfaceError("odd characteristic too close to singular")
-    return curve, geo
+    return geo
 
 
-def _rescale(spec, curve, geo):
+def _rescale(spec, geo):
     """Scale Q_ell -> lam^ell Q_ell so the smallest a-period coordinate is
     O(1); singular-part coordinates may then be large, which is harmless
     since navigation steps are relative, while tiny a-periods would starve
     the finite-difference oracles of digits."""
-    coords = moduli.coordinates_of(curve, geo)
+    coords = moduli.Navigator(geo).coordinates()
     amin = float(np.min(np.abs(coords.vector[:geo.genus])))
     scale = float(np.max(np.abs(coords.vector)))
     if amin < 1e-6 * scale:
@@ -241,15 +241,14 @@ def generate(label, seed_base=None):
         try:
             if rec["n"] == 3:
                 spec = _draw_n3(label, rec["poles"], rng)
-                curve, _ = _vet(spec, need_geometry=False)
+                _vet(spec)
                 return spec
             residue_free = label == "g2-resfree"
             spec = _draw(label, rec["n"], rec["poles"], rng, residue_free=residue_free)
-            curve, geo = _vet(spec)
-            spec = _rescale(spec, curve, geo)
-            curve, geo = _vet(spec)
+            spec = _rescale(spec, _vet(spec))
+            geo = _vet(spec)
             if residue_free:
-                coords = moduli.coordinates_of(curve, geo).vector
+                coords = moduli.Navigator(geo).coordinates().vector
                 res = [abs(v) for key, v in zip(moduli.coordinate_keys(spec, geo.genus), coords)
                        if key[0] == "C" and key[3] == 1]
                 if max(res) > 1e-11:

@@ -99,13 +99,11 @@ class Session:
         self.geo = Geometry(self.curve) if spec.n == 2 else None
         self._nav = None
         self._eng = None
-        self._bd = None
-        self._dirs = None
 
     @property
     def nav(self):
         if self._nav is None:
-            self._nav = moduli.Navigator(self.curve, self.geo)
+            self._nav = moduli.Navigator(self.geo)
         return self._nav
 
     @property
@@ -113,17 +111,6 @@ class Session:
         if self._eng is None:
             self._eng = moduli.FDEngine(self.nav)
         return self._eng
-
-    @property
-    def branch_data(self):
-        if self._bd is None:
-            self._bd = vr.BranchData(self.geo)
-        return self._bd
-
-    def directions(self):
-        if self._dirs is None:
-            self._dirs = vr.all_directions(self.curve, self.geo)
-        return self._dirs
 
     def eval_points(self, count=2, start=0.11):
         """Deterministic evaluation points away from singular points."""
@@ -198,9 +185,9 @@ def suite_surface(ses, chk):
     om = geo.period.omega
     chk.add("period-matrix-symmetric", "Riemann-relations",
             om, om.T, 1e-10, absolute=True)
-    chk.add_flag("Im-period-matrix-positive", "Riemann-relations",
-                 float(np.min(np.linalg.eigvalsh(om.imag))) > 0,
-                 detail=float(np.min(np.linalg.eigvalsh(om.imag))))
+    im_min = float(np.min(np.linalg.eigvalsh(om.imag)))
+    chk.add_flag("Im-period-matrix-positive", "Riemann-relations", im_min > 0,
+                 detail=im_min)
     norm = np.array([curve.integrate_stack(geo.period.V, c).value
                      for c in geo.basis.a_cycles])
     chk.add("a-normalization", "2.10", norm, np.eye(g), 1e-10, absolute=True)
@@ -216,16 +203,15 @@ def suite_surface(ses, chk):
     # scaling equivariance of the chart
     coords = ses.nav.coordinates()
     lam = 1.1 + 0.2j
-    coords2 = _scaled(ses, lam)[2]
+    coords2 = _scaled(ses, lam)[1]
     chk.add("coordinate-scaling-equivariance", "2.8",
             coords2.vector, lam * coords.vector, 1e-9)
 
 
 def _scaled(ses, lam):
-    """(curve, geometry, coordinates) of the session's cover with v -> lam v."""
-    curve2 = sf.build_surface(moduli.scaled_spec(ses.spec, lam), template=ses.curve)
-    geo2 = Geometry(curve2)
-    return curve2, geo2, moduli.coordinates_of(curve2, geo2)
+    """(geometry, coordinates) of the session's cover with v -> lam v."""
+    geo2 = Geometry(sf.build_surface(moduli.scaled_spec(ses.spec, lam), template=ses.curve))
+    return geo2, moduli.Navigator(geo2).coordinates()
 
 
 def _sl2_reduce(tau):
@@ -281,38 +267,40 @@ def _j_from_tau(geo):
 
 def suite_dm_cubic(ses, chk):
     curve, geo = ses.curve, ses.geo
-    bd = ses.branch_data
     eng = ses.eng
     g = geo.genus
     pts = ses.eval_points(5, start=0.07)
 
-    def v_at(c, gg):
+    def v_at(gg):
+        c = gg.curve
         return np.array([c.phi(np.array([p.x]), np.array([c.carry(p).w]))[0]
                          for p in pts])
 
     paths, targets = sf.zero_paths(curve)
     bpairs = [(p, i) for p, i in zip(paths, targets) if curve.zeros[i].is_branch]
 
-    def branch_ints(c, gg):
+    def branch_ints(gg):
+        c = gg.curve
         return np.array([c.integrate_v(sf.carry_path(c, pth, c.zeros[i].x)).value
                          for pth, i in bpairs])
 
     tensors = {}
-    for name, h in ses.directions().items():
+    directions = vr.all_directions(geo)
+    for name, h in directions.items():
         t0 = time.time()
         want_v = np.array([h(np.array([p.x]), np.array([p.w]))[0] for p in pts])
         fd_v = eng.derivative(v_at, name)
         chk.add(f"dv/d{name}", "2.14-2.16", fd_v.value, want_v, 1e-5)
 
         want_l = np.array([curve.integrate(h, pth).value
-                           + vr.endpoint_correction(curve, geo, h, i, bd)
+                           + vr.endpoint_correction(geo, h, i)
                            for pth, i in bpairs])
         fd_l = eng.derivative(branch_ints, name)
         chk.add(f"branch-integral/d{name}", "4.2-bpA-bpC2", fd_l.value, want_l, 1e-5)
 
-        M = vr.vary_period_matrix(curve, geo, h, bd)
+        M = vr.vary_period_matrix(geo, h)
         tensors[name] = M
-        fd_o = eng.derivative(lambda c, gg: gg.period.omega, name)
+        fd_o = eng.derivative(lambda gg: gg.period.omega, name)
         chk.add(f"dOmega/d{name}", "4.1-Oh1-Oh2", M, fd_o.value, 1e-5, t0=t0)
     # internal two-form agreement is asserted inside vary_period_matrix at 1e-9
     chk.add_flag("Oh1-Oh2-internal-agreement", "4.1-Oh1=Oh2", True)
@@ -331,13 +319,13 @@ def suite_dm_cubic(ses, chk):
     chk.add("euler-scaling-identity", "5.2.1-rescaling",
             euler / scale, np.zeros((g, g)), 1e-8, absolute=True)
     # base-coordinate reparametrization invariance of the endpoint factor
-    h0 = next(iter(ses.directions().values()))
-    f_old = bd.endpoint_factor(0, h0)
-    f_new = _endpoint_factor_reparam(curve, geo, h0, 0)
+    h0 = next(iter(directions.values()))
+    f_old = geo.branch.endpoint_factor(0, h0)
+    f_new = _endpoint_factor_reparam(curve, h0, 0)
     chk.add("endpoint-correction-reparametrization", "4.2-invariance", f_new, f_old, 1e-8)
 
 
-def _endpoint_factor_reparam(curve, geo, h, i):
+def _endpoint_factor_reparam(curve, h, i):
     """h/d log(v/d chi) at branch point i in the chart chi = 2 zeta + zeta^3."""
     b = complex(curve.branch_points[i])
     rho = math.sqrt(0.15 * curve.singular_distance(b))
@@ -357,32 +345,31 @@ def _endpoint_factor_reparam(curve, geo, h, i):
 
 
 def suite_kernels(ses, chk):
-    curve, geo = ses.curve, ses.geo
-    bd = ses.branch_data
+    geo = ses.geo
     eng = ses.eng
     p1, p2, p3 = ses.eval_points(3, start=0.11)
     configs = [(p1, p2), (p2, p3), (p1, p3)]
 
-    def valpha_at(c, gg, p=p1):
-        return gg.period.V(np.array([p.x]), np.array([c.carry(p).w]))[0]
+    def valpha_at(gg, p=p1):
+        return gg.period.V(np.array([p.x]), np.array([gg.curve.carry(p).w]))[0]
 
     names = _kernel_directions(ses)
     for name in names:
-        h = vr.direction_differential(curve, geo, name)
+        h = vr.direction_differential(geo, name)
         t0 = time.time()
-        got = vr.vary_valpha(curve, geo, h, p1, bd)
+        got = vr.vary_valpha(geo, h, p1)
         fd = eng.derivative(valpha_at, name)
         chk.add(f"dv_alpha/d{name}", "4.3-va1", got, fd.value, 1e-4, t0=t0)
         for ci, (qa, qb) in enumerate(configs):
-            gotB = vr.vary_bidifferential(curve, geo, h, qa, qb, bd)
+            gotB = vr.vary_bidifferential(geo, h, qa, qb)
 
-            def B_at(c, gg, qa=qa, qb=qb):
-                return gg.kernels.bhat_point(c.carry(qa), c.carry(qb))
+            def B_at(gg, qa=qa, qb=qb):
+                return gg.kernels.bhat_point(gg.curve.carry(qa), gg.curve.carry(qb))
 
             fdB = eng.derivative(B_at, name)
             chk.add(f"dB/d{name}[cfg{ci}]", "4.4-B1", gotB, fdB.value, 1e-4)
-        sym = abs(vr.vary_bidifferential(curve, geo, h, p1, p2, bd)
-                  - vr.vary_bidifferential(curve, geo, h, p2, p1, bd))
+        sym = abs(vr.vary_bidifferential(geo, h, p1, p2)
+                  - vr.vary_bidifferential(geo, h, p2, p1))
         chk.add(f"dB-symmetry/{name}", "4.4-B1-symmetric", sym, 0.0, 1e-8, absolute=True)
 
 
@@ -401,7 +388,6 @@ def _kernel_directions(ses):
 def suite_prime_form(ses, chk):
     curve, geo = ses.curve, ses.geo
     kern = geo.kernels
-    bd = ses.branch_data
     eng = ses.eng
     p1, p2, p3 = ses.eval_points(3, start=0.23)
     pairs = [(p1, p2), (p2, p3), (p1, p3)]
@@ -415,56 +401,54 @@ def suite_prime_form(ses, chk):
     # theta-gradient form (the half-density drops), the x-derivative by
     # Richardson central differences
     for ci, (qa, qb) in enumerate(pairs):
-        fd = _dx_dylnE(curve, geo, qa, qb, 2e-4)
-        fd2 = _dx_dylnE(curve, geo, qa, qb, 1e-4)
+        fd = _dx_dylnE(geo, qa, qb, 2e-4)
+        fd2 = _dx_dylnE(geo, qa, qb, 1e-4)
         fd_r = (4 * fd2 - fd) / 3.0
         chk.add(f"dxdy-lnE-vs-B[{ci}]", "3.x-B=ddlnE", fd_r,
                 kern.bhat_point(qa, qb), 1e-8)
     for name in _kernel_directions(ses)[: ses.geo.genus + 1]:
-        h = vr.direction_differential(curve, geo, name)
+        h = vr.direction_differential(geo, name)
         for ci, (qa, qb) in enumerate(pairs):
-            got = vr.vary_log_prime_form(curve, geo, h, qa, qb, bd)
+            got = vr.vary_log_prime_form(geo, h, qa, qb)
 
-            def lnE_at(c, gg, qa=qa, qb=qb):
-                return np.log(gg.kernels.prime_form(c.carry(qa), c.carry(qb)))
+            def lnE_at(gg, qa=qa, qb=qb):
+                return np.log(gg.kernels.prime_form(gg.curve.carry(qa), gg.curve.carry(qb)))
 
             fdE = eng.derivative(lnE_at, name)
             chk.add(f"dlnE/d{name}[cfg{ci}]", "4.5-E1", got, fdE.value, 1e-4)
 
 
-def _dx_dylnE(curve, geo, qa, qb, h):
+def _dx_dylnE(geo, qa, qb, h):
     """d/dx of the exact y-derivative of ln E (theta-gradient form)."""
 
     def dy_lnE(ra):
         A1 = geo.abel.at(ra.x, ra.w)
         A2 = geo.abel.at(qb.x, qb.w)
-        e = geo.period.theta.eval((A2 - A1)[None, :], geo.kernels.odd, derivs=1)
+        e = geo.period.theta.eval((A2 - A1)[None, :], geo.period.odd_char, derivs=1)
         V2 = geo.period.V(np.array([qb.x]), np.array([qb.w]))[0]
         return complex((e["grad"][0] / e["val"][0]) @ V2)
 
-    vp = dy_lnE(curve.point(qa.x + h, qa.sheet))
-    vm = dy_lnE(curve.point(qa.x - h, qa.sheet))
+    vp = dy_lnE(geo.curve.point(qa.x + h, qa.sheet))
+    vm = dy_lnE(geo.curve.point(qa.x - h, qa.sheet))
     return (vp - vm) / (2 * h)
 
 
 def suite_tau(ses, chk):
-    curve, geo = ses.curve, ses.geo
-    if not vr.is_residue_free(curve):
+    geo = ses.geo
+    if not vr.is_residue_free(ses.curve):
         raise HarnessError("tau suite requires a residue-free instance with "
                            "all pole orders >= 2 (use 'g2-resfree')")
-    bd = ses.branch_data
     g = geo.genus
     t0 = time.time()
-    oracle = vr.tau_gradient_oracle(curve, geo, bd)
+    oracle = vr.tau_gradient_oracle(geo)
     for gamma in range(g):
-        f = vr.tau_gradient(curve, geo, gamma, bd)
+        f = vr.tau_gradient(geo, gamma)
         chk.add(f"tau-gradient-A{gamma + 1}", "4.6-dertauA-vs-deftau", f,
                 oracle[gamma], 1e-4, t0=t0)
         t0 = time.time()
 
-    def tau_vec(c, gg):
-        bdd = vr.BranchData(gg)
-        return np.array([vr.tau_gradient(c, gg, a, bdd) for a in range(g)])
+    def tau_vec(gg):
+        return np.array([vr.tau_gradient(gg, a) for a in range(g)])
 
     eng = ses.eng
     cross = np.zeros((g, g), dtype=complex)
@@ -475,62 +459,58 @@ def suite_tau(ses, chk):
 
 
 def suite_hessian(ses, chk):
-    curve, geo = ses.curve, ses.geo
-    bd = ses.branch_data
+    geo = ses.geo
     eng = ses.eng
     g = geo.genus
 
     idx = [(0, 0, 0, 0)] if g == 1 else [(0, 1, 1, 0), (0, 0, 0, 1)]
     for (a, b, c, d) in idx:
         t0 = time.time()
-        H = vr.period_hessian(curve, geo, a, b, c, d, bd)
+        H = vr.period_hessian(geo, a, b, c, d)
 
-        def grad(cv, gg, c=c):
-            bdd = vr.BranchData(gg)
-            h = vr.direction_differential(cv, gg, f"A{c + 1}")
-            return vr.vary_period_matrix(cv, gg, h, bdd)
+        def grad(gg, c=c):
+            return vr.vary_period_matrix(gg, vr.direction_differential(gg, f"A{c + 1}"))
 
         fd = eng.derivative(grad, f"A{d + 1}")
         chk.add(f"hessian-Omega[{a}{b}]-A{c + 1}A{d + 1}", "5.1-doubO",
                 H, fd.value[a, b], 5e-4, t0=t0)
     if g >= 2:
-        vals = np.array([vr.period_hessian(curve, geo, *p, bd)
+        vals = np.array([vr.period_hessian(geo, *p)
                          for p in sorted(set(permutations((0, 0, 1, 1))))])
         spread = float(np.max(np.abs(vals - vals[0]))) / max(1.0, abs(vals[0]))
         chk.add("hessian-24-fold-symmetry", "5.1-symmetric", spread, 0.0, 1e-8,
                 absolute=True)
     for alpha in range(g):
-        fdB = eng.derivative(lambda cv, gg: gg.period.B_of_v, f"A{alpha + 1}")
+        fdB = eng.derivative(lambda gg: gg.period.B_of_v, f"A{alpha + 1}")
         chk.add(f"dB-periods/dA{alpha + 1}-vs-Omega", "5.2.1-OF",
                 fdB.value, geo.period.omega[alpha], 1e-5)
 
 
 def suite_hierarchy(ses, chk):
     curve, geo = ses.curve, ses.geo
-    bd = ses.branch_data
     eng = ses.eng
     pts = ses.eval_points(4, start=0.31)
     # Q3 full symmetry
-    base = vr.q_multidiff(curve, geo, pts[:3])
+    base = vr.q_multidiff(geo, pts[:3])
     worst = 0.0
     for perm in permutations(range(3)):
-        v = vr.q_multidiff(curve, geo, [pts[i] for i in perm])
+        v = vr.q_multidiff(geo, [pts[i] for i in perm])
         worst = max(worst, abs(v - base) / max(1e-300, abs(base)))
     chk.add("Q3-full-symmetry", "multtau-symmetric", worst, 0.0, 1e-9, absolute=True)
     # Q4 cycle count
     chk.add_flag("Q4-cycle-count", "multtau-cycles",
                  len(vr._cycles(4)) == 3, detail=len(vr._cycles(4)))
     # R identities
-    r2 = vr.r_multidiff(curve, geo, pts[:2])
+    r2 = vr.r_multidiff(geo, pts[:2])
     b12 = geo.kernels.bhat_point(pts[0], pts[1])
     chk.add("R2-equals-B", "multB-R2", r2, b12, 1e-10)
-    r3 = vr.r_multidiff(curve, geo, pts[:3])
+    r3 = vr.r_multidiff(geo, pts[:3])
     b1 = geo.kernels.bhat_point(pts[0], pts[1])
     b2 = geo.kernels.bhat_point(pts[1], pts[2])
     vmid = curve.phi(np.array([pts[1].x]), np.array([pts[1].w]))[0]
     chk.add("R3-equals-BB-over-v", "multB-R3", r3, b1 * b2 / vmid, 1e-10)
     # R_n^{ab} consistency with its definition at n=2
-    rab = vr.r_ab(curve, geo, 0, 0, pts[:2])
+    rab = vr.r_ab(geo, 0, 0, pts[:2])
     va = geo.period.V(np.array([pts[0].x]), np.array([pts[0].w]))[0][0]
     vb = geo.period.V(np.array([pts[1].x]), np.array([pts[1].w]))[0][0]
     v1 = curve.phi(np.array([pts[0].x]), np.array([pts[0].w]))[0]
@@ -538,27 +518,27 @@ def suite_hierarchy(ses, chk):
     chk.add("Rab-n2-definition", "Rnab", rab, va * vb * b12 / (v1 * v2), 1e-10)
     # variation of Q2 vs FD
     p1, p2 = pts[:2]
-    got = vr.hierarchy_variation(curve, geo, 0, [p1, p2], "Q", bd)
+    got = vr.hierarchy_variation(geo, 0, [p1, p2], "Q")
 
-    def q2_at(c, gg):
-        return vr.q_multidiff(c, gg, [c.carry(p1), c.carry(p2)])
+    def q2_at(gg):
+        return vr.q_multidiff(gg, [gg.curve.carry(p1), gg.curve.carry(p2)])
 
     fd = eng.derivative(q2_at, "A1")
     chk.add("dQ2/dA1-vs-FD", "varW1", got, fd.value, 1e-4)
     # R-variation at n=2 reduces to the bidifferential variation
-    h = vr.direction_differential(curve, geo, "A1")
-    gotR = vr.hierarchy_variation(curve, geo, 0, [p1, p2], "R", bd)
-    gotB = vr.vary_bidifferential(curve, geo, h, p1, p2, bd)
+    h = vr.direction_differential(geo, "A1")
+    gotR = vr.hierarchy_variation(geo, 0, [p1, p2], "R")
+    gotB = vr.vary_bidifferential(geo, h, p1, p2)
     chk.add("dR2-reduces-to-dB", "varRn-vs-B1", gotR, gotB, 1e-10)
     # symmetry of the Q-variation in the arguments
-    gotQ21 = vr.hierarchy_variation(curve, geo, 0, [p2, p1], "Q", bd)
+    gotQ21 = vr.hierarchy_variation(geo, 0, [p2, p1], "Q")
     chk.add("dQ2-argument-symmetry", "varW1-symmetric", got, gotQ21, 1e-8)
 
 
 def suite_scaling(ses, chk):
     geo = ses.geo
     lam = 0.83 - 0.41j
-    curve2, geo2, coords2 = _scaled(ses, lam)
+    geo2, coords2 = _scaled(ses, lam)
     coords = ses.nav.coordinates()
     chk.add("coordinates-scale-linearly", "2.8",
             coords2.vector, lam * coords.vector, 1e-9)
@@ -566,7 +546,7 @@ def suite_scaling(ses, chk):
             geo2.period.omega, geo.period.omega, 1e-9)
     p1, p2 = ses.eval_points(2, start=0.41)
     chk.add("bidifferential-scale-invariant", "5.2.1-rescaling",
-            geo2.kernels.bhat_point(curve2.carry(p1), curve2.carry(p2)),
+            geo2.kernels.bhat_point(geo2.curve.carry(p1), geo2.curve.carry(p2)),
             geo.kernels.bhat_point(p1, p2),
             1e-9)
 
@@ -602,6 +582,9 @@ def run_suite(instance, suite, tol_override=None, eps=None):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise HarnessError(f"{name} must be positive and finite, got {value!r}")
     spec = instance if hasattr(instance, "numer") else load_instance(instance)
+    if spec.n != 2 and suite not in ("surface", "all"):
+        raise HarnessError(f"suite {suite!r} needs an n = 2 instance; on n = {spec.n} "
+                           "only 'surface' and 'all' run, as exploratory checks")
     report = Report(spec.label, suite, environment={
         "platform": platform.platform(), "python": platform.python_version(),
         "numpy": np.__version__})
@@ -639,28 +622,28 @@ def sweep_epsilon(instance, functional, coord, eps_list):
     if not eps_list:
         raise HarnessError("empty epsilon list")
     spec = instance if hasattr(instance, "numer") else load_instance(instance)
+    if spec.n != 2:
+        raise HarnessError(f"sweeps need an n = 2 instance, not n = {spec.n}")
     ses = Session(spec)
-    curve, geo = ses.curve, ses.geo
+    geo = ses.geo
     key = moduli.lookup_coordinate(spec, geo.genus, coord)[1]
     if functional in ("b-periods", "q2") and key[0] != "A":
         raise HarnessError(f"the {functional} sweep needs an A coordinate, not {coord!r}")
     eng = ses.eng
-    bd = ses.branch_data
     if functional == "omega":
-        h = vr.direction_differential(curve, geo, coord)
-        formula = vr.vary_period_matrix(curve, geo, h, bd)
-        fn = lambda c, g: g.period.omega
+        formula = vr.vary_period_matrix(geo, vr.direction_differential(geo, coord))
+        fn = lambda g: g.period.omega
         pick = lambda m: np.asarray(m).ravel()[0]
     elif functional == "b-periods":
         formula = geo.period.omega[key[1]]
-        fn = lambda c, g: g.period.B_of_v
+        fn = lambda g: g.period.B_of_v
         pick = lambda m: np.asarray(m).ravel()[0]
     elif functional == "q2":
         pts = ses.eval_points(2, start=0.31)
-        formula = vr.hierarchy_variation(curve, geo, key[1], pts, "Q", bd)
+        formula = vr.hierarchy_variation(geo, key[1], pts, "Q")
 
-        def fn(c, g, pts=pts):
-            return vr.q_multidiff(c, g, [c.carry(p) for p in pts])
+        def fn(g, pts=pts):
+            return vr.q_multidiff(g, [g.curve.carry(p) for p in pts])
 
         pick = lambda m: complex(np.asarray(m).ravel()[0])
     else:
@@ -684,8 +667,7 @@ def sweep_to_csv(rows):
     lines = ["eps,fd_re,fd_im,abs_err,ratio,floor"]
     for r in rows:
         lines.append("%.12g,%.15g,%.15g,%.6e,%.4f,%d" % (
-            r["eps"], r["fd"].real, r["fd"].imag, r["abs_err"],
-            r["ratio"] if r["ratio"] == r["ratio"] else float("nan"),
+            r["eps"], r["fd"].real, r["fd"].imag, r["abs_err"], r["ratio"],
             int(r["floor"])))
     return "\n".join(lines) + "\n"
 

@@ -103,16 +103,15 @@ class PoleCircles:
                          in coordinate_keys(self.curve.spec, 0)], axis=-1)
 
 
-def coordinates_of(curve, geo_or_basis, circles=None):
+def coordinates_of(geo, circles):
     """Forward chart: a-periods of v plus pole-jet singular coefficients.
 
-    Accepts a Geometry or a bare HomologyBasis; only the a-cycles are used,
-    so Newton iterations avoid the full period build.
+    Only the basis a-cycles are read, so Newton iterations avoid the full
+    period build.
     """
-    basis = getattr(geo_or_basis, "basis", geo_or_basis)
-    circles = circles or PoleCircles(curve)
-    names = coordinate_names(curve.spec, curve.counts.genus)
-    a_periods = [curve.integrate_v(c).value for c in basis.a_cycles]
+    curve = geo.curve
+    names = coordinate_names(curve.spec, geo.genus)
+    a_periods = [curve.integrate_v(c).value for c in geo.basis.a_cycles]
     return ModuliPoint(names, np.concatenate([np.array(a_periods, dtype=complex),
                                               circles.singular_parts(curve.phi)]))
 
@@ -167,17 +166,16 @@ def coefficient_tangent(curve, ell, i):
     return fn
 
 
-def coord_jacobian(curve, geo_or_basis, circles=None):
+def coord_jacobian(geo, circles):
     """Matrix of d(coordinates)/d(numerator coefficients); square by the
     dimension count."""
-    basis = getattr(geo_or_basis, "basis", geo_or_basis)
-    circles = circles or PoleCircles(curve)
+    curve = geo.curve
     tangents = [coefficient_tangent(curve, ell, i)
                 for ell, i in coefficient_layout(curve.spec)]
 
     def stacked(x, w):
         return np.stack([tan(x, w) for tan in tangents], axis=-1)
-    rows = [curve.integrate_stack(stacked, c).value for c in basis.a_cycles]
+    rows = [curve.integrate_stack(stacked, c).value for c in geo.basis.a_cycles]
     jac = np.concatenate([np.array(rows, dtype=complex).reshape(-1, len(tangents)),
                           circles.singular_parts(stacked).T])
     if jac.shape[0] != jac.shape[1]:
@@ -186,36 +184,27 @@ def coord_jacobian(curve, geo_or_basis, circles=None):
 
 
 class Navigator:
-    """Newton navigation of the coordinate chart around one instance.
+    """Newton navigation of the coordinate chart around one cover.
 
-    Holds a light basis for the chart itself; the full Geometry (periods,
-    theta, kernels) is built lazily only when a functional asks for it.
+    The chart reads only the Geometry's basis; the Geometry builds periods,
+    theta and kernels lazily, only when a functional asks for them.
     """
 
-    def __init__(self, curve, geo=None, basis=None):
-        self.curve = curve
-        self._geo = geo
-        self.basis = (geo.basis if geo is not None
-                      else basis if basis is not None
-                      else sf.homology_basis(curve))
-        self.circles = PoleCircles(curve)
+    def __init__(self, geo):
+        self.geo = geo
+        self.curve = geo.curve
+        self.circles = PoleCircles(geo.curve)
         self._coords = None
         self._jac = None
 
-    @property
-    def geo(self):
-        if self._geo is None:
-            self._geo = Geometry(self.curve, self.basis)
-        return self._geo
-
     def coordinates(self):
         if self._coords is None:
-            self._coords = coordinates_of(self.curve, self.basis, self.circles)
+            self._coords = coordinates_of(self.geo, self.circles)
         return self._coords
 
     def jacobian(self):
         if self._jac is None:
-            self._jac = coord_jacobian(self.curve, self.basis, self.circles)
+            self._jac = coord_jacobian(self.geo, self.circles)
         return self._jac
 
     def step_to(self, target_vector, _depth=0):
@@ -241,28 +230,24 @@ class Navigator:
         jac = self.jacobian()
         per_coord = np.maximum(1.0, np.abs(target))
         resid_prev = np.inf
-        stalls = 0
         for it in range(NEWTON_MAX_ITER):
             resid_vec = nav.coordinates().vector - target
             resid = float(np.max(np.abs(resid_vec) / per_coord))
             if resid <= NEWTON_TOL:
                 return nav
             if resid > 0.5 * resid_prev:
-                stalls += 1
                 # quadrature noise floors the residual; accept a plateau
-                if resid <= 1e-10 and stalls >= 1:
+                if resid <= 1e-10:
                     return nav
                 if it >= 2:
                     jac = nav.jacobian()
-            else:
-                stalls = 0
             resid_prev = resid
             delta, _ = nm.solve_dense(jac, resid_vec)
             coeffs = coeffs - delta
             spec = spec_with_coefficients(self.curve.spec, coeffs)
             curve = sf.build_surface(spec, template=self.curve)
-            nav = Navigator(
-                curve, basis=sf.homology_basis(curve, template_basis=self.basis))
+            nav = Navigator(Geometry(
+                curve, sf.homology_basis(curve, template_basis=self.geo.basis)))
         resid = float(np.max(np.abs(nav.coordinates().vector - target) / per_coord))
         if resid > 1e3 * NEWTON_TOL:
             raise ModuliError(f"Newton did not converge (residual {resid:.3e})")
@@ -280,9 +265,9 @@ class FDResult:
 class FDEngine:
     """Central differences with one Richardson level in chart coordinates.
 
-    Perturbed builds are cached by (coordinate, offset); functionals are
-    callables (curve, geo) -> scalar or ndarray so several oracles can share
-    the same builds.
+    Perturbed builds are cached by (coordinate, offset) as their Geometry;
+    functionals are callables geo -> scalar or ndarray so several oracles
+    can share the same builds.
     """
 
     def __init__(self, nav, eps_rel=FD_EPS_REL):
@@ -292,8 +277,7 @@ class FDEngine:
         self._move_cache = {}
 
     def coord_index(self, name):
-        curve = self.nav.curve
-        return lookup_coordinate(curve.spec, curve.counts.genus, name)[0]
+        return lookup_coordinate(self.nav.curve.spec, self.nav.geo.genus, name)[0]
 
     def eps_for(self, index):
         z = self.nav.coordinates().vector[index]
@@ -338,8 +322,7 @@ class FDEngine:
         if key not in self._cache:
             target = self.nav.coordinates().vector.copy()
             target[index] += offset
-            nav2 = self.nav.step_to(target)
-            self._cache[key] = (nav2.curve, nav2.geo)
+            self._cache[key] = self.nav.step_to(target).geo
         return self._cache[key]
 
     def derivative(self, functional, name):
@@ -355,8 +338,8 @@ class FDEngine:
         return self._central(functional, self.coord_index(name), eps)
 
     def _central(self, functional, index, eps):
-        cp, gp = self.build(index, +eps)
-        cm, gm = self.build(index, -eps)
-        fp = functional(cp, gp)
-        fm = functional(cm, gm)
+        gp = self.build(index, +eps)
+        gm = self.build(index, -eps)
+        fp = functional(gp)
+        fm = functional(gm)
         return (np.asarray(fp) - np.asarray(fm)) / (2.0 * eps)

@@ -44,26 +44,26 @@ TWO_PI_I = 2j * math.pi
 FORM_AGREE_TOL = 1e-9
 
 
-def _differential(curve, geo, key):
+def _differential(geo, key):
     if key[0] == "A":
-        return holomorphic_unit(curve, geo.period, key[1])
+        return holomorphic_unit(geo.period, key[1])
     _, j, s, ell = key
     if ell >= 2:
-        return second_kind(curve, geo.period, j, s, ell)
-    return third_kind(curve, geo.period, j, s)
+        return second_kind(geo.period, j, s, ell)
+    return third_kind(geo.period, j, s)
 
 
-def direction_differential(curve, geo, name):
+def direction_differential(geo, name):
     """Evaluator (x, w) -> h/dx of the differential h dual to a coordinate."""
-    return _differential(curve, geo,
-                         moduli.lookup_coordinate(curve.spec, geo.genus, name)[1])
+    return _differential(geo, moduli.lookup_coordinate(geo.curve.spec, geo.genus, name)[1])
 
 
-def all_directions(curve, geo):
+def all_directions(geo):
     """{name: direction evaluator} in chart order."""
-    return {name: _differential(curve, geo, key) for name, key in
-            zip(moduli.coordinate_names(curve.spec, geo.genus),
-                moduli.coordinate_keys(curve.spec, geo.genus))}
+    spec = geo.curve.spec
+    return {name: _differential(geo, key) for name, key in
+            zip(moduli.coordinate_names(spec, geo.genus),
+                moduli.coordinate_keys(spec, geo.genus))}
 
 
 # ---------------------------------------------------------------------------
@@ -79,15 +79,20 @@ def _residue(vals, rho):
 
 
 class BranchData:
-    """Per-branch-point circle data: frame, direction series, jet scalars."""
+    """Per-branch-point circle data of one cover: frame, direction series,
+    jet scalars. Built once per cover as `Geometry.branch`; it holds the
+    cover's curve, local frames and kernels but never the Geometry, whose
+    cache would otherwise close a reference cycle that keeps every build
+    alive until the cyclic collector runs."""
 
     def __init__(self, geo):
-        self.geo = geo
         self.curve = geo.curve
-        self.frames = [geo.frames.frame(i)
+        self.local = geo.frames
+        self.kernels = geo.kernels
+        self.frames = [self.local.frame(i)
                        for i in range(len(self.curve.branch_points))]
-        self.circles = [geo.frames.eval_circle(fr) for fr in self.frames]
-        self.jets = [geo.frames.y_jet_values(fr) for fr in self.frames]
+        self.circles = [self.local.eval_circle(fr) for fr in self.frames]
+        self.jets = [self.local.y_jet_values(fr) for fr in self.frames]
         self._breg_hat = {}
         self._cross = {}
         self._oh2 = {}
@@ -137,7 +142,7 @@ class BranchData:
                     r_guard = float(np.min(inside))
             rho = min(EVAL_SCALE * fr.rho, 0.45 * r_guard)
             eta = nm.circle_points(rho, K_EVAL)
-            _, G = self.geo.frames.values(fr, eta)
+            _, G = self.local.values(fr, eta)
             yp = nm.polyval(nm.polyder(y_series), eta)
             self._oh2[i] = {"eta": eta, "rho": rho, "G": G, "yp": yp}
         return self._oh2[i]
@@ -153,8 +158,8 @@ class BranchData:
         if i not in self._breg_hat:
             c = self.circles[i]
             eta = c["eta"]
-            A_minus, G_minus = self.geo.frames.values(self.frames[i], -eta)
-            b = self.geo.kernels.bhat_batch(c["A"], c["G"], A_minus, G_minus)
+            A_minus, G_minus = self.local.values(self.frames[i], -eta)
+            b = self.kernels.bhat_batch(c["A"], c["G"], A_minus, G_minus)
             f = b - 1.0 / (2.0 * eta) ** 2
             self._breg_hat[i] = complex(np.mean(f))
         return self._breg_hat[i]
@@ -164,7 +169,7 @@ class BranchData:
         key = (min(i, j), max(i, j))
         if key not in self._cross:
             ci, cj = self.circles[key[0]], self.circles[key[1]]
-            b = self.geo.kernels.bhat_batch(ci["A"], ci["G"], cj["A"], cj["G"])
+            b = self.kernels.bhat_batch(ci["A"], ci["G"], cj["A"], cj["G"])
             self._cross[key] = complex(np.mean(b))
         return self._cross[key]
 
@@ -173,13 +178,13 @@ class BranchData:
         of v (branch point or simple zero), and that circle's radius; a pole
         of order three at a branch point, simple at a simple zero."""
         if zero_index not in self._breg_over_v:
-            frames = self.geo.frames
+            frames = self.local
             fr = frames.frame(zero_index)
             c = frames.eval_circle(fr, k=K_SB)
             eta = c["eta"]
             zeta = nm.circle_points(0.25 * c["rho"], K_RING)
             A_ring, G_ring = frames.values(fr, (eta[:, None] + zeta[None, :]).ravel())
-            sb = self.geo.kernels.sb_ring(c["A"], c["G"], zeta, A_ring, G_ring)
+            sb = self.kernels.sb_ring(c["A"], c["G"], zeta, A_ring, G_ring)
             Yp = nm.polyder(fr.Y_series)
             sv = nm.schwarzian(c["Y"], nm.polyval(Yp, eta),
                                nm.polyval(nm.polyder(Yp), eta))
@@ -191,19 +196,19 @@ class BranchData:
 # endpoint corrections (branch contributions to d/dz of relative periods)
 # ---------------------------------------------------------------------------
 
-def endpoint_correction(curve, geo, h, zero_index, bd):
+def endpoint_correction(geo, h, zero_index):
     """-(h / d log(v/dx))(x_i): the extra term in the derivative of
     int_{x_r}^{x_i} v when x_i is a branch point; 0 at simple zeros."""
-    if not curve.zeros[zero_index].is_branch:
+    if not geo.curve.zeros[zero_index].is_branch:
         return 0.0 + 0.0j
-    return -bd.endpoint_factor(zero_index, h)
+    return -geo.branch.endpoint_factor(zero_index, h)
 
 
 # ---------------------------------------------------------------------------
 # first variation of the period matrix (both forms)
 # ---------------------------------------------------------------------------
 
-def vary_period_matrix(curve, geo, h, bd):
+def vary_period_matrix(geo, h):
     """d(Omega)/d(coordinate) by the branch-point residue formula, h the
     coordinate's direction evaluator.
 
@@ -215,6 +220,7 @@ def vary_period_matrix(curve, geo, h, bd):
         G = c["G"].T
         return G[:, None] * G[None, :] / c["Y"]
 
+    bd = geo.branch
     out1 = _symmetrize_fill(bd.residue_sum(h, form1))
     out2 = 0.0
     for i in range(len(bd.frames)):
@@ -267,27 +273,27 @@ def _b_circle_point(geo, c, A, V):
                                   np.tile(A, (n, 1)), np.tile(V, (n, 1)))
 
 
-def vary_valpha(curve, geo, h, point, bd):
+def vary_valpha(geo, h, point):
     """d(v_alpha(x))/d(coordinate) relative to dx at the point; vector over alpha."""
     A_x, V_x = _point_data(geo, point)
-    return -bd.residue_sum(h, lambda i, c: (
+    return -geo.branch.residue_sum(h, lambda i, c: (
         c["G"].T * _b_circle_point(geo, c, A_x, V_x) / c["Y"]))
 
 
-def vary_bidifferential(curve, geo, h, p1, p2, bd):
+def vary_bidifferential(geo, h, p1, p2):
     """d(B(x,y))/d(coordinate) relative to dx dy at the fixed pair."""
     A1, V1 = _point_data(geo, p1)
     A2, V2 = _point_data(geo, p2)
-    return -bd.residue_sum(h, lambda i, c: (
+    return -geo.branch.residue_sum(h, lambda i, c: (
         _b_point_circle(geo, A1, V1, c) * _b_circle_point(geo, c, A2, V2) / c["Y"]))
 
 
-def vary_log_prime_form(curve, geo, h, p1, p2, bd):
+def vary_log_prime_form(geo, h, p1, p2):
     """d(ln E(x,y))/d(coordinate) at the fixed pair (h-independent kernel)."""
     A1, _ = _point_data(geo, p1)
     A2, _ = _point_data(geo, p2)
-    th = geo.kernels.theta
-    odd = geo.kernels.odd
+    th = geo.period.theta
+    odd = geo.period.odd_char
 
     def kernel(i, c):
         e1 = th.eval(c["A"] - A1[None, :], odd, derivs=1)
@@ -301,7 +307,7 @@ def vary_log_prime_form(curve, geo, h, p1, p2, bd):
     # bidifferential variation through B = d_x d_y ln E, which forces the
     # opposite overall sign to the first-kind/bidifferential pattern; the
     # finite-difference oracle confirms it.
-    return bd.residue_sum(h, kernel)
+    return geo.branch.residue_sum(h, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +332,27 @@ def is_residue_free(curve):
     return max(abs(complex(win[0])) for win in wins) < 1e-10
 
 
-def tau_gradient(curve, geo, gamma, bd):
+def tau_gradient(geo, gamma):
     """d(ln tau)/dA_gamma: branch residues of B_reg/v plus the all-zeros sum."""
-    if not is_residue_free(curve):
+    if not is_residue_free(geo.curve):
         raise VariationError("tau gradient requires a residue-free instance "
                              "with all pole orders >= 2")
-    vg = holomorphic_unit(curve, geo.period, gamma)
+    bd = geo.branch
+    vg = holomorphic_unit(geo.period, gamma)
     # B_reg/v is sampled on K_SB points of the branch circle's radius
     term1 = bd.residue_sum(vg, lambda i, c: bd.breg_over_v(i)[0])
     term2 = sum(_zero_frame_residues(geo, gamma))
     return -TWO_PI_I * term1 - (1j * math.pi / 8.0) * term2
 
 
-def tau_gradient_oracle(curve, geo, bd):
+def tau_gradient_oracle(geo):
     """Chain-rule evaluation of d(ln tau)/dA_gamma through the period
     coordinates, as the vector over gamma: dual-contour integrals of B_reg/v
     paired with the derivatives of the period coordinates, with small-circle
     corrections restoring duality against the reference paths. Only the
     derivatives of the period coordinates depend on gamma."""
     from .differentials import ContourField
+    curve, bd = geo.curve, geo.branch
     g = geo.genus
     basis = geo.basis
     omega = geo.period.omega
@@ -362,7 +370,7 @@ def tau_gradient_oracle(curve, geo, bd):
     dual_a = []
     dual_b = []
     for d in range(g):
-        int_a, int_b = (ContourField(curve, geo.period, c).integrate_kernel(breg_kernel)
+        int_a, int_b = (ContourField(geo.period, c).integrate_kernel(breg_kernel)
                         for c in (basis.a_cycles[d], basis.b_cycles[d]))
         # duality corrections from crossings with the reference paths
         corr_a = 0.0 + 0.0j
@@ -379,7 +387,7 @@ def tau_gradient_oracle(curve, geo, bd):
 
     out = np.empty(g, dtype=complex)
     for gamma in range(g):
-        vg = holomorphic_unit(curve, geo.period, gamma)
+        vg = holomorphic_unit(geo.period, gamma)
         total = 0.0 + 0.0j
         for d in range(g):
             total += (1.0 if d == gamma else 0.0) * dual_a[d] + omega[gamma, d] * dual_b[d]
@@ -434,7 +442,7 @@ def _hierarchy_data(geo, points):
     return data, vs, bmat
 
 
-def q_multidiff(curve, geo, points):
+def q_multidiff(geo, points):
     """Sum over the directed Hamiltonian cycles up to rotation, over the
     product of the v's: twice the sum over _cycles, except at n = 2, whose
     one cycle is its own reversal (Q_2 = B^2/(v v))."""
@@ -443,26 +451,26 @@ def q_multidiff(curve, geo, points):
     return (2.0 if n > 2 else 1.0) * _chain_sum(bmat, _cycles(n)) / np.prod(vs)
 
 
-def r_multidiff(curve, geo, points):
+def r_multidiff(geo, points):
     """Path sum from the first to the last argument through the middles."""
     _, vs, bmat = _hierarchy_data(geo, points)
     return _chain_sum(bmat, _paths(len(points))) / np.prod(vs[1:-1])
 
 
-def r_ab(curve, geo, alpha, beta, points):
+def r_ab(geo, alpha, beta, points):
     """v_alpha(z_1) v_beta(z_n) times the path sum over all v's."""
     data, vs, bmat = _hierarchy_data(geo, points)
     return (data[0][1][alpha] * data[-1][1][beta]
             * _chain_sum(bmat, _paths(len(points))) / np.prod(vs))
 
 
-def hierarchy_variation(curve, geo, gamma, points, variant, bd):
+def hierarchy_variation(geo, gamma, points, variant):
     """dQ_n/dA_gamma (or the R analog) with evaluation points pinned in the
     base coordinate: branch-residue sum of Q_{n+1} (R_{n+1}) with its new
     argument t on the branch circle, plus the argument-transport terms."""
     n = len(points)
     data, vs, bmat = _hierarchy_data(geo, points)
-    vg = holomorphic_unit(curve, geo.period, gamma)
+    vg = holomorphic_unit(geo.period, gamma)
     vgam = np.array([vg(np.array([p.x]), np.array([p.w]))[0] for p in points])
     # t is the last cycle vertex of Q_{n+1}; for R_{n+1} it is the last
     # middle vertex, so the path still ends at z_n
@@ -476,11 +484,11 @@ def hierarchy_variation(curve, geo, gamma, points, variant, bd):
             return 2.0 * _chain_sum(big, _cycles(n + 1)) / (np.prod(vs) * c["Y"])
         return _chain_sum(big, _paths(n + 1)) / (np.prod(vs[1:-1]) * c["Y"])
 
-    residue_sum = bd.residue_sum(vg, kernel)
+    residue_sum = geo.branch.residue_sum(vg, kernel)
     if variant == "Q":
-        transport = q_multidiff(curve, geo, points) * np.sum(vgam / vs)
+        transport = q_multidiff(geo, points) * np.sum(vgam / vs)
     else:
-        transport = r_multidiff(curve, geo, points) * np.sum(vgam[1:-1] / vs[1:-1])
+        transport = r_multidiff(geo, points) * np.sum(vgam[1:-1] / vs[1:-1])
     return -residue_sum - transport
 
 
@@ -488,9 +496,10 @@ def hierarchy_variation(curve, geo, gamma, points, variant, bd):
 # second derivatives of the period matrix
 # ---------------------------------------------------------------------------
 
-def period_hessian(curve, geo, a, b, cidx, d, bd):
+def period_hessian(geo, a, b, cidx, d):
     """Second derivative of Omega_{ab} along A_{cidx}, A_d from branch jets."""
-    nbr = len(curve.branch_points)
+    bd = geo.branch
+    nbr = len(bd.frames)
     jets = bd.jets
     g0 = [jets[i]["g0"] for i in range(nbr)]
     gpp = [jets[i]["gpp"] for i in range(nbr)]

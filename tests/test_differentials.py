@@ -35,7 +35,7 @@ class TestNormalizedBasis:
 class TestSecondKind:
     def test_principal_part_and_periods(self, ell4):
         curve, geo = ell4.curve, ell4.geo
-        wd = second_kind(curve, geo.period, 0, 0, 2)
+        wd = second_kind(geo.period, 0, 0, 2)
         wins = moduli.PoleCircles(curve).windows(wd)
         cs = wins[(0, 0)]
         assert abs(cs[1] - 1.0) < 1e-9       # chi^-2 coefficient
@@ -50,7 +50,7 @@ class TestSecondKind:
             curve, geo = ses.curve, ses.geo
             kj = curve.spec.poles[j].k
             for ell in range(2, kj + 1):
-                wd = second_kind(curve, geo.period, j, s, ell)
+                wd = second_kind(geo.period, j, s, ell)
                 bw = np.array([curve.integrate(wd, c).value
                                for c in geo.basis.b_cycles])
                 rho, ring, w_ring = moduli.PoleCircles(curve).data[(j, s)]
@@ -63,13 +63,13 @@ class TestSecondKind:
 
     def test_order_out_of_range(self, ell4):
         with pytest.raises(DifferentialError, match="out of range"):
-            second_kind(ell4.curve, ell4.geo.period, 0, 0, 7)
+            second_kind(ell4.geo.period, 0, 0, 7)
 
 
 class TestThirdKind:
     def test_residues_and_periods(self, g2_23):
         curve, geo = g2_23.curve, g2_23.geo
-        u = third_kind(curve, geo.period, 1, 1)
+        u = third_kind(geo.period, 1, 1)
         wins = moduli.PoleCircles(curve).windows(u)
         res = {js: win[0] for js, win in wins.items()}
         assert abs(res[(0, 0)] + 1.0) < 1e-10
@@ -82,7 +82,7 @@ class TestThirdKind:
     def test_b_periods_match_abel(self, ell4, g2_5):
         for ses, (j, s) in ((ell4, (0, 1)), (g2_5, (3, 0))):
             curve, geo = ses.curve, ses.geo
-            u = third_kind(curve, geo.period, j, s)
+            u = third_kind(geo.period, j, s)
             bu = np.array([curve.integrate(u, c).value
                            for c in geo.basis.b_cycles])
             p, p0 = curve.pole_points[(j, s)], curve.pole_points[(0, 0)]
@@ -91,7 +91,7 @@ class TestThirdKind:
 
     def test_base_point_rejected(self, ell4):
         with pytest.raises(DifferentialError, match="base point"):
-            third_kind(ell4.curve, ell4.geo.period, 0, 0)
+            third_kind(ell4.geo.period, 0, 0)
 
 
 class TestAbel:
@@ -115,8 +115,8 @@ class TestAbel:
         # the Abel integral to the nearer one used to chase rounding noise
         # until a Gauss node landed on the branch point
         ses = Session(generator.generate("g2-resfree", seed_base=3))
-        curve, geo = ses.eng.build(1, ses.eng.eps_for(1) / 2)
-        for e in curve.branch_points:
+        geo = ses.eng.build(1, ses.eng.eps_for(1) / 2)
+        for e in geo.curve.branch_points:
             assert np.all(np.isfinite(geo.abel.at(e, None)))
 
     def test_non_finite_abel_vector_names_path(self, ell4, monkeypatch):
@@ -193,7 +193,7 @@ class TestThetaKernels:
         assert abs(kern.bhat_point(p1, p2) - kern.bhat_point(p2, p1)) < 1e-12
         A2 = ab.at(p2.x, p2.w)
         V2 = per.V(np.array([p2.x]), np.array([p2.w]))[0]
-        cf = ContourField(ses.curve, per, ses.geo.basis.a_cycles[0])
+        cf = ContourField(per, ses.geo.basis.a_cycles[0])
 
         def kernel(x, w, V):
             # B depends on the Abel vectors only modulo the lattice, so the
@@ -244,7 +244,7 @@ class TestThetaKernels:
             return np.array([B_rat(sf.SurfacePoint(z, -1, wz), p2)
                              for z, wz in zip(x, w)])
 
-        cf = ContourField(curve, geo.period, geo.basis.a_cycles[0])
+        cf = ContourField(geo.period, geo.basis.a_cycles[0])
         pa = cf.integrate_kernel(kernel)
         V1_p1 = geo.period.V(np.array([p1.x]), np.array([p1.w]))[0][0]
         got = B_rat(p1, p2) - pa * V1_p1

@@ -1,8 +1,11 @@
+import gc
 import json
+import weakref
 
 import pytest
 
 from speclab import cli, harness
+from speclab.instances import load_instance
 
 
 class TestRunSuite:
@@ -122,6 +125,22 @@ class TestCLI:
         assert "Traceback" in err
         assert "error: ModuliError: unknown coordinate 'Z9'" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--instance", "n3-smoke", "--suite", "tau"],
+        ["sweep", "--instance", "n3-smoke", "--functional", "omega", "--coord", "A1",
+         "--eps-list", "1e-3"]])
+    def test_n2_commands_refuse_n3(self, argv, capsys):
+        # a suite that cannot run on n = 3 is an error, never a PASS of the
+        # exploratory checks alone
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: HarnessError" in err and "n = 2" in err
+
+    @pytest.mark.parametrize("suite", ["surface", "all"])
+    def test_n3_exploratory_suites_pass(self, suite, capsys):
+        assert cli.main(["verify", "--instance", "n3-smoke", "--suite", suite]) == 0
+        assert f"PASS {suite} on n3-smoke" in capsys.readouterr().out
+
     def test_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         rc = cli.main(["sweep", "--instance", "ell4", "--functional", "omega",
@@ -159,3 +178,20 @@ class TestFileInstances:
         path.write_text(dump_instance(spec))
         doc = harness.describe(str(path))
         assert doc["counts"]["genus"] == 1
+
+
+class TestNoReferenceCycles:
+    def test_session_and_fd_builds_freed_without_collector(self):
+        # a reference cycle through a Geometry would keep the Session and
+        # every FD build alive until the cyclic collector runs
+        gc.disable()
+        try:
+            ses = harness.Session(load_instance("g2-resfree"))
+            harness.suite_tau(ses, harness.Checker(harness.Report("g2-resfree", "tau")))
+            refs = [weakref.ref(ses.geo)] + [weakref.ref(geo) for geo in ses.eng._cache.values()]
+            del ses
+            alive = [r for r in refs if r() is not None]
+        finally:
+            gc.enable()
+        assert len(refs) > 1
+        assert not alive, f"{len(alive)} of {len(refs)} geometries alive"

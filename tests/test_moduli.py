@@ -24,8 +24,8 @@ class TestCoordinates:
         spec2 = moduli.spec_with_coefficients(
             spec, np.concatenate([spec.numer[1] * lam, spec.numer[2] * lam ** 2]))
         curve2 = sf.build_surface(spec2, template=ell4.curve)
-        coords2 = moduli.coordinates_of(curve2, sf.homology_basis(
-            curve2, template_basis=ell4.geo.basis))
+        coords2 = moduli.Navigator(Geometry(curve2, sf.homology_basis(
+            curve2, template_basis=ell4.geo.basis))).coordinates()
         base = ell4.nav.coordinates()
         assert np.max(np.abs(coords2.vector - lam * base.vector)) \
             < 1e-9 * max(1.0, np.max(np.abs(base.vector)))
@@ -71,14 +71,14 @@ class TestJacobian:
             cvp, cvm = cv.copy(), cv.copy()
             cvp[c] += h
             cvm[c] -= h
-            vp = moduli.coordinates_of(
+            vp = moduli.Navigator(Geometry(
                 sf.build_surface(moduli.spec_with_coefficients(curve.spec, cvp),
                                  template=curve),
-                ell4.geo.basis).vector
-            vm = moduli.coordinates_of(
+                ell4.geo.basis)).coordinates().vector
+            vm = moduli.Navigator(Geometry(
                 sf.build_surface(moduli.spec_with_coefficients(curve.spec, cvm),
                                  template=curve),
-                ell4.geo.basis).vector
+                ell4.geo.basis)).coordinates().vector
             col = (vp - vm) / (2 * h)
             assert np.max(np.abs(col - jac[:, c])) < 1e-7
 
@@ -176,12 +176,12 @@ class TestTransportedBasis:
         target = g2_23.nav.coordinates().vector.copy()
         target[0] += 1e-3
         nav2 = g2_23.nav.step_to(target)
-        assert nav2.basis.transported
+        assert nav2.geo.basis.transported
         curve = nav2.curve
         fresh = sf.homology_basis(curve)
         assert not fresh.transported
-        assert nav2.basis.b_flipped == fresh.b_flipped
-        for c1, c2 in zip(nav2.basis.a_cycles, fresh.a_cycles):
+        assert nav2.geo.basis.b_flipped == fresh.b_flipped
+        for c1, c2 in zip(nav2.geo.basis.a_cycles, fresh.a_cycles):
             v1 = curve.integrate_v(c1).value
             v2 = curve.integrate_v(c2).value
             assert abs(v1 - v2) < 1e-10 * max(1.0, abs(v1))
@@ -192,7 +192,7 @@ class TestTransportedBasis:
         expect = np.block([
             [np.zeros((g, g), dtype=int), np.eye(g, dtype=int)],
             [-np.eye(g, dtype=int), np.zeros((g, g), dtype=int)]])
-        assert np.array_equal(sf.intersection_matrix(curve, nav2.basis), expect)
+        assert np.array_equal(sf.intersection_matrix(curve, nav2.geo.basis), expect)
 
     def test_lift_carried_on_resfree_draw(self):
         # re-deriving the start sheets of carried contours from the basepoint
@@ -206,11 +206,11 @@ class TestFDEngine:
     def test_chart_consistency_delta(self, ell4):
         # F = A_beta differentiated in A_gamma is the identity
         fd = ell4.eng.derivative(
-            lambda c, g: moduli.coordinates_of(c, g).vector[:1], "A1")
+            lambda g: moduli.Navigator(g).coordinates().vector[:1], "A1")
         assert abs(fd.value[0] - 1.0) < 1e-10
 
     def test_gap_shrinks_with_richardson(self, ell4):
-        fd = ell4.eng.derivative(lambda c, g: g.period.omega, "A1")
+        fd = ell4.eng.derivative(lambda g: g.period.omega, "A1")
         assert fd.gap < 1e-5
         assert np.max(np.abs(fd.value - fd.fine)) <= fd.gap + 1e-12
 

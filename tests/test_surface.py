@@ -132,7 +132,7 @@ class TestCarry:
         def central(eps):
             vals = []
             for offset in (eps, -eps):
-                c, _ = eng.build(index, offset)
+                c = eng.build(index, offset).curve
                 vals.append(c.integrate_v(sf.carry_path(c, path, c.zeros[3].x)).value)
             return (vals[0] - vals[1]) / (2 * eps)
 
@@ -345,7 +345,8 @@ class TestCarriedAnchors:
         # the FD builds are Newton chains of carries from the session's basis
         base = self.anchored_basis(g2_23)
         eng = moduli.FDEngine(g2_23.nav)
-        curve3, geo3 = eng.build(0, eng.eps_for(0))
+        geo3 = eng.build(0, eng.eps_for(0))
+        curve3 = geo3.curve
         assert geo3.basis.transported
         self.check_carried(curve3, list(zip(base.cycles, geo3.basis.cycles))
                            + _carried_legs(g2_23, curve3))
@@ -431,7 +432,8 @@ class TestCrossings:
     def test_carried_copy_retracks_on_perturbed_curve(self, g2_23):
         curve, base = g2_23.curve, g2_23.geo.basis
         eng = g2_23.eng
-        curve2, geo2 = eng.build(0, eng.eps_for(0))
+        geo2 = eng.build(0, eng.eps_for(0))
+        curve2 = geo2.curve
         assert geo2.basis.transported
         for c, c2 in zip(base.cycles, geo2.basis.cycles):
             assert c2.segments is c.segments
@@ -458,7 +460,8 @@ class TestOneGrid:
 
     def test_fresh_abel_path_tracked_once_per_candidate(self, g2_23, monkeypatch):
         eng = g2_23.eng
-        curve, geo = eng.build(0, eng.eps_for(0))
+        geo = eng.build(0, eng.eps_for(0))
+        curve = geo.curve
         geo.period  # the basis cycles are anchored before counting
         tracks = _counting(monkeypatch, sf.SpectralCurve, "track_w")
         candidates = _counting(monkeypatch, sf, "_starting_on")

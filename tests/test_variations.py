@@ -12,31 +12,37 @@ from speclab import variations as vr
 class TestDirections:
     def test_dependent_coordinate_rejected(self, ell4):
         with pytest.raises(moduli.ModuliError, match=r"unknown coordinate 'C\(1,1,1\)'"):
-            vr.direction_differential(ell4.curve, ell4.geo, "C(1,1,1)")
+            vr.direction_differential(ell4.geo, "C(1,1,1)")
 
     def test_a_direction_is_normalized_holomorphic(self, ell4):
-        h = vr.direction_differential(ell4.curve, ell4.geo, "A1")
+        h = vr.direction_differential(ell4.geo, "A1")
         for c in ell4.geo.basis.a_cycles:
             val = ell4.curve.integrate(h, c).value
             assert abs(val - 1.0) < 1e-10
 
     def test_direction_count_matches_chart(self, g2_23):
-        dirs = vr.all_directions(g2_23.curve, g2_23.geo)
+        dirs = vr.all_directions(g2_23.geo)
         assert len(dirs) == g2_23.curve.counts.dim
+
+
+class TestBranchData:
+    def test_fd_build_has_its_own_branch_data(self, g2_23):
+        geo2 = g2_23.eng.build(0, g2_23.eng.eps_for(0))
+        assert geo2.branch is geo2.branch
+        assert geo2.branch is not g2_23.geo.branch
+        assert geo2.branch.curve is geo2.curve
 
 
 class TestEndpointCorrection:
     def test_zero_at_simple_zeros(self, ell4):
-        d = vr.direction_differential(ell4.curve, ell4.geo, "A1")
+        d = vr.direction_differential(ell4.geo, "A1")
         idx = next(i for i, z in enumerate(ell4.curve.zeros) if not z.is_branch)
-        val = vr.endpoint_correction(ell4.curve, ell4.geo, d, idx,
-                                     ell4.branch_data)
+        val = vr.endpoint_correction(ell4.geo, d, idx)
         assert val == 0.0
 
     def test_nonzero_at_branch(self, ell4):
-        d = vr.direction_differential(ell4.curve, ell4.geo, "A1")
-        val = vr.endpoint_correction(ell4.curve, ell4.geo, d, 0,
-                                     ell4.branch_data)
+        d = vr.direction_differential(ell4.geo, "A1")
+        val = vr.endpoint_correction(ell4.geo, d, 0)
         assert abs(val) > 1e-8
 
 
@@ -45,17 +51,16 @@ class TestPeriodVariation:
         # vary_period_matrix raises unless both forms agree to 1e-9
         for ses in (ell4, g2_23):
             for name in ("A1", "C(1,2,1)"):
-                d = vr.direction_differential(ses.curve, ses.geo, name)
-                vr.vary_period_matrix(ses.curve, ses.geo, d, ses.branch_data)
+                d = vr.direction_differential(ses.geo, name)
+                vr.vary_period_matrix(ses.geo, d)
 
     def test_a_direction_symmetry(self, g2_resfree):
         ses = g2_resfree
         g = ses.geo.genus
         T = np.zeros((g, g, g), dtype=complex)
         for gamma in range(g):
-            d = vr.direction_differential(ses.curve, ses.geo, f"A{gamma + 1}")
-            T[:, :, gamma] = vr.vary_period_matrix(ses.curve, ses.geo, d,
-                                                   ses.branch_data)
+            d = vr.direction_differential(ses.geo, f"A{gamma + 1}")
+            T[:, :, gamma] = vr.vary_period_matrix(ses.geo, d)
         scale = np.max(np.abs(T))
         for perm in permutations((0, 1, 2)):
             assert np.max(np.abs(T - np.transpose(T, perm))) < 1e-9 * scale
@@ -64,7 +69,7 @@ class TestPeriodVariation:
 class TestHierarchy:
     def test_q2_definition(self, ell4):
         p1, p2 = ell4.eval_points(2)
-        q2 = vr.q_multidiff(ell4.curve, ell4.geo, [p1, p2])
+        q2 = vr.q_multidiff(ell4.geo, [p1, p2])
         b = ell4.geo.kernels.bhat_point(p1, p2)
         v1 = ell4.curve.phi(np.array([p1.x]), np.array([p1.w]))[0]
         v2 = ell4.curve.phi(np.array([p2.x]), np.array([p2.w]))[0]
@@ -72,17 +77,17 @@ class TestHierarchy:
 
     def test_q3_symmetric_q4_count(self, ell4):
         pts = ell4.eval_points(4)
-        base = vr.q_multidiff(ell4.curve, ell4.geo, pts[:3])
+        base = vr.q_multidiff(ell4.geo, pts[:3])
         for perm in permutations(range(3)):
-            v = vr.q_multidiff(ell4.curve, ell4.geo, [pts[i] for i in perm])
+            v = vr.q_multidiff(ell4.geo, [pts[i] for i in perm])
             assert abs(v - base) < 1e-9 * abs(base)
         assert len(vr._cycles(4)) == 3
 
     def test_r_middle_symmetry(self, ell4):
         pts = ell4.eval_points(4)
-        a = vr.r_multidiff(ell4.curve, ell4.geo, pts)
+        a = vr.r_multidiff(ell4.geo, pts)
         swapped = [pts[0], pts[2], pts[1], pts[3]]
-        b = vr.r_multidiff(ell4.curve, ell4.geo, swapped)
+        b = vr.r_multidiff(ell4.geo, swapped)
         assert abs(a - b) < 1e-10 * abs(a)
 
     @staticmethod
@@ -123,13 +128,13 @@ class TestHierarchy:
     def test_coincident_points_rejected(self, ell4):
         p1, _ = ell4.eval_points(2)
         with pytest.raises(Exception):
-            vr.q_multidiff(ell4.curve, ell4.geo, [p1, p1])
+            vr.q_multidiff(ell4.geo, [p1, p1])
 
 
 class TestTau:
     def test_requires_residue_free(self, g2_23):
         with pytest.raises(vr.VariationError, match="residue-free"):
-            vr.tau_gradient(g2_23.curve, g2_23.geo, 0, g2_23.branch_data)
+            vr.tau_gradient(g2_23.geo, 0)
 
     def test_residue_free_detector(self, g2_23, g2_resfree, g2_5):
         assert not vr.is_residue_free(g2_23.curve)
@@ -153,12 +158,11 @@ class TestTau:
         assert abs(direct - vals[idx]) < 1e-9 * max(1.0, abs(vals[idx]))
 
     def test_oracle_vector_matches_residue_formula(self, g2_resfree):
-        curve, geo = g2_resfree.curve, g2_resfree.geo
-        bd = g2_resfree.branch_data
-        oracle = vr.tau_gradient_oracle(curve, geo, bd)
+        geo = g2_resfree.geo
+        oracle = vr.tau_gradient_oracle(geo)
         assert oracle.shape == (geo.genus,)
         for gamma in range(geo.genus):
-            f = vr.tau_gradient(curve, geo, gamma, bd)
+            f = vr.tau_gradient(geo, gamma)
             assert abs(f - oracle[gamma]) <= 1e-4 * max(abs(f), abs(oracle[gamma]))
 
 
@@ -168,9 +172,9 @@ class TestResidueDirections:
         # period variation along one against the finite-difference oracle
         ses = g2_5
         name = "C(3,1,1)"
-        d = vr.direction_differential(ses.curve, ses.geo, name)
-        M = vr.vary_period_matrix(ses.curve, ses.geo, d, ses.branch_data)
-        fd = ses.eng.derivative(lambda c, g: g.period.omega, name)
+        d = vr.direction_differential(ses.geo, name)
+        M = vr.vary_period_matrix(ses.geo, d)
+        fd = ses.eng.derivative(lambda g: g.period.omega, name)
         rel = np.max(np.abs(M - fd.value)) / np.max(np.abs(fd.value))
         assert rel < 1e-5, rel
 
@@ -178,10 +182,11 @@ class TestResidueDirections:
         ses = g2_5
         p1, p2 = ses.eval_points(2)
         name = "C(2,2,1)"
-        d = vr.direction_differential(ses.curve, ses.geo, name)
-        got = vr.vary_bidifferential(ses.curve, ses.geo, d, p1, p2, ses.branch_data)
+        d = vr.direction_differential(ses.geo, name)
+        got = vr.vary_bidifferential(ses.geo, d, p1, p2)
 
-        def B_at(c, g):
+        def B_at(g):
+            c = g.curve
             ra = sf.SurfacePoint(p1.x, p1.sheet, c.w_for_sheet(p1.x, p1.sheet))
             rb = sf.SurfacePoint(p2.x, p2.sheet, c.w_for_sheet(p2.x, p2.sheet))
             return g.kernels.bhat_point(ra, rb)
