@@ -1,8 +1,7 @@
 """Command-line entry point.
 
   speclab describe --instance <path|label>
-  speclab verify   --instance <path|label> --suite <name> [--tol <rel>]
-                   [--eps <eps>] [--report out.json]
+  speclab verify   --instance <path|label> --suite <name> [--report out.json]
   speclab sweep    --instance <path|label> --functional <name> --coord <name>
                    --eps-list <csv> [--out table.csv]
 
@@ -39,10 +38,6 @@ def main(argv=None):
     p_ver.add_argument("--instance", required=True)
     p_ver.add_argument("--suite", required=True,
                        help=f"one of {', '.join(harness.SUITES)}")
-    p_ver.add_argument("--tol", type=float, default=None,
-                       help="override the relative tolerance of gating checks")
-    p_ver.add_argument("--eps", type=float, default=None,
-                       help="override the finite-difference step scale")
     p_ver.add_argument("--report", default=None, help="write the JSON report here")
 
     p_sw = sub.add_parser("sweep", help="finite-difference convergence sweep")
@@ -61,8 +56,7 @@ def main(argv=None):
                 args.instance, dump_contours=args.dump_contours), indent=1))
             return 0
         if args.command == "verify":
-            report = harness.run_suite(args.instance, args.suite,
-                                       tol_override=args.tol, eps=args.eps)
+            report = harness.run_suite(args.instance, args.suite)
             for line in report.summary_lines():
                 print(line)
             if args.report:

@@ -27,8 +27,6 @@ from . import variations as vr
 from .differentials import Geometry
 from .instances import counts_of, load_instance
 
-SUITES = ("surface", "dm-cubic", "kernels", "prime-form", "tau", "hessian",
-          "hierarchy", "scaling", "all")
 EVAL_MIN_DIST = 0.3  # least distance of an evaluation point to a singular point
 
 
@@ -56,7 +54,7 @@ class CheckResult:
                 "rhs": [self.rhs.real, self.rhs.imag],
                 "abs_err": self.abs_err, "rel_err": self.rel_err,
                 "tol": self.tol, "absolute": self.absolute, "pass": self.passed,
-                "gating": self.gating, "wall_time": round(self.wall_time, 4)}
+                "gating": self.gating, "wall_time": self.wall_time}
 
 
 @dataclass
@@ -131,11 +129,20 @@ class Session:
 
 
 class Checker:
-    def __init__(self, report, tol_override=None):
-        self.report = report
-        self.tol_override = tol_override
+    """Records checks into a report. Each record's wall time is the time
+    since the previous record, or since the Checker was made."""
 
-    def add(self, name, paper_eq, got, want, tol, absolute=False, t0=None):
+    def __init__(self, report):
+        self.report = report
+        self._mark = time.perf_counter()
+
+    def _record(self, result):
+        now = time.perf_counter()
+        result.wall_time = now - self._mark
+        self._mark = now
+        self.report.checks.append(result)
+
+    def add(self, name, paper_eq, got, want, tol, absolute=False):
         """Compare two scalars, or two tensors entrywise with errors relative
         to the global scale, reporting the worst entry (tiny entries of a
         large tensor must not gate on their own relative error)."""
@@ -149,16 +156,13 @@ class Checker:
         abs_err = float(errs[i])
         scale = float(max(np.max(mag(got)), np.max(mag(want))))
         rel_err = abs_err / scale if scale > 0 else abs_err
-        if self.tol_override is not None:
-            tol = self.tol_override
         err = abs_err if absolute else rel_err
-        self.report.checks.append(CheckResult(
+        self._record(CheckResult(
             name, paper_eq, complex(got[i]), complex(want[i]), abs_err, rel_err, tol,
-            bool(err <= tol), True, 0.0 if t0 is None else time.time() - t0,
-            absolute))
+            bool(err <= tol), absolute=absolute))
 
     def add_flag(self, name, paper_eq, ok, gating=True, detail=0.0):
-        self.report.checks.append(CheckResult(
+        self._record(CheckResult(
             name, paper_eq, complex(detail), 0.0, float(abs(detail)),
             float(abs(detail)), 0.0, bool(ok), gating))
 
@@ -287,7 +291,6 @@ def suite_dm_cubic(ses, chk):
     tensors = {}
     directions = vr.all_directions(geo)
     for name, h in directions.items():
-        t0 = time.time()
         want_v = np.array([h(np.array([p.x]), np.array([p.w]))[0] for p in pts])
         fd_v = eng.derivative(v_at, name)
         chk.add(f"dv/d{name}", "2.14-2.16", fd_v.value, want_v, 1e-5)
@@ -301,7 +304,7 @@ def suite_dm_cubic(ses, chk):
         M = vr.vary_period_matrix(geo, h)
         tensors[name] = M
         fd_o = eng.derivative(lambda gg: gg.period.omega, name)
-        chk.add(f"dOmega/d{name}", "4.1-Oh1-Oh2", M, fd_o.value, 1e-5, t0=t0)
+        chk.add(f"dOmega/d{name}", "4.1-Oh1-Oh2", M, fd_o.value, 1e-5)
     # internal two-form agreement is asserted inside vary_period_matrix at 1e-9
     chk.add_flag("Oh1-Oh2-internal-agreement", "4.1-Oh1=Oh2", True)
     if g >= 2:
@@ -356,10 +359,9 @@ def suite_kernels(ses, chk):
     names = _kernel_directions(ses)
     for name in names:
         h = vr.direction_differential(geo, name)
-        t0 = time.time()
         got = vr.vary_valpha(geo, h, p1)
         fd = eng.derivative(valpha_at, name)
-        chk.add(f"dv_alpha/d{name}", "4.3-va1", got, fd.value, 1e-4, t0=t0)
+        chk.add(f"dv_alpha/d{name}", "4.3-va1", got, fd.value, 1e-4)
         for ci, (qa, qb) in enumerate(configs):
             gotB = vr.vary_bidifferential(geo, h, qa, qb)
 
@@ -439,13 +441,11 @@ def suite_tau(ses, chk):
         raise HarnessError("tau suite requires a residue-free instance with "
                            "all pole orders >= 2 (use 'g2-resfree')")
     g = geo.genus
-    t0 = time.time()
     oracle = vr.tau_gradient_oracle(geo)
     for gamma in range(g):
         f = vr.tau_gradient(geo, gamma)
         chk.add(f"tau-gradient-A{gamma + 1}", "4.6-dertauA-vs-deftau", f,
-                oracle[gamma], 1e-4, t0=t0)
-        t0 = time.time()
+                oracle[gamma], 1e-4)
 
     def tau_vec(gg):
         return np.array([vr.tau_gradient(gg, a) for a in range(g)])
@@ -465,7 +465,6 @@ def suite_hessian(ses, chk):
 
     idx = [(0, 0, 0, 0)] if g == 1 else [(0, 1, 1, 0), (0, 0, 0, 1)]
     for (a, b, c, d) in idx:
-        t0 = time.time()
         H = vr.period_hessian(geo, a, b, c, d)
 
         def grad(gg, c=c):
@@ -473,7 +472,7 @@ def suite_hessian(ses, chk):
 
         fd = eng.derivative(grad, f"A{d + 1}")
         chk.add(f"hessian-Omega[{a}{b}]-A{c + 1}A{d + 1}", "5.1-doubO",
-                H, fd.value[a, b], 5e-4, t0=t0)
+                H, fd.value[a, b], 5e-4)
     if g >= 2:
         vals = np.array([vr.period_hessian(geo, *p)
                          for p in sorted(set(permutations((0, 0, 1, 1))))])
@@ -562,25 +561,26 @@ def suite_n3_smoke(ses, chk):
                  gating=False, detail=0.0)
 
 
-SUITE_FUNCS = {
+SUITE_FUNCS = {  # in the order `all` runs them
     "surface": suite_surface,
     "dm-cubic": suite_dm_cubic,
     "kernels": suite_kernels,
     "prime-form": suite_prime_form,
-    "tau": suite_tau,
-    "hessian": suite_hessian,
     "hierarchy": suite_hierarchy,
+    "hessian": suite_hessian,
     "scaling": suite_scaling,
+    "tau": suite_tau,
 }
+SUITES = (*SUITE_FUNCS, "all")
 
 
-def run_suite(instance, suite, tol_override=None, eps=None):
-    """Execute a named suite on an instance (label, path, or InstanceSpec)."""
+def run_suite(instance, suite):
+    """Execute a named suite on an instance (label, path, or InstanceSpec).
+
+    `all` runs every suite of SUITE_FUNCS in order, tau only on a
+    residue-free cover."""
     if suite not in SUITES:
         raise HarnessError(f"unknown suite {suite!r}; valid: {', '.join(SUITES)}")
-    for name, value in (("tol_override", tol_override), ("eps", eps)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise HarnessError(f"{name} must be positive and finite, got {value!r}")
     spec = instance if hasattr(instance, "numer") else load_instance(instance)
     if spec.n != 2 and suite not in ("surface", "all"):
         raise HarnessError(f"suite {suite!r} needs an n = 2 instance; on n = {spec.n} "
@@ -588,21 +588,17 @@ def run_suite(instance, suite, tol_override=None, eps=None):
     report = Report(spec.label, suite, environment={
         "platform": platform.platform(), "python": platform.python_version(),
         "numpy": np.__version__})
+    chk = Checker(report)  # before the Session, so the first record holds its build
     ses = Session(spec)
-    if eps is not None:
-        ses.eng.eps_rel = eps
-    chk = Checker(report, tol_override)
     if spec.n != 2:
         suite_n3_smoke(ses, chk)
         return report
-    if suite == "all":
-        for name in ("surface", "dm-cubic", "kernels", "prime-form",
-                     "hierarchy", "hessian", "scaling"):
-            SUITE_FUNCS[name](ses, chk)
-        if vr.is_residue_free(ses.curve):
-            suite_tau(ses, chk)
-    else:
+    if suite != "all":
         SUITE_FUNCS[suite](ses, chk)
+        return report
+    for name, run in SUITE_FUNCS.items():
+        if name != "tau" or vr.is_residue_free(ses.curve):
+            run(ses, chk)
     return report
 
 
@@ -621,6 +617,9 @@ def sweep_epsilon(instance, functional, coord, eps_list):
     """
     if not eps_list:
         raise HarnessError("empty epsilon list")
+    for eps in eps_list:
+        if not (math.isfinite(eps) and eps > 0):
+            raise HarnessError(f"every eps must be positive and finite, got {eps!r}")
     spec = instance if hasattr(instance, "numer") else load_instance(instance)
     if spec.n != 2:
         raise HarnessError(f"sweeps need an n = 2 instance, not n = {spec.n}")

@@ -270,9 +270,8 @@ class FDEngine:
     can share the same builds.
     """
 
-    def __init__(self, nav, eps_rel=FD_EPS_REL):
+    def __init__(self, nav):
         self.nav = nav
-        self.eps_rel = eps_rel
         self._cache = {}
         self._move_cache = {}
 
@@ -281,7 +280,7 @@ class FDEngine:
 
     def eps_for(self, index):
         z = self.nav.coordinates().vector[index]
-        eps = self.eps_rel * max(1.0, abs(z))
+        eps = FD_EPS_REL * max(1.0, abs(z))
         move = self._branch_move_factor(index)
         if move > 0:
             curve = self.nav.curve

@@ -325,10 +325,9 @@ class Arc:
 
 @dataclass
 class Contour:
-    """Directed chain of segments, optionally tagged with a starting sheet."""
+    """Directed chain of segments."""
 
     segments: list
-    start_sheet: int | None = None
     label: str = ""
 
     def start(self):
@@ -339,7 +338,7 @@ class Contour:
 
     def reversed(self):
         return Contour([s.reversed() for s in reversed(self.segments)],
-                       self.start_sheet, self.label + "~")
+                       self.label + "~")
 
     def polyline(self, per_segment=96):
         """Sample points and parameter tags, densely enough for crossing tests."""

@@ -498,12 +498,11 @@ class SpectralCurve:
         return np.linspace(0.0, 1.0, n)
 
     def contour_start_w(self, contour):
-        """w at a contour's start for its designated starting sheet (cached
-        on the contour; ids are not stable cache keys)."""
+        """w at a contour's start: the lift `_starting_on` gave it, or else
+        sheet 0 (cached on the contour; ids are not stable cache keys)."""
         cached = getattr(contour, "_start_w", None)
         if cached is None or cached[0] is not self:
-            sheet = contour.start_sheet or 0
-            contour._start_w = (self, complex(self.w_for_sheet(contour.start(), sheet)))
+            contour._start_w = (self, complex(self.w_for_sheet(contour.start(), 0)))
         return contour._start_w[1]
 
     def anchors(self, contour):
@@ -1005,7 +1004,7 @@ def path_to_point(curve, target_x, target_w, sqrt_end=None, label=""):
         yield from _rerouted_paths(curve, src.x, target_x)
 
     for path in candidates():
-        path = _starting_on(curve, path, src.w, start_sheet=src.sheet, label=label)
+        path = _starting_on(curve, path, src.w, label=label)
         if target_w is None:
             return path
         w_end = curve.end_w(path)

@@ -374,7 +374,6 @@ class TestSpecExamples:
         b = fr.center
         r = float(np.abs(circle["eta"][0]) ** 2)
         doubled = nm.Contour([nm.Arc(b, r, 0.0, 4 * np.pi)])
-        doubled.start_sheet = 0
 
         def integrand(x, w):
             V = geo.period.V(x, w)

@@ -1,5 +1,6 @@
 import gc
 import json
+import time
 import weakref
 
 import pytest
@@ -46,21 +47,15 @@ class TestRunSuite:
             assert c1.name == c2.name
             assert c1.lhs == c2.lhs and c1.rhs == c2.rhs
 
-    def test_tolerance_override(self):
-        report = harness.run_suite("ell4", "scaling", tol_override=1e-16)
-        assert not report.passed  # absurdly tight override must gate
-
-    @pytest.mark.parametrize("value", [0.0, -1e-8, float("nan"), float("inf")])
-    def test_tolerance_override_must_be_positive(self, value):
-        # 0 is an override, not "no override": it is refused, never replaced
-        # by the pinned tolerances
-        with pytest.raises(harness.HarnessError, match="tol_override"):
-            harness.run_suite("ell4", "scaling", tol_override=value)
-
-    @pytest.mark.parametrize("value", [0.0, -1e-4, float("nan"), float("inf")])
-    def test_eps_override_must_be_positive(self, value):
-        with pytest.raises(harness.HarnessError, match="eps"):
-            harness.run_suite("ell4", "scaling", eps=value)
+    def test_every_check_is_timed(self):
+        # each record holds the time since the previous one, so none reads 0
+        # and together they never exceed the call
+        t0 = time.perf_counter()
+        report = harness.run_suite("ell4", "scaling")
+        elapsed = time.perf_counter() - t0
+        walls = [c.wall_time for c in report.checks]
+        assert walls and all(w > 0 for w in walls)
+        assert sum(walls) <= elapsed
 
 
 class TestDescribe:
@@ -110,9 +105,27 @@ class TestCLI:
         rc2 = cli.main(["verify", "--instance", "ell4", "--suite", "foo"])
         assert rc2 == 2
 
+    def test_failing_check_exits_1(self, monkeypatch, capsys):
+        def failing(ses, chk):
+            chk.add("always-fails", "none", 1.0, 2.0, 1e-3)
+
+        monkeypatch.setitem(harness.SUITE_FUNCS, "scaling", failing)
+        rc = cli.main(["verify", "--instance", "ell4", "--suite", "scaling"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] always-fails" in out and "FAIL scaling on ell4" in out
+
     @pytest.mark.parametrize("flag", ["--tol", "--eps"])
-    def test_zero_override_exits_2(self, flag, capsys):
-        rc = cli.main(["verify", "--instance", "ell4", "--suite", "scaling", flag, "0"])
+    def test_overrides_are_not_options(self, flag, capsys):
+        # tolerances and FD steps are pinned; argparse refuses both flags
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--instance", "ell4", "--suite", "scaling", flag, "1e-3"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("eps", ["0", "-1e-3", "nan", "inf"])
+    def test_sweep_refuses_bad_eps(self, eps, capsys):
+        rc = cli.main(["sweep", "--instance", "ell4", "--functional", "omega",
+                       "--coord", "A1", "--eps-list", f"1e-3,{eps}"])
         assert rc == 2
         assert "error: HarnessError" in capsys.readouterr().err
 
