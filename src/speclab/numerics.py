@@ -340,11 +340,19 @@ class Contour:
         return Contour([s.reversed() for s in reversed(self.segments)],
                        self.label + "~")
 
+    def sample_counts(self, per_segment=96):
+        """Points polyline takes on each segment: per_segment on an arc,
+        half as many (at least 8) on a line."""
+        return [per_segment if isinstance(seg, Arc) else max(8, per_segment // 2)
+                for seg in self.segments]
+
     def polyline(self, per_segment=96):
-        """Sample points and parameter tags, densely enough for crossing tests."""
+        """Points at equal parameter steps on each segment, ends included, in
+        order (sample_counts gives how many). The sampled distance and its
+        error bound (surface._dist_to_set, surface._sample_gap) and the
+        contours `speclab describe` dumps read it."""
         pts = []
-        for seg in self.segments:
-            n = per_segment if isinstance(seg, Arc) else max(8, per_segment // 2)
+        for seg, n in zip(self.segments, self.sample_counts(per_segment)):
             t = np.linspace(0.0, 1.0, n)
             pts.append(seg.point(t))
         return np.concatenate(pts)

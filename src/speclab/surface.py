@@ -33,6 +33,10 @@ TRACK_STEP_FACTOR = 0.2  # max continuation step relative to branch clearance
 DETOUR_PASSES = 8        # rounds of arc detours in build_path
 CROSSING_BLOCK = 16      # consecutive polyline edges per block box in crossing tests
 LIFT_JUMP_MAX = 0.25     # largest relative change of a carried lift (cycle start, anchor)
+# capsule margins as fractions of the hull's distance to the other singular
+# points, in the order that breaks ties
+MARGIN_FRACS = (0.45, 0.35, 0.55, 0.25, 0.3, 0.4, 0.5, 0.62, 0.2, 0.7)
+DIST_SAMPLES = 512       # polyline points per arc of the sampled capsule distance
 _GRID_PROBES = np.linspace(0.05, 0.95, 16)  # where a segment's grid gauges its clearance
 
 
@@ -888,56 +892,86 @@ def _transported(curve, template):
 
 def _capsule_for(curve, group, label):
     """Capsule around group clear of every other singular point, with its
-    clearance and routing floor (see homology_basis)."""
+    clearance and routing floor (see homology_basis).
+
+    The margin whose capsule's sampled distance (_dist_to_set) to the
+    singular points is largest wins, the first in MARGIN_FRACS on a tie.
+    That distance exceeds the exact clearance by at most _sample_gap, so
+    only margins whose clearance plus gap reaches the best clearance are
+    sampled; no other can score best. The floor gates the exact clearance."""
     group = [complex(p) for p in group]
     excluded = [complex(q) for q in curve.singular_points
                 if min(abs(q - p) for p in group) > 1e-12]
     hull_probe = capsule(group, 1e-9, label)
     d_out = _dist_to_set(hull_probe, excluded)
+    margins = [frac * d_out for frac in MARGIN_FRACS]
+    caps = [capsule(group, margin, label) for margin in margins]
+    # the boundary must keep clear of every singular point, enclosed or not
+    clear = _exact_distances(caps, curve.singular_points)
+    top = max(clear)
+    singular = [complex(q) for q in curve.singular_points]
     best = None
-    for frac in (0.45, 0.35, 0.55, 0.25, 0.3, 0.4, 0.5, 0.62, 0.2, 0.7):
-        margin = frac * d_out
-        c = capsule(group, margin, label)
-        # the boundary must keep clear of every singular point, enclosed or not
-        score = _dist_to_set(c, [complex(q) for q in curve.singular_points])
+    for r, c, margin in zip(clear, caps, margins):
+        if (r + _sample_gap(c)) * (1.0 + 1e-9) < top:
+            continue
+        score = _dist_to_set(c, singular)
         if best is None or score > best[0]:
-            best = (score, c, margin)
-    score, contour, margin = best
+            best = (score, c, margin, r)
+    _, contour, margin, clearance = best
     spread = _min_pairwise(curve.branch_points)
     floor = max(0.25 * margin, 0.03 * spread)
-    if score <= floor:
+    if clearance <= floor:
         raise SurfaceError(f"could not route capsule {label} clear of "
                            "singular points; instance geometry too tight")
-    return contour, _exact_distance(contour, curve.singular_points), floor
+    return contour, clearance, floor
 
 
 def _dist_to_set(contour, points):
     if not points:
         return 1.0
-    z = contour.polyline(per_segment=512)
+    z = contour.polyline(per_segment=DIST_SAMPLES)
     return float(np.min(np.abs(z[:, None] - np.asarray(points)[None, :])))
 
 
-def _exact_distance(contour, points):
-    """Distance from a chain of lines and arcs to points, in closed form
-    (a sampled polyline overstates it by up to half its spacing)."""
+def _sample_gap(contour):
+    """Half the largest step, along the contour, of the polyline
+    _dist_to_set samples on a capsule (its segments are traced at uniform
+    speed): how far that distance can exceed _exact_distances."""
+    return 0.5 * max(seg.length() / (n - 1) for seg, n
+                     in zip(contour.segments, contour.sample_counts(DIST_SAMPLES)))
+
+
+def _exact_distances(contours, points):
+    """Distance from each chain of lines and arcs to points (an array or a
+    list), in closed form: the lines of all contours in one array pass, their
+    arcs in another."""
     p = np.asarray(points, dtype=complex)
-    best = np.inf
-    for seg in contour.segments:
-        if isinstance(seg, Line):
-            d = seg.z1 - seg.z0
-            t = np.clip(((p - seg.z0) * np.conj(d)).real / max(abs(d) ** 2, 1e-300),
-                        0.0, 1.0)
-            dist = np.abs(p - (seg.z0 + t * d))
-        else:
-            # the foot of the radius through p lies on the arc, or the
-            # nearest point is an arc end
-            on_arc = (np.mod(np.angle(p - seg.center) - min(seg.a0, seg.a1), 2 * np.pi)
-                      <= abs(seg.a1 - seg.a0))
-            ends = np.minimum(np.abs(p - seg.point(0.0)), np.abs(p - seg.point(1.0)))
-            dist = np.where(on_arc, np.abs(np.abs(p - seg.center) - seg.radius), ends)
-        best = min(best, float(np.min(dist)))
-    return best
+    lines, arcs = [], []
+    for i, c in enumerate(contours):
+        for seg in c.segments:
+            (lines if isinstance(seg, Line) else arcs).append((i, seg))
+    best = np.full(len(contours), np.inf)
+    if lines:
+        z0 = np.array([s.z0 for _, s in lines])[:, None]
+        d = np.array([s.z1 - s.z0 for _, s in lines])[:, None]
+        d2 = np.array([max(abs(s.z1 - s.z0) ** 2, 1e-300) for _, s in lines])[:, None]
+        t = np.clip(((p - z0) * np.conj(d)).real / d2, 0.0, 1.0)
+        np.minimum.at(best, [i for i, _ in lines], np.min(np.abs(p - (z0 + t * d)), axis=1))
+    if arcs:
+        # the foot of the radius through p lies on the arc, or the nearest
+        # point is an arc end
+        center = np.array([s.center for _, s in arcs])[:, None]
+        radius = np.array([s.radius for _, s in arcs])[:, None]
+        a0 = np.array([s.a0 for _, s in arcs])[:, None]
+        a1 = np.array([s.a1 for _, s in arcs])[:, None]
+        on_arc = (np.mod(np.angle(p - center) - np.minimum(a0, a1), 2 * np.pi)
+                  <= np.abs(a1 - a0))
+        # both ends as Arc.point computes them, along a new middle axis
+        ends = center + radius * np.exp(1j * (a0 + (a1 - a0) * np.array([0.0, 1.0])))
+        ends = np.min(np.abs(p - ends[:, :, None]), axis=1)
+        dist = np.where(on_arc, np.abs(np.abs(p - center) - radius), ends)
+        np.minimum.at(best, [i for i, _ in arcs], np.min(dist, axis=1))
+    return best.tolist()
 
 
 def _orient_b_cycles(curve, basis):

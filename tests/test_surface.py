@@ -283,6 +283,113 @@ class TestTransport:
             assert dense - r <= float(np.max(np.abs(np.diff(z))))
 
 
+def _basis_groups(curve):
+    """The branch-point groups homology_basis routes its a and b capsules
+    around."""
+    e, g = curve.branch_points, curve.counts.genus
+    return ([[e[2 * i], e[2 * i + 1]] for i in range(g)]
+            + [list(e[2 * i + 1: 2 * g + 1]) for i in range(g)])
+
+
+def _scanned_capsule(curve, group):
+    """_capsule_for by sampling every margin: the best sampled distance wins,
+    the first on a tie."""
+    group = [complex(p) for p in group]
+    singular = [complex(q) for q in curve.singular_points]
+    excluded = [q for q in singular if min(abs(q - p) for p in group) > 1e-12]
+    d_out = sf._dist_to_set(sf.capsule(group, 1e-9), excluded)
+    best = None
+    for frac in sf.MARGIN_FRACS:
+        c = sf.capsule(group, frac * d_out)
+        score = sf._dist_to_set(c, singular)
+        if best is None or score > best[0]:
+            best = (score, c, frac * d_out)
+    _, contour, margin = best
+    floor = max(0.25 * margin, 0.03 * sf._min_pairwise(curve.branch_points))
+    return contour, sf._exact_distances([contour], curve.singular_points)[0], floor
+
+
+def _exact_distance_per_segment(contour, points):
+    """Reference for sf._exact_distances: one segment at a time."""
+    p = np.asarray(points, dtype=complex)
+    best = np.inf
+    for seg in contour.segments:
+        if isinstance(seg, nm.Line):
+            d = seg.z1 - seg.z0
+            t = np.clip(((p - seg.z0) * np.conj(d)).real / max(abs(d) ** 2, 1e-300),
+                        0.0, 1.0)
+            dist = np.abs(p - (seg.z0 + t * d))
+        else:
+            on_arc = (np.mod(np.angle(p - seg.center) - min(seg.a0, seg.a1), 2 * np.pi)
+                      <= abs(seg.a1 - seg.a0))
+            ends = np.minimum(np.abs(p - seg.point(0.0)), np.abs(p - seg.point(1.0)))
+            dist = np.where(on_arc, np.abs(np.abs(p - seg.center) - seg.radius), ends)
+        best = min(best, float(np.min(dist)))
+    return best
+
+
+@pytest.fixture(scope="module")
+def drawn_curves():
+    """One cold curve per n = 2 generator recipe."""
+    return [sf.build_surface(generate(label, seed_base=7))
+            for label in ("ell4", "g2-5", "g2-23", "g2-resfree")]
+
+
+class TestCapsuleRouting:
+    """Margins are ranked by exact clearance, and only those that can score
+    best are sampled; the result is that of sampling all ten."""
+
+    def test_matches_scan_of_every_margin(self, ell4, g2_5, g2_23, g2_resfree,
+                                          drawn_curves):
+        curves = [ses.curve for ses in (ell4, g2_5, g2_23, g2_resfree)] + drawn_curves
+        for curve in curves:
+            for group in _basis_groups(curve):
+                contour, clearance, floor = sf._capsule_for(curve, group, "")
+                want, want_clearance, want_floor = _scanned_capsule(curve, group)
+                assert contour.segments == want.segments
+                assert (clearance, floor) == (want_clearance, want_floor)
+
+    def test_sampled_distance_within_gap_of_exact(self, g2_5, g2_23, g2_resfree):
+        for ses in (g2_5, g2_23, g2_resfree):
+            pts = ses.curve.singular_points
+            rounding = 1e-14 * max(1.0, float(np.max(np.abs(pts))))
+            for group in _basis_groups(ses.curve):
+                for margin in np.geomspace(1e-3, 1.0, 13):
+                    c = sf.capsule(group, margin)
+                    over = sf._dist_to_set(c, list(pts)) - sf._exact_distances([c], pts)[0]
+                    assert -rounding <= over <= sf._sample_gap(c) + rounding
+
+    def test_exact_distance_matches_per_segment(self, ell4, g2_5, g2_23, g2_resfree):
+        for ses in (ell4, g2_5, g2_23, g2_resfree):
+            pts = ses.curve.singular_points
+            paths, _ = sf.zero_paths(ses.curve)
+            contours = ses.geo.basis.cycles + paths
+            want = [_exact_distance_per_segment(c, pts) for c in contours]
+            assert sf._exact_distances(contours, pts) == want
+            assert sf._exact_distances(contours, list(pts)) == want
+            assert [sf._exact_distances([c], pts)[0] for c in contours] == want
+
+    def test_cold_basis_samples_few_margins(self, g2_23, monkeypatch):
+        capsules = _counting(monkeypatch, sf, "_capsule_for")
+        sampled = _counting(monkeypatch, sf, "_dist_to_set")
+        sf.homology_basis(g2_23.curve)
+        assert len(capsules) == 4
+        assert len(sampled) <= 3 * len(capsules)
+
+    def test_floor_gates_exact_clearance(self, g2_23, monkeypatch):
+        # a floor between the chosen capsule's exact clearance and its sampled
+        # distance refuses the capsule
+        curve = g2_23.curve
+        group = _basis_groups(curve)[2]
+        contour, clearance, _ = sf._capsule_for(curve, group, "b1")
+        score = sf._dist_to_set(contour, list(curve.singular_points))
+        assert score > clearance
+        monkeypatch.setattr(sf, "_min_pairwise",
+                            lambda pts: (clearance + score) / 2 / 0.03)
+        with pytest.raises(sf.SurfaceError, match="could not route capsule b1"):
+            sf._capsule_for(curve, group, "b1")
+
+
 def _w_carried_and_dense(curve, contour):
     """w at every quadrature node of v along contour, from its carried
     anchors and from a copy of it that has no template, so it is tracked
