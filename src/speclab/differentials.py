@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,8 +58,6 @@ class PeriodData:
         self._validate()
         self.A_of_v = a_rows[:, g]
         self.B_of_v = b_rows[:, g]
-        self._theta = None
-        self._odd = None
 
     def _validate(self):
         g = self.g
@@ -81,17 +80,13 @@ class PeriodData:
         powers = x[..., None] ** np.arange(self.g)
         return (powers @ self.M.T) / w[..., None]
 
-    @property
+    @cached_property
     def theta(self):
-        if self._theta is None:
-            self._theta = Theta(self.omega)
-        return self._theta
+        return Theta(self.omega)
 
-    @property
+    @cached_property
     def odd_char(self):
-        if self._odd is None:
-            self._odd = self.theta.odd_nonsingular_char()
-        return self._odd
+        return self.theta.odd_nonsingular_char()
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +247,11 @@ class Kernels:
         self.period = period
         self.abel = abel
         self._h_cache = {}
-        self._grad0 = None
 
-    @property
+    @cached_property
     def grad_odd_at_zero(self):
-        if self._grad0 is None:
-            z = np.zeros((1, self.period.g), dtype=complex)
-            self._grad0 = self.period.theta.eval(z, self.period.odd_char, derivs=1)["grad"][0]
-        return self._grad0
+        z = np.zeros((1, self.period.g), dtype=complex)
+        return self.period.theta.eval(z, self.period.odd_char, derivs=1)["grad"][0]
 
     # -- low-level batched bidifferential -----------------------------------
 
@@ -462,42 +454,27 @@ class Geometry:
     def __init__(self, curve, basis=None):
         self.curve = curve
         self.basis = basis if basis is not None else sf.homology_basis(curve)
-        self._period = None
-        self._abel = None
-        self._kernels = None
-        self._frames = None
-        self._branch = None
 
-    @property
+    @cached_property
     def period(self):
-        if self._period is None:
-            self._period = PeriodData(self.curve, self.basis)
-        return self._period
+        return PeriodData(self.curve, self.basis)
 
-    @property
+    @cached_property
     def abel(self):
-        if self._abel is None:
-            self._abel = AbelMap(self.curve, self.period)
-        return self._abel
+        return AbelMap(self.curve, self.period)
 
-    @property
+    @cached_property
     def kernels(self):
-        if self._kernels is None:
-            self._kernels = Kernels(self.curve, self.period, self.abel)
-        return self._kernels
+        return Kernels(self.curve, self.period, self.abel)
 
-    @property
+    @cached_property
     def frames(self):
-        if self._frames is None:
-            self._frames = LocalFrames(self.curve, self.period, self.abel)
-        return self._frames
+        return LocalFrames(self.curve, self.period, self.abel)
 
-    @property
+    @cached_property
     def branch(self):
-        if self._branch is None:
-            from .variations import BranchData
-            self._branch = BranchData(self)
-        return self._branch
+        from .variations import BranchData
+        return BranchData(self)
 
     @property
     def genus(self):

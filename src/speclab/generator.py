@@ -212,7 +212,7 @@ def _rescale(spec, geo):
     O(1); singular-part coordinates may then be large, which is harmless
     since navigation steps are relative, while tiny a-periods would starve
     the finite-difference oracles of digits."""
-    coords = moduli.Navigator(geo).coordinates()
+    coords = moduli.Navigator(geo).coordinates
     amin = float(np.min(np.abs(coords.vector[:geo.genus])))
     scale = float(np.max(np.abs(coords.vector)))
     if amin < 1e-6 * scale:
@@ -248,7 +248,7 @@ def generate(label, seed_base=None):
             spec = _rescale(spec, _vet(spec))
             geo = _vet(spec)
             if residue_free:
-                coords = moduli.Navigator(geo).coordinates().vector
+                coords = moduli.Navigator(geo).coordinates.vector
                 res = [abs(v) for key, v in zip(moduli.coordinate_keys(spec, geo.genus), coords)
                        if key[0] == "C" and key[3] == 1]
                 if max(res) > 1e-11:

@@ -16,6 +16,7 @@ import math
 import platform
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -95,20 +96,14 @@ class Session:
         self.spec = spec
         self.curve = sf.build_surface(spec)
         self.geo = Geometry(self.curve) if spec.n == 2 else None
-        self._nav = None
-        self._eng = None
 
-    @property
+    @cached_property
     def nav(self):
-        if self._nav is None:
-            self._nav = moduli.Navigator(self.geo)
-        return self._nav
+        return moduli.Navigator(self.geo)
 
-    @property
+    @cached_property
     def eng(self):
-        if self._eng is None:
-            self._eng = moduli.FDEngine(self.nav)
-        return self._eng
+        return moduli.FDEngine(self.nav)
 
     def eval_points(self, count=2, start=0.11):
         """Deterministic evaluation points away from singular points."""
@@ -205,7 +200,7 @@ def suite_surface(ses, chk):
         j_theta = _j_from_tau(geo)
         chk.add("elliptic-j-invariant", "Riemann-relations", j_theta, j_alg, 1e-8)
     # scaling equivariance of the chart
-    coords = ses.nav.coordinates()
+    coords = ses.nav.coordinates
     lam = 1.1 + 0.2j
     coords2 = _scaled(ses, lam)[1]
     chk.add("coordinate-scaling-equivariance", "2.8",
@@ -215,7 +210,7 @@ def suite_surface(ses, chk):
 def _scaled(ses, lam):
     """(geometry, coordinates) of the session's cover with v -> lam v."""
     geo2 = Geometry(sf.build_surface(moduli.scaled_spec(ses.spec, lam), template=ses.curve))
-    return geo2, moduli.Navigator(geo2).coordinates()
+    return geo2, moduli.Navigator(geo2).coordinates
 
 
 def _sl2_reduce(tau):
@@ -314,7 +309,7 @@ def suite_dm_cubic(ses, chk):
                   float(np.max(np.abs(T - np.transpose(T, (0, 2, 1))))))
         chk.add("dm-cubic-index-symmetry", "4.1/Oh2-symmetric", sym, 0.0,
                 1e-9 * max(1.0, float(np.max(np.abs(T)))), absolute=True)
-    coords = ses.nav.coordinates()
+    coords = ses.nav.coordinates
     euler = np.zeros((g, g), dtype=complex)
     for name, z in zip(coords.names, coords.vector):
         euler += z * tensors[name]
@@ -538,7 +533,7 @@ def suite_scaling(ses, chk):
     geo = ses.geo
     lam = 0.83 - 0.41j
     geo2, coords2 = _scaled(ses, lam)
-    coords = ses.nav.coordinates()
+    coords = ses.nav.coordinates
     chk.add("coordinates-scale-linearly", "2.8",
             coords2.vector, lam * coords.vector, 1e-9)
     chk.add("period-matrix-scale-invariant", "5.2.1-rescaling",

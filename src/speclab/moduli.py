@@ -12,6 +12,7 @@ The finite-difference engine used by every acceptance oracle lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -194,18 +195,14 @@ class Navigator:
         self.geo = geo
         self.curve = geo.curve
         self.circles = PoleCircles(geo.curve)
-        self._coords = None
-        self._jac = None
 
+    @cached_property
     def coordinates(self):
-        if self._coords is None:
-            self._coords = coordinates_of(self.geo, self.circles)
-        return self._coords
+        return coordinates_of(self.geo, self.circles)
 
+    @cached_property
     def jacobian(self):
-        if self._jac is None:
-            self._jac = coord_jacobian(self.geo, self.circles)
-        return self._jac
+        return coord_jacobian(self.geo, self.circles)
 
     def step_to(self, target_vector, _depth=0):
         """New Navigator at the prescribed coordinates (Newton on N-coeffs).
@@ -220,18 +217,18 @@ class Navigator:
         except sf.SurfaceError:
             if _depth >= 4:
                 raise
-            mid = 0.5 * (self.coordinates().vector + target)
+            mid = 0.5 * (self.coordinates.vector + target)
             half = self.step_to(mid, _depth=_depth + 1)
             return half.step_to(target, _depth=_depth + 1)
 
     def _newton(self, target):
         nav = self
         coeffs = coefficient_vector(self.curve.spec)
-        jac = self.jacobian()
+        jac = self.jacobian
         per_coord = np.maximum(1.0, np.abs(target))
         resid_prev = np.inf
         for it in range(NEWTON_MAX_ITER):
-            resid_vec = nav.coordinates().vector - target
+            resid_vec = nav.coordinates.vector - target
             resid = float(np.max(np.abs(resid_vec) / per_coord))
             if resid <= NEWTON_TOL:
                 return nav
@@ -240,7 +237,7 @@ class Navigator:
                 if resid <= 1e-10:
                     return nav
                 if it >= 2:
-                    jac = nav.jacobian()
+                    jac = nav.jacobian
             resid_prev = resid
             delta, _ = nm.solve_dense(jac, resid_vec)
             coeffs = coeffs - delta
@@ -248,7 +245,7 @@ class Navigator:
             curve = sf.build_surface(spec, template=self.curve)
             nav = Navigator(Geometry(
                 curve, sf.homology_basis(curve, template_basis=self.geo.basis)))
-        resid = float(np.max(np.abs(nav.coordinates().vector - target) / per_coord))
+        resid = float(np.max(np.abs(nav.coordinates.vector - target) / per_coord))
         if resid > 1e3 * NEWTON_TOL:
             raise ModuliError(f"Newton did not converge (residual {resid:.3e})")
         return nav
@@ -279,7 +276,7 @@ class FDEngine:
         return lookup_coordinate(self.nav.curve.spec, self.nav.geo.genus, name)[0]
 
     def eps_for(self, index):
-        z = self.nav.coordinates().vector[index]
+        z = self.nav.coordinates.vector[index]
         eps = FD_EPS_REL * max(1.0, abs(z))
         move = self._branch_move_factor(index)
         if move > 0:
@@ -295,7 +292,7 @@ class FDEngine:
         if index in self._move_cache:
             return self._move_cache[index]
         curve = self.nav.curve
-        jac = self.nav.jacobian()
+        jac = self.nav.jacobian
         e_i = np.zeros(jac.shape[0], dtype=complex)
         e_i[index] = 1.0
         dcoef, _ = nm.solve_dense(jac, e_i)
@@ -319,7 +316,7 @@ class FDEngine:
     def build(self, index, offset):
         key = (index, complex(offset))
         if key not in self._cache:
-            target = self.nav.coordinates().vector.copy()
+            target = self.nav.coordinates.vector.copy()
             target[index] += offset
             self._cache[key] = self.nav.step_to(target).geo
         return self._cache[key]

@@ -25,6 +25,7 @@ reduces exactly to the bidifferential formula).
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
@@ -93,9 +94,6 @@ class BranchData:
                        for i in range(len(self.curve.branch_points))]
         self.circles = [self.local.eval_circle(fr) for fr in self.frames]
         self.jets = [self.local.y_jet_values(fr) for fr in self.frames]
-        self._breg_hat = {}
-        self._cross = {}
-        self._oh2 = {}
         self._breg_over_v = {}
 
     # h / d log(v/dx) at branch point i, for a direction differential
@@ -126,12 +124,13 @@ class BranchData:
             total = total + np.reshape([ci * r for r in res.flat], res.shape)
         return total
 
-    def oh2_circle(self, i):
-        """Extraction circle for kernels divided by dy: shrunk below the
-        nearest zero of y'(eta), which is a kernel pole but not a surface
-        singularity (so no clearance margin excludes it)."""
-        if i not in self._oh2:
-            fr = self.frames[i]
+    @cached_property
+    def oh2_circles(self):
+        """Extraction circles for kernels divided by dy, per branch point:
+        shrunk below the nearest zero of y'(eta), which is a kernel pole but
+        not a surface singularity (so no clearance margin excludes it)."""
+        out = []
+        for fr in self.frames:
             y_series = fr.Y_series[1:] / 2.0
             dy = nm.polytrim(nm.polyder(y_series))
             r_guard = np.inf
@@ -144,8 +143,8 @@ class BranchData:
             eta = nm.circle_points(rho, K_EVAL)
             _, G = self.local.values(fr, eta)
             yp = nm.polyval(nm.polyder(y_series), eta)
-            self._oh2[i] = {"eta": eta, "rho": rho, "G": G, "yp": yp}
-        return self._oh2[i]
+            out.append({"eta": eta, "rho": rho, "G": G, "yp": yp})
+        return out
 
     def direction_on(self, i, h, eta):
         """Direction series evaluated at arbitrary frame parameters."""
@@ -153,25 +152,28 @@ class BranchData:
 
     # -- Bergman data ---------------------------------------------------------
 
-    def breg_hat(self, i):
-        """B_reg in the double-cover parameter at branch point i."""
-        if i not in self._breg_hat:
-            c = self.circles[i]
+    @cached_property
+    def breg_hats(self):
+        """B_reg in the double-cover parameter at each branch point."""
+        out = []
+        for fr, c in zip(self.frames, self.circles):
             eta = c["eta"]
-            A_minus, G_minus = self.local.values(self.frames[i], -eta)
+            A_minus, G_minus = self.local.values(fr, -eta)
             b = self.kernels.bhat_batch(c["A"], c["G"], A_minus, G_minus)
-            f = b - 1.0 / (2.0 * eta) ** 2
-            self._breg_hat[i] = complex(np.mean(f))
-        return self._breg_hat[i]
+            out.append(complex(np.mean(b - 1.0 / (2.0 * eta) ** 2)))
+        return out
 
-    def cross_bhat(self, i, j):
-        """B(x_i, x_j) relative to the two double-cover parameters."""
-        key = (min(i, j), max(i, j))
-        if key not in self._cross:
-            ci, cj = self.circles[key[0]], self.circles[key[1]]
+    @cached_property
+    def cross_bhats(self):
+        """B(x_i, x_j) relative to the two double-cover parameters, as a
+        symmetric matrix built from the lower index first (diagonal unused)."""
+        n = len(self.circles)
+        out = [[0j] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            ci, cj = self.circles[i], self.circles[j]
             b = self.kernels.bhat_batch(ci["A"], ci["G"], cj["A"], cj["G"])
-            self._cross[key] = complex(np.mean(b))
-        return self._cross[key]
+            out[i][j] = out[j][i] = complex(np.mean(b))
+        return out
 
     def breg_over_v(self, zero_index):
         """B_reg/v on the K_SB-point evaluation circle of the frame at a zero
@@ -223,8 +225,7 @@ def vary_period_matrix(geo, h):
     bd = geo.branch
     out1 = _symmetrize_fill(bd.residue_sum(h, form1))
     out2 = 0.0
-    for i in range(len(bd.frames)):
-        oh2 = bd.oh2_circle(i)
+    for i, oh2 in enumerate(bd.oh2_circles):
         eta2 = oh2["eta"]
         G = oh2["G"].T
         k2 = (G[:, None] * G[None, :] * bd.direction_on(i, h, eta2)
@@ -512,7 +513,7 @@ def period_hessian(geo, a, b, cidx, d):
         for j in range(nbr):
             if i == j:
                 continue
-            bij = bd.cross_bhat(i, j)
+            bij = bd.cross_bhats[i][j]
             s = 0.0 + 0.0j
             for (p, q, r) in cyc3:
                 s += g0[i][d] * g0[i][r] * g0[j][p] * g0[j][q]
@@ -522,7 +523,7 @@ def period_hessian(geo, a, b, cidx, d):
     diag = 0.0 + 0.0j
     cyc4 = [(a, b, cidx, d), (b, cidx, d, a), (cidx, d, a, b), (d, a, b, cidx)]
     for i in range(nbr):
-        breg = bd.breg_hat(i)
+        breg = bd.breg_hats[i]
         quart = g0[i][a] * g0[i][b] * g0[i][cidx] * g0[i][d]
         diag += (6.0 * breg / yp[i] ** 2 - yppp[i] / yp[i] ** 3) * quart
         s4 = 0.0 + 0.0j

@@ -15,7 +15,7 @@ class TestCoordinates:
             assert abs(moduli.residue_sum(ses.curve)) < 1e-10
 
     def test_count_matches_dimension(self, g2_23):
-        coords = g2_23.nav.coordinates()
+        coords = g2_23.nav.coordinates
         assert len(coords.vector) == g2_23.curve.counts.dim
 
     def test_scaling_equivariance(self, ell4):
@@ -25,8 +25,8 @@ class TestCoordinates:
             spec, np.concatenate([spec.numer[1] * lam, spec.numer[2] * lam ** 2]))
         curve2 = sf.build_surface(spec2, template=ell4.curve)
         coords2 = moduli.Navigator(Geometry(curve2, sf.homology_basis(
-            curve2, template_basis=ell4.geo.basis))).coordinates()
-        base = ell4.nav.coordinates()
+            curve2, template_basis=ell4.geo.basis))).coordinates
+        base = ell4.nav.coordinates
         assert np.max(np.abs(coords2.vector - lam * base.vector)) \
             < 1e-9 * max(1.0, np.max(np.abs(base.vector)))
 
@@ -59,12 +59,12 @@ class TestChartLayout:
 class TestJacobian:
     def test_square(self, ell4, g2_23):
         for ses in (ell4, g2_23):
-            jac = ses.nav.jacobian()
+            jac = ses.nav.jacobian
             assert jac.shape[0] == jac.shape[1] == ses.curve.counts.dim
 
     def test_columns_match_fd(self, ell4):
         curve = ell4.curve
-        jac = ell4.nav.jacobian()
+        jac = ell4.nav.jacobian
         cv = moduli.coefficient_vector(curve.spec)
         h = 1e-6
         for c in (0, len(cv) - 1):
@@ -74,16 +74,16 @@ class TestJacobian:
             vp = moduli.Navigator(Geometry(
                 sf.build_surface(moduli.spec_with_coefficients(curve.spec, cvp),
                                  template=curve),
-                ell4.geo.basis)).coordinates().vector
+                ell4.geo.basis)).coordinates.vector
             vm = moduli.Navigator(Geometry(
                 sf.build_surface(moduli.spec_with_coefficients(curve.spec, cvm),
                                  template=curve),
-                ell4.geo.basis)).coordinates().vector
+                ell4.geo.basis)).coordinates.vector
             col = (vp - vm) / (2 * h)
             assert np.max(np.abs(col - jac[:, c])) < 1e-7
 
     def test_full_rank(self, ell4):
-        jac = ell4.nav.jacobian()
+        jac = ell4.nav.jacobian
         assert np.linalg.matrix_rank(jac, tol=1e-8) == jac.shape[0]
 
     def test_top_n2_coefficient_block_structure(self, ell4):
@@ -127,29 +127,29 @@ class TestJacobian:
 
 class TestNavigation:
     def test_zero_step_identity(self, ell4):
-        nav2 = ell4.nav.step_to(ell4.nav.coordinates().vector)
-        d = np.max(np.abs(nav2.coordinates().vector
-                          - ell4.nav.coordinates().vector))
+        nav2 = ell4.nav.step_to(ell4.nav.coordinates.vector)
+        d = np.max(np.abs(nav2.coordinates.vector
+                          - ell4.nav.coordinates.vector))
         assert d < 1e-12
 
     def test_unit_step(self, g2_23):
-        base = g2_23.nav.coordinates().vector
+        base = g2_23.nav.coordinates.vector
         target = base.copy()
         target[0] += 1e-4
         nav2 = g2_23.nav.step_to(target)
-        got = nav2.coordinates().vector
+        got = nav2.coordinates.vector
         assert np.max(np.abs(got - target) / np.maximum(1, np.abs(target))) < 1e-11
 
     def test_chart_integrity_larger_step(self, ell4):
-        base = ell4.nav.coordinates().vector
+        base = ell4.nav.coordinates.vector
         target = base * (1.0 + 1e-3)
         nav2 = ell4.nav.step_to(target)
-        got = nav2.coordinates().vector
+        got = nav2.coordinates.vector
         assert np.max(np.abs(got - target)) < 1e-11 * max(1.0, np.max(np.abs(target)))
 
     def test_scaling_step_recovers_scaled_coefficients(self, ell4):
         eps = 1e-4
-        base = ell4.nav.coordinates().vector
+        base = ell4.nav.coordinates.vector
         nav2 = ell4.nav.step_to(base * (1.0 + eps))
         n1 = nav2.curve.N1
         n2 = nav2.curve.N2
@@ -158,7 +158,7 @@ class TestNavigation:
 
     def test_homology_transport_continuity(self, ell4):
         # Omega moves continuously along a 10-substep path (no marking jump)
-        base = ell4.nav.coordinates().vector
+        base = ell4.nav.coordinates.vector
         target = base.copy()
         target[0] += 5e-3
         nav = ell4.nav
@@ -173,7 +173,7 @@ class TestNavigation:
 
 class TestTransportedBasis:
     def test_newton_build_matches_fresh_basis(self, g2_23):
-        target = g2_23.nav.coordinates().vector.copy()
+        target = g2_23.nav.coordinates.vector.copy()
         target[0] += 1e-3
         nav2 = g2_23.nav.step_to(target)
         assert nav2.geo.basis.transported
@@ -206,7 +206,7 @@ class TestFDEngine:
     def test_chart_consistency_delta(self, ell4):
         # F = A_beta differentiated in A_gamma is the identity
         fd = ell4.eng.derivative(
-            lambda g: moduli.Navigator(g).coordinates().vector[:1], "A1")
+            lambda g: moduli.Navigator(g).coordinates.vector[:1], "A1")
         assert abs(fd.value[0] - 1.0) < 1e-10
 
     def test_gap_shrinks_with_richardson(self, ell4):

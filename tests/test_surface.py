@@ -222,12 +222,12 @@ class TestHomology:
 def _perturbed(ses, rel=1e-3):
     """One Newton step from the session's curve toward its first chart
     coordinate moved by rel."""
-    target = ses.nav.coordinates().vector.copy()
+    target = ses.nav.coordinates.vector.copy()
     target[0] += rel
     spec = moduli.spec_with_coefficients(
         ses.spec, moduli.coefficient_vector(ses.spec)
-        + np.linalg.solve(ses.nav.jacobian(),
-                          target - ses.nav.coordinates().vector))
+        + np.linalg.solve(ses.nav.jacobian,
+                          target - ses.nav.coordinates.vector))
     return sf.build_surface(spec, template=ses.curve)
 
 
