@@ -6,7 +6,8 @@
                    --eps-list <csv> [--out table.csv]
 
 Exit codes: 0 = every gating check passed, 1 = a gating check failed,
-2 = error (bad arguments or an exception, printed with its traceback).
+2 = error: bad arguments or an exception, printed with its traceback, or
+a report holding the FAIL record of an exception raised inside a suite.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def main(argv=None):
             if args.report:
                 with open(args.report, "w", encoding="utf-8") as fh:
                     fh.write(report.to_json())
-            return 0 if report.passed else 1
+            return 2 if report.errored else 0 if report.passed else 1
         if args.command == "sweep":
             eps_list = [float(tok) for tok in args.eps_list.split(",") if tok]
             rows = harness.sweep_epsilon(args.instance, args.functional,

@@ -183,22 +183,16 @@ def _vet(spec):
     """The cover's Geometry once it passes validation; None for n > 2,
     whose covers are vetted for genericity only."""
     curve = sf.build_surface(spec)
-    rep = curve.genericity
-    if not rep.ok:
-        raise sf.SurfaceError(rep.fail_reasons())
-    for key, val in rep.margins.items():
+    for key, val in curve.genericity.margins.items():
         if val < 0.02:
             raise sf.SurfaceError(f"margin {key} too small ({val:.3g})")
     if spec.n != 2:
         return None
-    if curve.x_r.is_branch:
-        raise sf.SurfaceError("x_r on branch locus")
     geo = Geometry(curve)
     m = sf.intersection_matrix(curve, geo.basis)
     if not np.array_equal(m, sf.canonical_intersection(geo.genus)):
         raise sf.SurfaceError(f"intersection matrix not canonical:\n{m}")
-    geo.period  # build and validate the period data (symmetry, Im > 0)
-    if geo.period.gram_cond > 1e6:
+    if geo.period.gram_cond > 1e6:  # after the build's symmetry and Im > 0 checks
         raise sf.SurfaceError("ill-conditioned Gram system")
     # keep the odd-theta data comfortably nonsingular
     scale = float(np.linalg.norm(geo.kernels.grad_odd_at_zero))

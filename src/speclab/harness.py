@@ -15,6 +15,7 @@ import json
 import math
 import platform
 import time
+import traceback
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
@@ -48,6 +49,7 @@ class CheckResult:
     gating: bool = True
     wall_time: float = 0.0
     absolute: bool = False
+    error: str | None = None  # the exception a suite body raised, for its record
 
     def as_dict(self):
         return {"name": self.name, "paper_eq": self.paper_eq,
@@ -55,7 +57,7 @@ class CheckResult:
                 "rhs": [self.rhs.real, self.rhs.imag],
                 "abs_err": self.abs_err, "rel_err": self.rel_err,
                 "tol": self.tol, "absolute": self.absolute, "pass": self.passed,
-                "gating": self.gating, "wall_time": self.wall_time}
+                "gating": self.gating, "wall_time": self.wall_time, "error": self.error}
 
 
 @dataclass
@@ -69,6 +71,10 @@ class Report:
     def passed(self):
         return all(c.passed for c in self.checks if c.gating)
 
+    @property
+    def errored(self):
+        return any(c.error for c in self.checks)
+
     def as_dict(self):
         return {"instance": self.instance, "suite": self.suite,
                 "checks": [c.as_dict() for c in self.checks],
@@ -80,6 +86,9 @@ class Report:
     def summary_lines(self):
         out = []
         for c in self.checks:
+            if c.error:
+                out.append(f"[FAIL] {c.name}: {c.error}")
+                continue
             flag = "PASS" if c.passed else "FAIL"
             extra = "" if c.gating else " (exploratory)"
             kind, err = ("abs", c.abs_err) if c.absolute else ("rel", c.rel_err)
@@ -141,15 +150,12 @@ class Checker:
         """Compare two scalars, or two tensors entrywise with errors relative
         to the global scale, reporting the worst entry (tiny entries of a
         large tensor must not gate on their own relative error)."""
-        # scalars keep the rounding of Python's abs (libm hypot), which
-        # numpy's complex abs differs from in the last bit
-        mag = np.abs if np.ndim(got) or np.ndim(want) else lambda z: np.hypot(z.real, z.imag)
         got = np.atleast_1d(np.asarray(got, dtype=complex)).ravel()
         want = np.atleast_1d(np.asarray(want, dtype=complex)).ravel()
-        errs = mag(got - want)
+        errs = np.abs(got - want)
         i = int(np.argmax(errs))
         abs_err = float(errs[i])
-        scale = float(max(np.max(mag(got)), np.max(mag(want))))
+        scale = float(max(np.max(np.abs(got)), np.max(np.abs(want))))
         rel_err = abs_err / scale if scale > 0 else abs_err
         err = abs_err if absolute else rel_err
         self._record(CheckResult(
@@ -160,6 +166,15 @@ class Checker:
         self._record(CheckResult(
             name, paper_eq, complex(detail), 0.0, float(abs(detail)),
             float(abs(detail)), 0.0, bool(ok), gating))
+
+    def add_error(self, suite, exc):
+        """A gating FAIL record for an exception raised in a suite body,
+        named by the suite and the exception class."""
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{frame.filename.rsplit('/', 1)[-1]}:{frame.lineno}"
+        self._record(CheckResult(
+            f"{suite}-raised-{type(exc).__name__}", "error", 0j, 0j, 0.0, 0.0, 0.0,
+            False, error=f"{type(exc).__name__} at {where}: {exc}"))
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +447,6 @@ def _dx_dylnE(geo, qa, qb, h):
 
 def suite_tau(ses, chk):
     geo = ses.geo
-    if not vr.is_residue_free(ses.curve):
-        raise HarnessError("tau suite requires a residue-free instance with "
-                           "all pole orders >= 2 (use 'g2-resfree')")
     g = geo.genus
     oracle = vr.tau_gradient_oracle(geo)
     for gamma in range(g):
@@ -573,7 +585,9 @@ def run_suite(instance, suite):
     """Execute a named suite on an instance (label, path, or InstanceSpec).
 
     `all` runs every suite of SUITE_FUNCS in order, tau only on a
-    residue-free cover."""
+    residue-free cover. Bad arguments raise HarnessError before any suite
+    runs; an exception inside a suite body becomes a gating FAIL record
+    (Checker.add_error), and `all` goes on with the next suite."""
     if suite not in SUITES:
         raise HarnessError(f"unknown suite {suite!r}; valid: {', '.join(SUITES)}")
     spec = instance if hasattr(instance, "numer") else load_instance(instance)
@@ -586,14 +600,20 @@ def run_suite(instance, suite):
     chk = Checker(report)  # before the Session, so the first record holds its build
     ses = Session(spec)
     if spec.n != 2:
-        suite_n3_smoke(ses, chk)
-        return report
-    if suite != "all":
-        SUITE_FUNCS[suite](ses, chk)
-        return report
-    for name, run in SUITE_FUNCS.items():
-        if name != "tau" or vr.is_residue_free(ses.curve):
+        runs = {"n3-smoke": suite_n3_smoke}
+    elif suite == "all":
+        runs = {name: run for name, run in SUITE_FUNCS.items()
+                if name != "tau" or vr.is_residue_free(ses.curve)}
+    elif suite == "tau" and not vr.is_residue_free(ses.curve):
+        raise HarnessError("tau suite requires a residue-free instance with "
+                           "all pole orders >= 2 (use 'g2-resfree')")
+    else:
+        runs = {suite: SUITE_FUNCS[suite]}
+    for name, run in runs.items():
+        try:
             run(ses, chk)
+        except Exception as exc:  # a FAIL record; the next suite still runs
+            chk.add_error(name, exc)
     return report
 
 

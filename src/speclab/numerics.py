@@ -501,21 +501,12 @@ def laurent_window(vals, rho, orders):
     largest Fourier magnitude among the (up to) six orders just above
     max(orders) and below K, relative to the largest of all, which measures
     the truncation of the window.
-
-    The Fourier coefficient is multiplied by rho**|m| for m < 0 and divided
-    by rho**m for m >= 0. That power is numpy's `rho ** orders` when orders
-    is an integer array and `rho ** m` per Python int otherwise: numpy's
-    vectorized power, libm's pow and numpy's x**2 -> x*x can differ in the
-    last bit, and each caller keeps the rounding it has always had.
     """
     f = np.fft.fft(np.asarray(vals, dtype=complex))
     k = f.shape[-1]
     f = f / k
     ms = np.asarray(orders)
-    if isinstance(orders, np.ndarray):
-        scale = (rho if np.ndim(rho) == 0 else rho[..., None]) ** np.abs(ms)
-    else:
-        scale = np.stack([rho ** abs(m) for m in orders], axis=-1)
+    scale = np.moveaxis(np.array([rho ** abs(m) for m in ms.tolist()]), 0, -1)
     c = f[..., ms % k]
     coeffs = np.where(ms < 0, c * scale, c / scale)
     top = ms.max() + np.arange(1, 7)

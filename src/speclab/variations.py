@@ -115,14 +115,8 @@ class BranchData:
         |eta| = circle["rho"] along its last axis; leading axes give a
         stacked kernel and a stacked sum.
         """
-        total = 0.0
-        for i, c in enumerate(self.circles):
-            ci = self.endpoint_factor(i, h)
-            res = _residue(per_branch(i, c), c["rho"])
-            # one scalar product per entry: numpy's vectorized complex
-            # multiply fuses multiply-adds and would round differently
-            total = total + np.reshape([ci * r for r in res.flat], res.shape)
-        return total
+        return sum(self.endpoint_factor(i, h) * _residue(per_branch(i, c), c["rho"])
+                   for i, c in enumerate(self.circles))
 
     @cached_property
     def oh2_circles(self):
@@ -167,9 +161,8 @@ class BranchData:
     def cross_bhats(self):
         """B(x_i, x_j) relative to the two double-cover parameters, as a
         symmetric matrix built from the lower index first (diagonal unused)."""
-        n = len(self.circles)
-        out = [[0j] * n for _ in range(n)]
-        for i, j in combinations(range(n), 2):
+        out = [[0j] * len(self.circles) for _ in self.circles]
+        for i, j in combinations(range(len(out)), 2):
             ci, cj = self.circles[i], self.circles[j]
             b = self.kernels.bhat_batch(ci["A"], ci["G"], cj["A"], cj["G"])
             out[i][j] = out[j][i] = complex(np.mean(b))

@@ -47,6 +47,30 @@ class TestRunSuite:
             assert c1.name == c2.name
             assert c1.lhs == c2.lhs and c1.rhs == c2.rhs
 
+    def test_raising_suite_becomes_fail_record(self, monkeypatch, tmp_path, capsys):
+        # the first suite of `all` raises: its FAIL record names the class,
+        # the next suite still runs, the report is written and verify exits 2
+        def raising(ses, chk):
+            chk.add_flag("before-the-raise", "none", True)
+            return 1 / 0
+
+        def passing(ses, chk):
+            chk.add_flag("later-suite", "none", True)
+
+        monkeypatch.setattr(harness, "SUITE_FUNCS", {"surface": raising, "scaling": passing})
+        out = tmp_path / "all.json"
+        rc = cli.main(["verify", "--instance", "ell4", "--suite", "all",
+                       "--report", str(out)])
+        assert rc == 2
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["name"] for c in checks] == [
+            "before-the-raise", "surface-raised-ZeroDivisionError", "later-suite"]
+        error = checks[1]
+        assert error["gating"] and not error["pass"]
+        assert error["error"].startswith("ZeroDivisionError at test_harness.py:")
+        assert all(c["error"] is None for c in (checks[0], checks[2]))
+        assert "[FAIL] surface-raised-ZeroDivisionError" in capsys.readouterr().out
+
     def test_every_check_is_timed(self):
         # each record holds the time since the previous one, so none reads 0
         # and together they never exceed the call
@@ -79,6 +103,14 @@ class TestSweep:
     def test_unknown_functional(self):
         with pytest.raises(harness.HarnessError, match="unknown functional"):
             harness.sweep_epsilon("ell4", "zeta", "A1", [1e-3])
+
+    def test_b_periods_converge_at_second_order(self):
+        # raw central differences of the b-periods of v in A1 against Omega:
+        # the error falls 4x per halving of eps
+        rows = harness.sweep_epsilon("ell4", "b-periods", "A1", [1e-3, 5e-4, 2.5e-4])
+        assert len(rows) == 3
+        for row in rows[1:]:
+            assert 3.5 <= row["ratio"] <= 4.5 and not row["floor"]
 
     def test_csv_shape(self):
         rows = harness.sweep_epsilon("ell4", "omega", "A1", [1e-3, 5e-4])

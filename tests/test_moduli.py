@@ -170,6 +170,24 @@ class TestNavigation:
             assert np.max(np.abs(om - om_prev)) < 1e-2
             om_prev = om
 
+    def test_step_walked_in_halves_after_surface_error(self, ell4, monkeypatch):
+        # a direct step that trips the branch-tracking guard is retried as
+        # two half steps: one failed and two successful Newton solves
+        calls = []
+        newton = moduli.Navigator._newton
+
+        def flaky(nav, target):
+            calls.append(target)
+            if len(calls) == 1:
+                raise sf.SurfaceError("branch tracking guard")
+            return newton(nav, target)
+
+        monkeypatch.setattr(moduli.Navigator, "_newton", flaky)
+        target = ell4.nav.coordinates.vector * (1.0 + 1e-4)
+        got = ell4.nav.step_to(target).coordinates.vector
+        assert len(calls) == 3
+        assert np.max(np.abs(got - target)) < 1e-10 * np.max(np.abs(target))
+
 
 class TestTransportedBasis:
     def test_newton_build_matches_fresh_basis(self, g2_23):
