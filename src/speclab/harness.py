@@ -50,6 +50,8 @@ class CheckResult:
     wall_time: float = 0.0
     absolute: bool = False
     error: str | None = None  # the exception a suite body raised, for its record
+    fd_step: float | None = None  # a finite-difference check's coarse step
+    fd_gap: float | None = None   # and its Richardson gap |fine - coarse|
 
     def as_dict(self):
         return {"name": self.name, "paper_eq": self.paper_eq,
@@ -57,7 +59,8 @@ class CheckResult:
                 "rhs": [self.rhs.real, self.rhs.imag],
                 "abs_err": self.abs_err, "rel_err": self.rel_err,
                 "tol": self.tol, "absolute": self.absolute, "pass": self.passed,
-                "gating": self.gating, "wall_time": self.wall_time, "error": self.error}
+                "gating": self.gating, "wall_time": self.wall_time, "error": self.error,
+                "fd_step": self.fd_step, "fd_gap": self.fd_gap}
 
 
 @dataclass
@@ -146,10 +149,11 @@ class Checker:
         self._mark = now
         self.report.checks.append(result)
 
-    def add(self, name, paper_eq, got, want, tol, absolute=False):
+    def add(self, name, paper_eq, got, want, tol, absolute=False, fd=None):
         """Compare two scalars, or two tensors entrywise with errors relative
         to the global scale, reporting the worst entry (tiny entries of a
-        large tensor must not gate on their own relative error)."""
+        large tensor must not gate on their own relative error). fd is the
+        (step, gap) of a finite-difference side, for the record."""
         got = np.atleast_1d(np.asarray(got, dtype=complex)).ravel()
         want = np.atleast_1d(np.asarray(want, dtype=complex)).ravel()
         errs = np.abs(got - want)
@@ -158,9 +162,10 @@ class Checker:
         scale = float(max(np.max(np.abs(got)), np.max(np.abs(want))))
         rel_err = abs_err / scale if scale > 0 else abs_err
         err = abs_err if absolute else rel_err
+        step, gap = fd or (None, None)
         self._record(CheckResult(
             name, paper_eq, complex(got[i]), complex(want[i]), abs_err, rel_err, tol,
-            bool(err <= tol), absolute=absolute))
+            bool(err <= tol), absolute=absolute, fd_step=step, fd_gap=gap))
 
     def add_flag(self, name, paper_eq, ok, gating=True, detail=0.0):
         self._record(CheckResult(
@@ -298,23 +303,30 @@ def suite_dm_cubic(ses, chk):
         return np.array([c.integrate_v(sf.carry_path(c, pth, c.zeros[i].x)).value
                          for pth, i in bpairs])
 
-    tensors = {}
+    def omega_of(gg):
+        return gg.period.omega
+
+    # the formula side first: the FD points start from the base state it
+    # leaves (see FDEngine.prefetch)
+    want_v, want_l, tensors = {}, {}, {}
     directions = vr.all_directions(geo)
     for name, h in directions.items():
-        want_v = np.array([h(np.array([p.x]), np.array([p.w]))[0] for p in pts])
+        want_v[name] = np.array([h(np.array([p.x]), np.array([p.w]))[0] for p in pts])
+        want_l[name] = np.array([curve.integrate(h, pth).value
+                                 + vr.endpoint_correction(geo, h, i)
+                                 for pth, i in bpairs])
+        tensors[name] = vr.vary_period_matrix(geo, h)
+    eng.prefetch([v_at, branch_ints, omega_of], directions)
+    for name in directions:
         fd_v = eng.derivative(v_at, name)
-        chk.add(f"dv/d{name}", "2.14-2.16", fd_v.value, want_v, 1e-5)
-
-        want_l = np.array([curve.integrate(h, pth).value
-                           + vr.endpoint_correction(geo, h, i)
-                           for pth, i in bpairs])
+        chk.add(f"dv/d{name}", "2.14-2.16", fd_v.value, want_v[name], 1e-5,
+                fd=(fd_v.eps, fd_v.gap))
         fd_l = eng.derivative(branch_ints, name)
-        chk.add(f"branch-integral/d{name}", "4.2-bpA-bpC2", fd_l.value, want_l, 1e-5)
-
-        M = vr.vary_period_matrix(geo, h)
-        tensors[name] = M
-        fd_o = eng.derivative(lambda gg: gg.period.omega, name)
-        chk.add(f"dOmega/d{name}", "4.1-Oh1-Oh2", M, fd_o.value, 1e-5)
+        chk.add(f"branch-integral/d{name}", "4.2-bpA-bpC2", fd_l.value, want_l[name],
+                1e-5, fd=(fd_l.eps, fd_l.gap))
+        fd_o = eng.derivative(omega_of, name)
+        chk.add(f"dOmega/d{name}", "4.1-Oh1-Oh2", tensors[name], fd_o.value, 1e-5,
+                fd=(fd_o.eps, fd_o.gap))
     # internal two-form agreement is asserted inside vary_period_matrix at 1e-9
     chk.add_flag("Oh1-Oh2-internal-agreement", "4.1-Oh1=Oh2", True)
     if g >= 2:
@@ -366,22 +378,28 @@ def suite_kernels(ses, chk):
     def valpha_at(gg, p=p1):
         return gg.period.V(np.array([p.x]), np.array([gg.curve.carry(p).w]))[0]
 
+    def B_at(qa, qb):
+        return lambda gg: gg.kernels.bhat_point(gg.curve.carry(qa), gg.curve.carry(qb))
+
+    B_ats = [B_at(qa, qb) for qa, qb in configs]
     names = _kernel_directions(ses)
+    formulas = {}
     for name in names:
         h = vr.direction_differential(geo, name)
         got = vr.vary_valpha(geo, h, p1)
-        fd = eng.derivative(valpha_at, name)
-        chk.add(f"dv_alpha/d{name}", "4.3-va1", got, fd.value, 1e-4)
-        for ci, (qa, qb) in enumerate(configs):
-            gotB = vr.vary_bidifferential(geo, h, qa, qb)
-
-            def B_at(gg, qa=qa, qb=qb):
-                return gg.kernels.bhat_point(gg.curve.carry(qa), gg.curve.carry(qb))
-
-            fdB = eng.derivative(B_at, name)
-            chk.add(f"dB/d{name}[cfg{ci}]", "4.4-B1", gotB, fdB.value, 1e-4)
+        gotB = [vr.vary_bidifferential(geo, h, qa, qb) for qa, qb in configs]
         sym = abs(vr.vary_bidifferential(geo, h, p1, p2)
                   - vr.vary_bidifferential(geo, h, p2, p1))
+        formulas[name] = got, gotB, sym
+    eng.prefetch([valpha_at, *B_ats], names)
+    for name in names:
+        got, gotB, sym = formulas[name]
+        fd = eng.derivative(valpha_at, name)
+        chk.add(f"dv_alpha/d{name}", "4.3-va1", got, fd.value, 1e-4, fd=(fd.eps, fd.gap))
+        for ci, B_ci in enumerate(B_ats):
+            fdB = eng.derivative(B_ci, name)
+            chk.add(f"dB/d{name}[cfg{ci}]", "4.4-B1", gotB[ci], fdB.value, 1e-4,
+                    fd=(fdB.eps, fdB.gap))
         chk.add(f"dB-symmetry/{name}", "4.4-B1-symmetric", sym, 0.0, 1e-8, absolute=True)
 
 
@@ -417,17 +435,24 @@ def suite_prime_form(ses, chk):
         fd2 = _dx_dylnE(geo, qa, qb, 1e-4)
         fd_r = (4 * fd2 - fd) / 3.0
         chk.add(f"dxdy-lnE-vs-B[{ci}]", "3.x-B=ddlnE", fd_r,
-                kern.bhat_point(qa, qb), 1e-8)
-    for name in _kernel_directions(ses)[: ses.geo.genus + 1]:
+                kern.bhat_point(qa, qb), 1e-8, fd=(2e-4, abs(fd2 - fd)))
+
+    def lnE_at(qa, qb):
+        return lambda gg: np.log(gg.kernels.prime_form(gg.curve.carry(qa),
+                                                       gg.curve.carry(qb)))
+
+    lnE_ats = [lnE_at(qa, qb) for qa, qb in pairs]
+    names = _kernel_directions(ses)[: ses.geo.genus + 1]
+    got = {}
+    for name in names:
         h = vr.direction_differential(geo, name)
-        for ci, (qa, qb) in enumerate(pairs):
-            got = vr.vary_log_prime_form(geo, h, qa, qb)
-
-            def lnE_at(gg, qa=qa, qb=qb):
-                return np.log(gg.kernels.prime_form(gg.curve.carry(qa), gg.curve.carry(qb)))
-
-            fdE = eng.derivative(lnE_at, name)
-            chk.add(f"dlnE/d{name}[cfg{ci}]", "4.5-E1", got, fdE.value, 1e-4)
+        got[name] = [vr.vary_log_prime_form(geo, h, qa, qb) for qa, qb in pairs]
+    eng.prefetch(lnE_ats, names)
+    for name in names:
+        for ci, lnE_ci in enumerate(lnE_ats):
+            fdE = eng.derivative(lnE_ci, name)
+            chk.add(f"dlnE/d{name}[cfg{ci}]", "4.5-E1", got[name][ci], fdE.value, 1e-4,
+                    fd=(fdE.eps, fdE.gap))
 
 
 def _dx_dylnE(geo, qa, qb, h):
@@ -458,11 +483,17 @@ def suite_tau(ses, chk):
         return np.array([vr.tau_gradient(gg, a) for a in range(g)])
 
     eng = ses.eng
+    names = [f"A{delta + 1}" for delta in range(g)]
+    eng.prefetch([tau_vec], names)
     cross = np.zeros((g, g), dtype=complex)
-    for delta in range(g):
-        fd = eng.derivative(tau_vec, f"A{delta + 1}")
+    steps, gaps = [], []
+    for delta, name in enumerate(names):
+        fd = eng.derivative(tau_vec, name)
         cross[:, delta] = fd.value
-    chk.add("tau-cross-partials-symmetric", "4.6-dertauA", cross, cross.T, 1e-4)
+        steps.append(fd.eps)
+        gaps.append(fd.gap)
+    chk.add("tau-cross-partials-symmetric", "4.6-dertauA", cross, cross.T, 1e-4,
+            fd=(max(steps), max(gaps)))
 
 
 def suite_hessian(ses, chk):
@@ -470,26 +501,34 @@ def suite_hessian(ses, chk):
     eng = ses.eng
     g = geo.genus
 
+    def grad(c):
+        return lambda gg: vr.vary_period_matrix(gg, vr.direction_differential(gg, f"A{c + 1}"))
+
+    def b_periods(gg):
+        return gg.period.B_of_v
+
     idx = [(0, 0, 0, 0)] if g == 1 else [(0, 1, 1, 0), (0, 0, 0, 1)]
-    for (a, b, c, d) in idx:
-        H = vr.period_hessian(geo, a, b, c, d)
-
-        def grad(gg, c=c):
-            return vr.vary_period_matrix(gg, vr.direction_differential(gg, f"A{c + 1}"))
-
-        fd = eng.derivative(grad, f"A{d + 1}")
-        chk.add(f"hessian-Omega[{a}{b}]-A{c + 1}A{d + 1}", "5.1-doubO",
-                H, fd.value[a, b], 5e-4)
+    hess = [vr.period_hessian(geo, a, b, c, d) for a, b, c, d in idx]
     if g >= 2:
         vals = np.array([vr.period_hessian(geo, *p)
                          for p in sorted(set(permutations((0, 0, 1, 1))))])
         spread = float(np.max(np.abs(vals - vals[0]))) / max(1.0, abs(vals[0]))
+    grads = [grad(c) for _, _, c, _ in idx]
+    names = [f"A{alpha + 1}" for alpha in range(g)]
+    # each A direction with the gradients differentiated along it only
+    eng.prefetch({name: [grad_c for (_, _, _, d), grad_c in zip(idx, grads) if d == alpha]
+                  + [b_periods] for alpha, name in enumerate(names)}, names)
+    for (a, b, c, d), H, grad_c in zip(idx, hess, grads):
+        fd = eng.derivative(grad_c, f"A{d + 1}")
+        chk.add(f"hessian-Omega[{a}{b}]-A{c + 1}A{d + 1}", "5.1-doubO",
+                H, fd.value[a, b], 5e-4, fd=(fd.eps, fd.gap))
+    if g >= 2:
         chk.add("hessian-24-fold-symmetry", "5.1-symmetric", spread, 0.0, 1e-8,
                 absolute=True)
-    for alpha in range(g):
-        fdB = eng.derivative(lambda gg: gg.period.B_of_v, f"A{alpha + 1}")
+    for alpha, name in enumerate(names):
+        fdB = eng.derivative(b_periods, name)
         chk.add(f"dB-periods/dA{alpha + 1}-vs-Omega", "5.2.1-OF",
-                fdB.value, geo.period.omega[alpha], 1e-5)
+                fdB.value, geo.period.omega[alpha], 1e-5, fd=(fdB.eps, fdB.gap))
 
 
 def suite_hierarchy(ses, chk):
@@ -529,8 +568,9 @@ def suite_hierarchy(ses, chk):
     def q2_at(gg):
         return vr.q_multidiff(gg, [gg.curve.carry(p1), gg.curve.carry(p2)])
 
+    eng.prefetch([q2_at], ["A1"])
     fd = eng.derivative(q2_at, "A1")
-    chk.add("dQ2/dA1-vs-FD", "varW1", got, fd.value, 1e-4)
+    chk.add("dQ2/dA1-vs-FD", "varW1", got, fd.value, 1e-4, fd=(fd.eps, fd.gap))
     # R-variation at n=2 reduces to the bidifferential variation
     h = vr.direction_differential(geo, "A1")
     gotR = vr.hierarchy_variation(geo, 0, [p1, p2], "R")

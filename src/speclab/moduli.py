@@ -6,11 +6,14 @@ the one dependent residue. The forward map is quadrature plus pole jets;
 the inverse is Newton iteration on the numerator coefficients using the
 Jacobian assembled from implicit differentiation of the defining equation,
 with branch points, sheet labels and contours transported by continuity.
-The finite-difference engine used by every acceptance oracle lives here.
+The finite-difference engine used by every acceptance oracle lives here,
+with `fan_out`, which shares its points among the CPUs.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -191,6 +194,8 @@ class Navigator:
     theta and kernels lazily, only when a functional asks for them.
     """
 
+    halved = False  # set on the result of a step_to that walked in halves
+
     def __init__(self, geo):
         self.geo = geo
         self.curve = geo.curve
@@ -219,7 +224,16 @@ class Navigator:
                 raise
             mid = 0.5 * (self.coordinates.vector + target)
             half = self.step_to(mid, _depth=_depth + 1)
-            return half.step_to(target, _depth=_depth + 1)
+            nav = half.step_to(target, _depth=_depth + 1)
+            nav.halved = True
+            return nav
+
+    def templated(self, coeffs):
+        """The cover with numerator coefficients coeffs, built with this one
+        as template: a Newton iterate."""
+        curve = sf.build_surface(spec_with_coefficients(self.curve.spec, coeffs),
+                                 template=self.curve)
+        return Geometry(curve, sf.homology_basis(curve, template_basis=self.geo.basis))
 
     def _newton(self, target):
         nav = self
@@ -241,10 +255,7 @@ class Navigator:
             resid_prev = resid
             delta, _ = nm.solve_dense(jac, resid_vec)
             coeffs = coeffs - delta
-            spec = spec_with_coefficients(self.curve.spec, coeffs)
-            curve = sf.build_surface(spec, template=self.curve)
-            nav = Navigator(Geometry(
-                curve, sf.homology_basis(curve, template_basis=self.geo.basis)))
+            nav = Navigator(self.templated(coeffs))
         resid = float(np.max(np.abs(nav.coordinates.vector - target) / per_coord))
         if resid > 1e3 * NEWTON_TOL:
             raise ModuliError(f"Newton did not converge (residual {resid:.3e})")
@@ -257,6 +268,7 @@ class FDResult:
     coarse: object     # central difference at eps
     fine: object       # central difference at eps/2
     gap: float         # |fine - coarse| consistency gap (shrinks ~4x per halving)
+    eps: float         # the coarse step
 
 
 class FDEngine:
@@ -264,13 +276,17 @@ class FDEngine:
 
     Perturbed builds are cached by (coordinate, offset) as their Geometry;
     functionals are callables geo -> scalar or ndarray so several oracles
-    can share the same builds.
+    can share the same builds. `prefetch` evaluates functionals at the
+    points of several coordinates at once, spread over the CPUs by
+    fan_out; `derivative` reads the values it stored.
     """
 
     def __init__(self, nav):
         self.nav = nav
         self._cache = {}
         self._move_cache = {}
+        self._values = {}   # (functional, (index, offset)) -> value
+        self._coeffs = {}   # (index, offset) -> coefficients of a direct Newton solve
 
     def coord_index(self, name):
         return lookup_coordinate(self.nav.curve.spec, self.nav.geo.genus, name)[0]
@@ -314,12 +330,63 @@ class FDEngine:
         return self._move_cache[index]
 
     def build(self, index, offset):
+        """The Geometry at the base coordinates moved by offset in one
+        coordinate: a Newton solve, or, where a forked worker solved it
+        without halving, Newton's last iterate made again from its
+        coefficients."""
         key = (index, complex(offset))
         if key not in self._cache:
-            target = self.nav.coordinates.vector.copy()
-            target[index] += offset
-            self._cache[key] = self.nav.step_to(target).geo
+            if key in self._coeffs:
+                self._cache[key] = self.nav.templated(self._coeffs[key])
+            else:
+                target = self.nav.coordinates.vector.copy()
+                target[index] += offset
+                nav = self.nav.step_to(target)
+                if nav is not self.nav and not nav.halved:
+                    self._coeffs[key] = coefficient_vector(nav.curve.spec)
+                self._cache[key] = nav.geo
         return self._cache[key]
+
+    def prefetch(self, functionals, names):
+        """Evaluate functionals at the four points (+-eps, +-eps/2) of each
+        coordinate name, the points shared among the CPUs by fan_out, and
+        store the values for `derivative`. functionals is one list for every
+        name, or a dict of lists by name. At each point they run in order,
+        as `derivative` would run them; values a point could not give (its
+        build or a functional raised) stay unstored, so `derivative` raises
+        the same error where a one-process run would.
+
+        Call it after the suite's formula side: a templated build carries
+        the base contours' anchors only where they already exist
+        (SpectralCurve._carried_anchors), so every worker must start from
+        the base state that `derivative` would meet."""
+        by_name = functionals if isinstance(functionals, dict) else dict.fromkeys(
+            names, functionals)
+        points = {}
+        for name in names:
+            index = self.coord_index(name)
+            eps = self.eps_for(index)
+            for offset in (eps, -eps, eps / 2.0, -eps / 2.0):
+                key = (index, complex(offset))
+                if any((f, key) not in self._values for f in by_name[name]):
+                    points.setdefault(key, by_name[name])
+        done = fan_out(lambda item: self._evaluate(*item), points.items())
+        for (key, fns), (values, coeffs) in zip(points.items(), done):
+            self._values.update(((f, key), v) for f, v in zip(fns, values))
+            if coeffs is not None:
+                self._coeffs[key] = coeffs
+
+    def _evaluate(self, key, functionals):
+        """The functionals' values at one point, up to the first that
+        raises, and the coefficients of its Newton solve (or None)."""
+        values = []
+        try:
+            geo = self.build(*key)
+            for f in functionals:
+                values.append(f(geo))
+        except Exception:  # derivative meets it again, and raises it
+            pass
+        return values, self._coeffs.get(key)
 
     def derivative(self, functional, name):
         index = self.coord_index(name)
@@ -328,14 +395,93 @@ class FDEngine:
         d2 = self._central(functional, index, eps / 2.0)
         value = (4.0 * d2 - d1) / 3.0
         gap = float(np.max(np.abs(np.asarray(d2) - np.asarray(d1))))
-        return FDResult(value, d1, d2, gap)
+        return FDResult(value, d1, d2, gap, eps)
 
     def central(self, functional, name, eps):
         return self._central(functional, self.coord_index(name), eps)
 
     def _central(self, functional, index, eps):
-        gp = self.build(index, +eps)
-        gm = self.build(index, -eps)
-        fp = functional(gp)
-        fm = functional(gm)
+        keys = [(index, complex(offset)) for offset in (eps, -eps)]
+        builds = [None if (functional, key) in self._values else self.build(*key)
+                  for key in keys]
+        fp, fm = [self._values[(functional, key)] if geo is None else functional(geo)
+                  for key, geo in zip(keys, builds)]
         return (np.asarray(fp) - np.asarray(fm)) / (2.0 * eps)
+
+
+def fan_out(fn, items):
+    """[fn(x) for x in items], on every CPU this process may run on.
+
+    With W workers (the CPUs of os.sched_getaffinity, at most one per item,
+    one where sched_getaffinity or fork is missing), worker k takes
+    items[k::W]: worker 0 is this process, each other one a forked child
+    that sends its results back pickled through a pipe and ends with
+    os._exit. Children are forked, not spawned, because each must start
+    from this process's state as it is, bit for bit; speclab starts no
+    thread. A child stops at its first item that raises. Every item a
+    child did not deliver (it raised, the child died, or its payload does
+    not unpickle) is computed here, and the first item in order that raises
+    here raises, with its own traceback, as in [fn(x) for x in items].
+    Every child has been waited for when fan_out returns or raises.
+    """
+    items = list(items)
+    has_cpus = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+    workers = max(1, min(len(items), len(os.sched_getaffinity(0)) if has_cpus else 1))
+    children = []
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: its items are computed here
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _serve(fn, items, range(k, len(items), workers), read, write)
+            children.append((pid, read))
+            os.close(write)
+        results, failed = _share(fn, items, range(0, len(items), workers))
+        for _, read in children:
+            with os.fdopen(read, "rb", closefd=False) as fh:
+                try:
+                    results.update(pickle.load(fh))
+                except Exception:  # died or unreadable: its items are computed below
+                    pass
+    finally:
+        for pid, read in children:
+            os.close(read)   # a child still writing gets a broken pipe and exits
+            os.waitpid(pid, 0)
+    stop = failed[0] if failed else len(items)
+    for i in range(stop):
+        if i not in results:
+            results[i] = fn(items[i])
+    if failed:
+        raise failed[1]
+    return [results[i] for i in range(len(items))]
+
+
+def _share(fn, items, indices):
+    """{index: fn(item)} over indices up to the first that raises, and that
+    (index, exception) or None."""
+    results = {}
+    for i in indices:
+        try:
+            results[i] = fn(items[i])
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _serve(fn, items, indices, read, write):
+    """A forked worker: its share's results into the pipe, then exit, never
+    returning into the parent's code."""
+    code = 1
+    try:
+        os.close(read)
+        results, _ = _share(fn, items, indices)
+        with os.fdopen(write, "wb") as fh:
+            pickle.dump(results, fh)
+        code = 0
+    finally:
+        os._exit(code)

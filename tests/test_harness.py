@@ -71,6 +71,14 @@ class TestRunSuite:
         assert all(c["error"] is None for c in (checks[0], checks[2]))
         assert "[FAIL] surface-raised-ZeroDivisionError" in capsys.readouterr().out
 
+    def test_fd_records_carry_step_and_gap(self):
+        checks = harness.run_suite("ell4", "dm-cubic").as_dict()["checks"]
+        fd = [c for c in checks if c["name"].startswith(("dv/", "branch-integral/", "dOmega/"))]
+        assert len(fd) == 3 * 8
+        assert all(c["fd_step"] > 0 and c["fd_gap"] > 0 for c in fd)
+        rest = [c for c in checks if c not in fd]
+        assert rest and all(c["fd_step"] is None and c["fd_gap"] is None for c in rest)
+
     def test_every_check_is_timed(self):
         # each record holds the time since the previous one, so none reads 0
         # and together they never exceed the call

@@ -1,3 +1,6 @@
+import os
+import traceback
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,8 @@ from speclab import numerics as nm
 from speclab import surface as sf
 from speclab.differentials import Geometry
 from speclab.generator import generate
-from speclab.harness import run_suite
+from speclab.harness import Session, run_suite
+from speclab.instances import load_instance
 
 
 class TestCoordinates:
@@ -170,6 +174,45 @@ class TestNavigation:
             assert np.max(np.abs(om - om_prev)) < 1e-2
             om_prev = om
 
+    @staticmethod
+    def _noisy_chart(monkeypatch, size):
+        """Chart coordinates that alternate by +-size (relative) from one
+        Newton iterate to the next, so the residual stalls near 2 size."""
+        real = moduli.coordinates_of
+        calls = []
+
+        def noisy(geo, circles):
+            pt = real(geo, circles)
+            calls.append(pt)
+            sign = 1.0 if len(calls) % 2 else -1.0
+            return moduli.ModuliPoint(
+                pt.names, pt.vector + sign * size * np.maximum(1.0, np.abs(pt.vector)))
+
+        monkeypatch.setattr(moduli, "coordinates_of", noisy)
+        return calls
+
+    def test_newton_accepts_a_plateau_below_1e_10(self, monkeypatch):
+        # a residual that stops shrinking at 4e-11 ends the solve on the
+        # plateau exit, above NEWTON_TOL and before the iteration limit
+        nav = Session(load_instance("ell4")).nav
+        target = nav.coordinates.vector.copy()
+        target[0] += 1e-4
+        calls = self._noisy_chart(monkeypatch, 2e-11)
+        got = nav._newton(target)
+        resid = np.max(np.abs(got.coordinates.vector - target)
+                       / np.maximum(1.0, np.abs(target)))
+        assert moduli.NEWTON_TOL < resid <= 1e-10
+        assert len(calls) < moduli.NEWTON_MAX_ITER
+
+    def test_newton_raises_when_the_residual_stalls_above_1e_10(self, monkeypatch):
+        nav = Session(load_instance("ell4")).nav
+        target = nav.coordinates.vector.copy()
+        target[0] += 1e-4
+        calls = self._noisy_chart(monkeypatch, 5e-9)
+        with pytest.raises(moduli.ModuliError, match="did not converge"):
+            nav._newton(target)
+        assert len(calls) == moduli.NEWTON_MAX_ITER
+
     def test_step_walked_in_halves_after_surface_error(self, ell4, monkeypatch):
         # a direct step that trips the branch-tracking guard is retried as
         # two half steps: one failed and two successful Newton solves
@@ -184,8 +227,9 @@ class TestNavigation:
 
         monkeypatch.setattr(moduli.Navigator, "_newton", flaky)
         target = ell4.nav.coordinates.vector * (1.0 + 1e-4)
-        got = ell4.nav.step_to(target).coordinates.vector
-        assert len(calls) == 3
+        nav = ell4.nav.step_to(target)
+        got = nav.coordinates.vector
+        assert len(calls) == 3 and nav.halved
         assert np.max(np.abs(got - target)) < 1e-10 * np.max(np.abs(target))
 
 
@@ -235,3 +279,124 @@ class TestFDEngine:
     def test_unknown_coordinate(self, ell4):
         with pytest.raises(moduli.ModuliError, match="unknown coordinate"):
             ell4.eng.coord_index("A9")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFanOut:
+    # three workers whatever the host has: two forked children
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    def test_results_in_item_order(self):
+        items = list(range(11))
+        got = moduli.fan_out(lambda x: (x * x, os.getpid()), items)
+        assert [v for v, _ in got] == [x * x for x in items]
+        assert {pid for _, pid in got} - {os.getpid()}   # some came from a child
+        _no_child_left()
+
+    def test_first_failing_item_raises_with_its_line(self):
+        # items 4 and 5 raise in the children (shares 1, 4, 7 and 2, 5, 8)
+        # and item 6 here (0, 3, 6); the first in item order is re-raised,
+        # from the line that raised it
+        def fn(x):
+            if x in (4, 5, 6):
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match="item 4") as info:
+            moduli.fan_out(fn, range(9))
+        frame = traceback.extract_tb(info.value.__traceback__)[-1]
+        assert frame.name == "fn" and "raise ValueError" in frame.line
+        _no_child_left()
+
+    def test_item_raising_only_in_a_child_is_computed_here(self):
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() != parent and x == 4:
+                raise RuntimeError("child only")
+            return -x
+
+        assert moduli.fan_out(fn, range(9)) == [-x for x in range(9)]
+        _no_child_left()
+
+    def test_child_that_dies_part_way(self):
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() != parent and x == 4:
+                os._exit(3)
+            return x + 0.5
+
+        assert moduli.fan_out(fn, range(9)) == [x + 0.5 for x in range(9)]
+        _no_child_left()
+
+    def test_unpicklable_result_is_computed_here(self):
+        assert [f() for f in moduli.fan_out(lambda x: (lambda: x), range(5))] == list(range(5))
+        _no_child_left()
+
+    def test_one_cpu_and_no_items(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        parent = os.getpid()
+        assert moduli.fan_out(lambda x: (x, os.getpid()), "ab") == [("a", parent),
+                                                                     ("b", parent)]
+        assert moduli.fan_out(lambda x: x, []) == []
+        _no_child_left()
+
+
+class TestPrefetch:
+    def test_prefetch_bitwise_equal_to_one_cpu(self, monkeypatch):
+        spec = load_instance("ell4")
+
+        def omega(geo):
+            return geo.period.omega
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        two = Session(spec).eng
+        two.prefetch([omega], ["A1"])
+        got = two.derivative(omega, "A1")
+        _no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one = Session(spec).eng
+        one.prefetch([omega], ["A1"])
+        want = one.derivative(omega, "A1")
+        for field in ("value", "coarse", "fine"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert (got.gap, got.eps) == (want.gap, want.eps) and got.eps > 0
+        # the child's points came back as coefficients; a build from them is
+        # Newton's last iterate
+        from_child = [key for key in two._coeffs if key not in two._cache]
+        assert len(from_child) == 2
+        for key in from_child:
+            rebuilt, newton = two.build(*key), one._cache[key]
+            assert np.array_equal(moduli.Navigator(rebuilt).coordinates.vector,
+                                  moduli.Navigator(newton).coordinates.vector)
+            assert np.array_equal(rebuilt.period.omega, newton.period.omega)
+
+    def test_failed_point_raises_in_derivative(self, monkeypatch):
+        # the points below the base cannot be built: prefetch stores the two
+        # above it, and derivative meets the error where a serial run would
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        eng = Session(load_instance("ell4")).eng
+        real = moduli.Navigator.step_to
+
+        def step_up_only(nav, target, _depth=0):
+            if target[0].real < nav.coordinates.vector[0].real:
+                raise moduli.ModuliError("no step down")
+            return real(nav, target, _depth=_depth)
+
+        def omega(geo):
+            return geo.period.omega
+
+        monkeypatch.setattr(moduli.Navigator, "step_to", step_up_only)
+        eng.prefetch([omega], ["A1"])
+        _no_child_left()
+        assert sorted(key[1].real > 0 for _, key in eng._values) == [True, True]
+        with pytest.raises(moduli.ModuliError, match="no step down") as info:
+            eng.derivative(omega, "A1")
+        assert traceback.extract_tb(info.value.__traceback__)[-1].name == "step_up_only"

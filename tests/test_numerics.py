@@ -28,6 +28,26 @@ class TestPolyRoots:
             mine = np.sort_complex(rep.roots)
             assert np.allclose(mine, oracle, atol=1e-8)
 
+    def test_companion_fallback_when_aberth_diverges(self, monkeypatch):
+        # a sign-flipped derivative drives the Aberth iteration away from
+        # the roots; the companion-matrix eigenvalues take over
+        roots = np.array([1.0, -2.0, 3j, -0.5 - 1j])
+        c = np.array([1.0 + 0j])
+        for r in roots:
+            c = nm.polymul(c, [-r, 1.0])
+        derivative, companion = nm.polyder, np.roots
+        calls = []
+
+        def spy(p):
+            calls.append(p)
+            return companion(p)
+
+        monkeypatch.setattr(nm, "polyder", lambda p: -derivative(p))
+        monkeypatch.setattr(np, "roots", spy)
+        rep = nm.poly_roots(c)
+        assert len(calls) == 1
+        assert np.allclose(np.sort_complex(rep.roots), np.sort_complex(roots), atol=1e-12)
+
     def test_residuals_small(self):
         c = np.array([2.0, -1.0, 0.5j, 1.0, 3.0 + 1j])
         rep = nm.poly_roots(c)
