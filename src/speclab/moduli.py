@@ -194,8 +194,6 @@ class Navigator:
     theta and kernels lazily, only when a functional asks for them.
     """
 
-    halved = False  # set on the result of a step_to that walked in halves
-
     def __init__(self, geo):
         self.geo = geo
         self.curve = geo.curve
@@ -224,16 +222,7 @@ class Navigator:
                 raise
             mid = 0.5 * (self.coordinates.vector + target)
             half = self.step_to(mid, _depth=_depth + 1)
-            nav = half.step_to(target, _depth=_depth + 1)
-            nav.halved = True
-            return nav
-
-    def templated(self, coeffs):
-        """The cover with numerator coefficients coeffs, built with this one
-        as template: a Newton iterate."""
-        curve = sf.build_surface(spec_with_coefficients(self.curve.spec, coeffs),
-                                 template=self.curve)
-        return Geometry(curve, sf.homology_basis(curve, template_basis=self.geo.basis))
+            return half.step_to(target, _depth=_depth + 1)
 
     def _newton(self, target):
         nav = self
@@ -255,7 +244,10 @@ class Navigator:
             resid_prev = resid
             delta, _ = nm.solve_dense(jac, resid_vec)
             coeffs = coeffs - delta
-            nav = Navigator(self.templated(coeffs))
+            spec = spec_with_coefficients(self.curve.spec, coeffs)
+            curve = sf.build_surface(spec, template=self.curve)
+            nav = Navigator(Geometry(
+                curve, sf.homology_basis(curve, template_basis=self.geo.basis)))
         resid = float(np.max(np.abs(nav.coordinates.vector - target) / per_coord))
         if resid > 1e3 * NEWTON_TOL:
             raise ModuliError(f"Newton did not converge (residual {resid:.3e})")
@@ -286,7 +278,6 @@ class FDEngine:
         self._cache = {}
         self._move_cache = {}
         self._values = {}   # (functional, (index, offset)) -> value
-        self._coeffs = {}   # (index, offset) -> coefficients of a direct Newton solve
 
     def coord_index(self, name):
         return lookup_coordinate(self.nav.curve.spec, self.nav.geo.genus, name)[0]
@@ -330,21 +321,11 @@ class FDEngine:
         return self._move_cache[index]
 
     def build(self, index, offset):
-        """The Geometry at the base coordinates moved by offset in one
-        coordinate: a Newton solve, or, where a forked worker solved it
-        without halving, Newton's last iterate made again from its
-        coefficients."""
         key = (index, complex(offset))
         if key not in self._cache:
-            if key in self._coeffs:
-                self._cache[key] = self.nav.templated(self._coeffs[key])
-            else:
-                target = self.nav.coordinates.vector.copy()
-                target[index] += offset
-                nav = self.nav.step_to(target)
-                if nav is not self.nav and not nav.halved:
-                    self._coeffs[key] = coefficient_vector(nav.curve.spec)
-                self._cache[key] = nav.geo
+            target = self.nav.coordinates.vector.copy()
+            target[index] += offset
+            self._cache[key] = self.nav.step_to(target).geo
         return self._cache[key]
 
     def prefetch(self, functionals, names):
@@ -371,14 +352,12 @@ class FDEngine:
                 if any((f, key) not in self._values for f in by_name[name]):
                     points.setdefault(key, by_name[name])
         done = fan_out(lambda item: self._evaluate(*item), points.items())
-        for (key, fns), (values, coeffs) in zip(points.items(), done):
+        for (key, fns), values in zip(points.items(), done):
             self._values.update(((f, key), v) for f, v in zip(fns, values))
-            if coeffs is not None:
-                self._coeffs[key] = coeffs
 
     def _evaluate(self, key, functionals):
         """The functionals' values at one point, up to the first that
-        raises, and the coefficients of its Newton solve (or None)."""
+        raises."""
         values = []
         try:
             geo = self.build(*key)
@@ -386,7 +365,7 @@ class FDEngine:
                 values.append(f(geo))
         except Exception:  # derivative meets it again, and raises it
             pass
-        return values, self._coeffs.get(key)
+        return values
 
     def derivative(self, functional, name):
         index = self.coord_index(name)
@@ -417,10 +396,16 @@ def fan_out(fn, items):
     items[k::W]: worker 0 is this process, each other one a forked child
     that sends its results back pickled through a pipe and ends with
     os._exit. Children are forked, not spawned, because each must start
-    from this process's state as it is, bit for bit; speclab starts no
-    thread. A child stops at its first item that raises. Every item a
-    child did not deliver (it raised, the child died, or its payload does
-    not unpickle) is computed here, and the first item in order that raises
+    from this process's state as it is, bit for bit. speclab starts no
+    thread, but numpy's BLAS may keep a thread pool; a fork is safe only
+    when the BLAS stops that pool before it, as numpy's bundled OpenBLAS
+    does in its pthread_atfork handler (the process has one thread at the
+    fork). A BLAS without such a handler, such as MKL, must run on one
+    thread (MKL_NUM_THREADS=1).
+
+    A child stops at its first item that raises. Every item a child did
+    not deliver (it raised, the child died, or its payload does not
+    unpickle) is computed here, and the first item in order that raises
     here raises, with its own traceback, as in [fn(x) for x in items].
     Every child has been waited for when fan_out returns or raises.
     """
@@ -438,7 +423,8 @@ def fan_out(fn, items):
                 os.close(write)
                 break
             if pid == 0:
-                _serve(fn, items, range(k, len(items), workers), read, write)
+                _serve(fn, items, range(k, len(items), workers),
+                       [read] + [r for _, r in children], write)
             children.append((pid, read))
             os.close(write)
         results, failed = _share(fn, items, range(0, len(items), workers))
@@ -473,12 +459,15 @@ def _share(fn, items, indices):
     return results, None
 
 
-def _serve(fn, items, indices, read, write):
+def _serve(fn, items, indices, reads, write):
     """A forked worker: its share's results into the pipe, then exit, never
-    returning into the parent's code."""
+    returning into the parent's code. It first closes the read ends it
+    inherited, its own and the earlier children's, so that once the parent
+    closes a read end its writer gets a broken pipe."""
     code = 1
     try:
-        os.close(read)
+        for read in reads:
+            os.close(read)
         results, _ = _share(fn, items, indices)
         with os.fdopen(write, "wb") as fh:
             pickle.dump(results, fh)
