@@ -297,6 +297,8 @@ def suite_dm_cubic(ses, chk):
 
     paths, targets = sf.zero_paths(curve)
     bpairs = [(p, i) for p, i in zip(paths, targets) if curve.zeros[i].is_branch]
+    for pth, _ in bpairs:  # branch_ints carries them (see FDEngine.prefetch)
+        curve.anchors(pth)
 
     def branch_ints(gg):
         c = gg.curve
@@ -306,18 +308,21 @@ def suite_dm_cubic(ses, chk):
     def omega_of(gg):
         return gg.period.omega
 
-    # the formula side first: the FD points start from the base state it
-    # leaves (see FDEngine.prefetch)
-    want_v, want_l, tensors = {}, {}, {}
-    directions = vr.all_directions(geo)
-    for name, h in directions.items():
-        want_v[name] = np.array([h(np.array([p.x]), np.array([p.w]))[0] for p in pts])
-        want_l[name] = np.array([curve.integrate(h, pth).value
-                                 + vr.endpoint_correction(geo, h, i)
-                                 for pth, i in bpairs])
-        tensors[name] = vr.vary_period_matrix(geo, h)
-    eng.prefetch([v_at, branch_ints, omega_of], directions)
-    for name in directions:
+    def formula_side():
+        want_v, want_l, tensors = {}, {}, {}
+        directions = vr.all_directions(geo)
+        for name, h in directions.items():
+            want_v[name] = np.array([h(np.array([p.x]), np.array([p.w]))[0] for p in pts])
+            want_l[name] = np.array([curve.integrate(h, pth).value
+                                     + vr.endpoint_correction(geo, h, i)
+                                     for pth, i in bpairs])
+            tensors[name] = vr.vary_period_matrix(geo, h)
+        return directions, want_v, want_l, tensors
+
+    names = moduli.coordinate_names(ses.spec, g)
+    directions, want_v, want_l, tensors = eng.prefetch(
+        [v_at, branch_ints, omega_of], names, lead=formula_side)
+    for name in names:
         fd_v = eng.derivative(v_at, name)
         chk.add(f"dv/d{name}", "2.14-2.16", fd_v.value, want_v[name], 1e-5,
                 fd=(fd_v.eps, fd_v.gap))
@@ -383,15 +388,19 @@ def suite_kernels(ses, chk):
 
     B_ats = [B_at(qa, qb) for qa, qb in configs]
     names = _kernel_directions(ses)
-    formulas = {}
-    for name in names:
-        h = vr.direction_differential(geo, name)
-        got = vr.vary_valpha(geo, h, p1)
-        gotB = [vr.vary_bidifferential(geo, h, qa, qb) for qa, qb in configs]
-        sym = abs(vr.vary_bidifferential(geo, h, p1, p2)
-                  - vr.vary_bidifferential(geo, h, p2, p1))
-        formulas[name] = got, gotB, sym
-    eng.prefetch([valpha_at, *B_ats], names)
+
+    def formula_side():
+        formulas = {}
+        for name in names:
+            h = vr.direction_differential(geo, name)
+            got = vr.vary_valpha(geo, h, p1)
+            gotB = [vr.vary_bidifferential(geo, h, qa, qb) for qa, qb in configs]
+            sym = abs(vr.vary_bidifferential(geo, h, p1, p2)
+                      - vr.vary_bidifferential(geo, h, p2, p1))
+            formulas[name] = got, gotB, sym
+        return formulas
+
+    formulas = eng.prefetch([valpha_at, *B_ats], names, lead=formula_side)
     for name in names:
         got, gotB, sym = formulas[name]
         fd = eng.derivative(valpha_at, name)
@@ -417,25 +426,9 @@ def _kernel_directions(ses):
 
 def suite_prime_form(ses, chk):
     curve, geo = ses.curve, ses.geo
-    kern = geo.kernels
     eng = ses.eng
     p1, p2, p3 = ses.eval_points(3, start=0.23)
     pairs = [(p1, p2), (p2, p3), (p1, p3)]
-    E12 = kern.prime_form(p1, p2)
-    E21 = kern.prime_form(p2, p1)
-    chk.add("prime-form-antisymmetry", "odd-theta-parity", E12, -E21, 1e-9)
-    eps = 1e-5
-    En = kern.prime_form(p1, curve.point(p1.x + eps, p1.sheet))
-    chk.add("prime-form-diagonal-slope", "prime-form-definition", En / eps, 1.0, 1e-7)
-    # d_x d_y ln E = B at the three pairs: the y-derivative is taken in the
-    # theta-gradient form (the half-density drops), the x-derivative by
-    # Richardson central differences
-    for ci, (qa, qb) in enumerate(pairs):
-        fd = _dx_dylnE(geo, qa, qb, 2e-4)
-        fd2 = _dx_dylnE(geo, qa, qb, 1e-4)
-        fd_r = (4 * fd2 - fd) / 3.0
-        chk.add(f"dxdy-lnE-vs-B[{ci}]", "3.x-B=ddlnE", fd_r,
-                kern.bhat_point(qa, qb), 1e-8, fd=(2e-4, abs(fd2 - fd)))
 
     def lnE_at(qa, qb):
         return lambda gg: np.log(gg.kernels.prime_form(gg.curve.carry(qa),
@@ -443,11 +436,31 @@ def suite_prime_form(ses, chk):
 
     lnE_ats = [lnE_at(qa, qb) for qa, qb in pairs]
     names = _kernel_directions(ses)[: ses.geo.genus + 1]
-    got = {}
-    for name in names:
-        h = vr.direction_differential(geo, name)
-        got[name] = [vr.vary_log_prime_form(geo, h, qa, qb) for qa, qb in pairs]
-    eng.prefetch(lnE_ats, names)
+
+    def formula_side():
+        kern = geo.kernels
+        E12 = kern.prime_form(p1, p2)
+        E21 = kern.prime_form(p2, p1)
+        chk.add("prime-form-antisymmetry", "odd-theta-parity", E12, -E21, 1e-9)
+        eps = 1e-5
+        En = kern.prime_form(p1, curve.point(p1.x + eps, p1.sheet))
+        chk.add("prime-form-diagonal-slope", "prime-form-definition", En / eps, 1.0, 1e-7)
+        # d_x d_y ln E = B at the three pairs: the y-derivative is taken in
+        # the theta-gradient form (the half-density drops), the x-derivative
+        # by Richardson central differences
+        for ci, (qa, qb) in enumerate(pairs):
+            fd = _dx_dylnE(geo, qa, qb, 2e-4)
+            fd2 = _dx_dylnE(geo, qa, qb, 1e-4)
+            fd_r = (4 * fd2 - fd) / 3.0
+            chk.add(f"dxdy-lnE-vs-B[{ci}]", "3.x-B=ddlnE", fd_r,
+                    kern.bhat_point(qa, qb), 1e-8, fd=(2e-4, abs(fd2 - fd)))
+        got = {}
+        for name in names:
+            h = vr.direction_differential(geo, name)
+            got[name] = [vr.vary_log_prime_form(geo, h, qa, qb) for qa, qb in pairs]
+        return got
+
+    got = eng.prefetch(lnE_ats, names, lead=formula_side)
     for name in names:
         for ci, lnE_ci in enumerate(lnE_ats):
             fdE = eng.derivative(lnE_ci, name)
@@ -473,18 +486,20 @@ def _dx_dylnE(geo, qa, qb, h):
 def suite_tau(ses, chk):
     geo = ses.geo
     g = geo.genus
-    oracle = vr.tau_gradient_oracle(geo)
-    for gamma in range(g):
-        f = vr.tau_gradient(geo, gamma)
-        chk.add(f"tau-gradient-A{gamma + 1}", "4.6-dertauA-vs-deftau", f,
-                oracle[gamma], 1e-4)
+
+    def formula_side():
+        oracle = vr.tau_gradient_oracle(geo)
+        for gamma in range(g):
+            f = vr.tau_gradient(geo, gamma)
+            chk.add(f"tau-gradient-A{gamma + 1}", "4.6-dertauA-vs-deftau", f,
+                    oracle[gamma], 1e-4)
 
     def tau_vec(gg):
         return np.array([vr.tau_gradient(gg, a) for a in range(g)])
 
     eng = ses.eng
     names = [f"A{delta + 1}" for delta in range(g)]
-    eng.prefetch([tau_vec], names)
+    eng.prefetch([tau_vec], names, lead=formula_side)
     cross = np.zeros((g, g), dtype=complex)
     steps, gaps = [], []
     for delta, name in enumerate(names):
@@ -508,16 +523,21 @@ def suite_hessian(ses, chk):
         return gg.period.B_of_v
 
     idx = [(0, 0, 0, 0)] if g == 1 else [(0, 1, 1, 0), (0, 0, 0, 1)]
-    hess = [vr.period_hessian(geo, a, b, c, d) for a, b, c, d in idx]
-    if g >= 2:
+
+    def formula_side():
+        hess = [vr.period_hessian(geo, a, b, c, d) for a, b, c, d in idx]
+        if g == 1:
+            return hess, None
         vals = np.array([vr.period_hessian(geo, *p)
                          for p in sorted(set(permutations((0, 0, 1, 1))))])
-        spread = float(np.max(np.abs(vals - vals[0]))) / max(1.0, abs(vals[0]))
+        return hess, float(np.max(np.abs(vals - vals[0]))) / max(1.0, abs(vals[0]))
+
     grads = [grad(c) for _, _, c, _ in idx]
     names = [f"A{alpha + 1}" for alpha in range(g)]
     # each A direction with the gradients differentiated along it only
-    eng.prefetch({name: [grad_c for (_, _, _, d), grad_c in zip(idx, grads) if d == alpha]
-                  + [b_periods] for alpha, name in enumerate(names)}, names)
+    hess, spread = eng.prefetch(
+        {name: [grad_c for (_, _, _, d), grad_c in zip(idx, grads) if d == alpha]
+         + [b_periods] for alpha, name in enumerate(names)}, names, lead=formula_side)
     for (a, b, c, d), H, grad_c in zip(idx, hess, grads):
         fd = eng.derivative(grad_c, f"A{d + 1}")
         chk.add(f"hessian-Omega[{a}{b}]-A{c + 1}A{d + 1}", "5.1-doubO",
@@ -535,40 +555,42 @@ def suite_hierarchy(ses, chk):
     curve, geo = ses.curve, ses.geo
     eng = ses.eng
     pts = ses.eval_points(4, start=0.31)
-    # Q3 full symmetry
-    base = vr.q_multidiff(geo, pts[:3])
-    worst = 0.0
-    for perm in permutations(range(3)):
-        v = vr.q_multidiff(geo, [pts[i] for i in perm])
-        worst = max(worst, abs(v - base) / max(1e-300, abs(base)))
-    chk.add("Q3-full-symmetry", "multtau-symmetric", worst, 0.0, 1e-9, absolute=True)
-    # Q4 cycle count
-    chk.add_flag("Q4-cycle-count", "multtau-cycles",
-                 len(vr._cycles(4)) == 3, detail=len(vr._cycles(4)))
-    # R identities
-    r2 = vr.r_multidiff(geo, pts[:2])
-    b12 = geo.kernels.bhat_point(pts[0], pts[1])
-    chk.add("R2-equals-B", "multB-R2", r2, b12, 1e-10)
-    r3 = vr.r_multidiff(geo, pts[:3])
-    b1 = geo.kernels.bhat_point(pts[0], pts[1])
-    b2 = geo.kernels.bhat_point(pts[1], pts[2])
-    vmid = curve.phi(np.array([pts[1].x]), np.array([pts[1].w]))[0]
-    chk.add("R3-equals-BB-over-v", "multB-R3", r3, b1 * b2 / vmid, 1e-10)
-    # R_n^{ab} consistency with its definition at n=2
-    rab = vr.r_ab(geo, 0, 0, pts[:2])
-    va = geo.period.V(np.array([pts[0].x]), np.array([pts[0].w]))[0][0]
-    vb = geo.period.V(np.array([pts[1].x]), np.array([pts[1].w]))[0][0]
-    v1 = curve.phi(np.array([pts[0].x]), np.array([pts[0].w]))[0]
-    v2 = curve.phi(np.array([pts[1].x]), np.array([pts[1].w]))[0]
-    chk.add("Rab-n2-definition", "Rnab", rab, va * vb * b12 / (v1 * v2), 1e-10)
-    # variation of Q2 vs FD
     p1, p2 = pts[:2]
-    got = vr.hierarchy_variation(geo, 0, [p1, p2], "Q")
+
+    def formula_side():
+        # Q3 full symmetry
+        base = vr.q_multidiff(geo, pts[:3])
+        worst = 0.0
+        for perm in permutations(range(3)):
+            v = vr.q_multidiff(geo, [pts[i] for i in perm])
+            worst = max(worst, abs(v - base) / max(1e-300, abs(base)))
+        chk.add("Q3-full-symmetry", "multtau-symmetric", worst, 0.0, 1e-9, absolute=True)
+        # Q4 cycle count
+        chk.add_flag("Q4-cycle-count", "multtau-cycles",
+                     len(vr._cycles(4)) == 3, detail=len(vr._cycles(4)))
+        # R identities
+        r2 = vr.r_multidiff(geo, pts[:2])
+        b12 = geo.kernels.bhat_point(pts[0], pts[1])
+        chk.add("R2-equals-B", "multB-R2", r2, b12, 1e-10)
+        r3 = vr.r_multidiff(geo, pts[:3])
+        b1 = geo.kernels.bhat_point(pts[0], pts[1])
+        b2 = geo.kernels.bhat_point(pts[1], pts[2])
+        vmid = curve.phi(np.array([pts[1].x]), np.array([pts[1].w]))[0]
+        chk.add("R3-equals-BB-over-v", "multB-R3", r3, b1 * b2 / vmid, 1e-10)
+        # R_n^{ab} consistency with its definition at n=2
+        rab = vr.r_ab(geo, 0, 0, pts[:2])
+        va = geo.period.V(np.array([pts[0].x]), np.array([pts[0].w]))[0][0]
+        vb = geo.period.V(np.array([pts[1].x]), np.array([pts[1].w]))[0][0]
+        v1 = curve.phi(np.array([pts[0].x]), np.array([pts[0].w]))[0]
+        v2 = curve.phi(np.array([pts[1].x]), np.array([pts[1].w]))[0]
+        chk.add("Rab-n2-definition", "Rnab", rab, va * vb * b12 / (v1 * v2), 1e-10)
+        # variation of Q2 vs FD
+        return vr.hierarchy_variation(geo, 0, [p1, p2], "Q")
 
     def q2_at(gg):
         return vr.q_multidiff(gg, [gg.curve.carry(p1), gg.curve.carry(p2)])
 
-    eng.prefetch([q2_at], ["A1"])
+    got = eng.prefetch([q2_at], ["A1"], lead=formula_side)
     fd = eng.derivative(q2_at, "A1")
     chk.add("dQ2/dA1-vs-FD", "varW1", got, fd.value, 1e-4, fd=(fd.eps, fd.gap))
     # R-variation at n=2 reduces to the bidifferential variation

@@ -328,19 +328,22 @@ class FDEngine:
             self._cache[key] = self.nav.step_to(target).geo
         return self._cache[key]
 
-    def prefetch(self, functionals, names):
+    def prefetch(self, functionals, names, lead=None):
         """Evaluate functionals at the four points (+-eps, +-eps/2) of each
         coordinate name, the points shared among the CPUs by fan_out, and
         store the values for `derivative`. functionals is one list for every
         name, or a dict of lists by name. At each point they run in order,
         as `derivative` would run them; values a point could not give (its
         build or a functional raised) stay unstored, so `derivative` raises
-        the same error where a one-process run would.
+        the same error where a one-process run would. lead, a callable of
+        no arguments, runs here while the points are computed (fan_out);
+        prefetch returns its value.
 
-        Call it after the suite's formula side: a templated build carries
-        the base contours' anchors only where they already exist
-        (SpectralCurve._carried_anchors), so every worker must start from
-        the base state that `derivative` would meet."""
+        A templated build carries the anchors of a base contour only where
+        they exist (SpectralCurve._carried_anchors), so the anchors of
+        every basis cycle are made before any point starts: the values do
+        not depend on what lead or earlier work has run. Other contours a
+        functional carries (carry_path) must be anchored by their owner."""
         by_name = functionals if isinstance(functionals, dict) else dict.fromkeys(
             names, functionals)
         points = {}
@@ -351,9 +354,12 @@ class FDEngine:
                 key = (index, complex(offset))
                 if any((f, key) not in self._values for f in by_name[name]):
                     points.setdefault(key, by_name[name])
-        done = fan_out(lambda item: self._evaluate(*item), points.items())
+        for cycle in self.nav.geo.basis.cycles:
+            self.nav.curve.anchors(cycle)
+        done, led = fan_out(lambda item: self._evaluate(*item), points.items(), lead)
         for (key, fns), values in zip(points.items(), done):
             self._values.update(((f, key), v) for f, v in zip(fns, values))
+        return led
 
     def _evaluate(self, key, functionals):
         """The functionals' values at one point, up to the first that
@@ -388,46 +394,64 @@ class FDEngine:
         return (np.asarray(fp) - np.asarray(fm)) / (2.0 * eps)
 
 
-def fan_out(fn, items):
-    """[fn(x) for x in items], on every CPU this process may run on.
+def fan_out(fn, items, lead=None):
+    """([fn(x) for x in items], lead()), on every CPU this process may run
+    on; lead is a callable of no arguments, or None.
 
-    With W workers (the CPUs of os.sched_getaffinity, at most one per item,
-    one where sched_getaffinity or fork is missing), worker k takes
-    items[k::W]: worker 0 is this process, each other one a forked child
-    that sends its results back pickled through a pipe and ends with
-    os._exit. Children are forked, not spawned, because each must start
-    from this process's state as it is, bit for bit. speclab starts no
-    thread, but numpy's BLAS may keep a thread pool; a fork is safe only
-    when the BLAS stops that pool before it, as numpy's bundled OpenBLAS
-    does in its pthread_atfork handler (the process has one thread at the
-    fork). A BLAS without such a handler, such as MKL, must run on one
-    thread (MKL_NUM_THREADS=1).
+    The indices of items[1:] go into a queue, a pipe whose write end is
+    closed before any fork, and every worker takes one index at a time
+    from it until it is empty. The workers are this process and W - 1
+    forked children, where W is the CPU count of os.sched_getaffinity, at
+    most one per item (one where sched_getaffinity, fork or the queue's
+    pipe is missing). This process first computes items[0], then runs
+    lead() while the children work, then takes from the queue as they do.
+    A child sends its results back pickled through a pipe of its own and
+    ends with os._exit. Children are forked, not spawned, because each
+    must start from this process's state as it is, bit for bit. speclab
+    starts no thread, but numpy's BLAS may keep a thread pool; a fork is
+    safe only when the BLAS stops that pool before it, as numpy's bundled
+    OpenBLAS does in its pthread_atfork handler (the process has one
+    thread at the fork). A BLAS without such a handler, such as MKL, must
+    run on one thread (MKL_NUM_THREADS=1).
 
-    A child stops at its first item that raises. Every item a child did
-    not deliver (it raised, the child died, or its payload does not
-    unpickle) is computed here, and the first item in order that raises
-    here raises, with its own traceback, as in [fn(x) for x in items].
-    Every child has been waited for when fan_out returns or raises.
+    Each worker stops at its first item that raises. Every item a child
+    did not deliver (it raised, the child died, its payload does not
+    unpickle, or the queue could not hold its index) is computed here, and
+    the first item in order that raises here raises, with its own
+    traceback, as in [fn(x) for x in items]; lead's exception comes before
+    any item's. On every exit but a return the queue is emptied first, so
+    each child stops after its current item, and every child has been
+    waited for when fan_out returns or raises.
     """
     items = list(items)
     has_cpus = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
     workers = max(1, min(len(items), len(os.sched_getaffinity(0)) if has_cpus else 1))
+    queue = _queue(range(1, len(items))) if workers > 1 else None
     children = []
     try:
-        for k in range(1, workers):
-            read, write = os.pipe()
+        while queue is not None and len(children) < workers - 1:
+            try:
+                read, write = os.pipe()
+            except OSError:  # no descriptor to spare: the queue is shared by fewer
+                break
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: its items are computed here
+            except OSError:  # no process to spare: likewise
                 os.close(read)
                 os.close(write)
                 break
             if pid == 0:
-                _serve(fn, items, range(k, len(items), workers),
-                       [read] + [r for _, r in children], write)
+                _serve(fn, items, queue, [read] + [r for _, r in children], write)
             children.append((pid, read))
             os.close(write)
-        results, failed = _share(fn, items, range(0, len(items), workers))
+        results, failed = _share(fn, items, [0] if items else [])
+        led = lead() if lead is not None else None
+        if failed is None:
+            taken = _taken(queue) if queue is not None else range(1, len(items))
+            more, failed = _share(fn, items, taken)
+            results.update(more)
+        if queue is not None:
+            _drain(queue)   # after a failure here: each child stops after its item
         for _, read in children:
             with os.fdopen(read, "rb", closefd=False) as fh:
                 try:
@@ -435,6 +459,9 @@ def fan_out(fn, items):
                 except Exception:  # died or unreadable: its items are computed below
                     pass
     finally:
+        if queue is not None:
+            _drain(queue)
+            os.close(queue)
         for pid, read in children:
             os.close(read)   # a child still writing gets a broken pipe and exits
             os.waitpid(pid, 0)
@@ -444,7 +471,43 @@ def fan_out(fn, items):
             results[i] = fn(items[i])
     if failed:
         raise failed[1]
-    return [results[i] for i in range(len(items))]
+    return [results[i] for i in range(len(items))], led
+
+
+_RECORD = 4       # bytes per queued index
+_PIPE_BUF = 512   # POSIX's least PIPE_BUF: a write of at most this is whole or refused
+
+
+def _queue(indices):
+    """The read end of a pipe that holds indices, _RECORD bytes each, with
+    its write end closed, so that a reader meets EOF once it is empty; None
+    where no pipe can be made. Indices the pipe cannot hold are left out."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    data = b"".join(i.to_bytes(_RECORD, "little") for i in indices)
+    os.set_blocking(write, False)
+    try:
+        for at in range(0, len(data), _PIPE_BUF):   # whole records only
+            os.write(write, data[at:at + _PIPE_BUF])
+    except BlockingIOError:  # full: the rest are computed after the queue
+        pass
+    finally:
+        os.close(write)
+    return read
+
+
+def _taken(queue):
+    """Indices taken from the queue, one read each, until it is empty."""
+    while len(record := os.read(queue, _RECORD)) == _RECORD:
+        yield int.from_bytes(record, "little")
+
+
+def _drain(queue):
+    """Empty the queue: a worker that reads it next meets EOF."""
+    while os.read(queue, _PIPE_BUF):
+        pass
 
 
 def _share(fn, items, indices):
@@ -459,16 +522,17 @@ def _share(fn, items, indices):
     return results, None
 
 
-def _serve(fn, items, indices, reads, write):
-    """A forked worker: its share's results into the pipe, then exit, never
-    returning into the parent's code. It first closes the read ends it
-    inherited, its own and the earlier children's, so that once the parent
-    closes a read end its writer gets a broken pipe."""
+def _serve(fn, items, queue, reads, write):
+    """A forked worker: the items it takes from the queue, computed and
+    sent through its pipe, then exit, never returning into the parent's
+    code. It first closes the result read ends it inherited, its own and
+    the earlier children's, so that once the parent closes a read end its
+    writer gets a broken pipe."""
     code = 1
     try:
         for read in reads:
             os.close(read)
-        results, _ = _share(fn, items, indices)
+        results, _ = _share(fn, items, _taken(queue))
         with os.fdopen(write, "wb") as fh:
             pickle.dump(results, fh)
         code = 0

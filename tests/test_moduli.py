@@ -9,6 +9,7 @@ import pytest
 from speclab import moduli
 from speclab import numerics as nm
 from speclab import surface as sf
+from speclab import variations as vr
 from speclab.differentials import Geometry
 from speclab.generator import generate
 from speclab.harness import Session, run_suite
@@ -295,58 +296,169 @@ class TestFanOut:
 
     def test_results_in_item_order(self):
         items = list(range(11))
-        got = moduli.fan_out(lambda x: (x * x, os.getpid()), items)
+        got, led = moduli.fan_out(lambda x: (x * x, os.getpid()), items,
+                                  lead=lambda: time.sleep(0.2))
         assert [v for v, _ in got] == [x * x for x in items]
         assert {pid for _, pid in got} - {os.getpid()}   # some came from a child
+        assert led is None
         _no_child_left()
 
     def test_first_failing_item_raises_with_its_line(self):
-        # items 4 and 5 raise in the children (shares 1, 4, 7 and 2, 5, 8)
-        # and item 6 here (0, 3, 6); the first in item order is re-raised,
-        # from the line that raised it
+        # items 4, 5 and 6 raise in whichever process takes them; the first
+        # in item order is re-raised, from the line that raised it
         def fn(x):
             if x in (4, 5, 6):
                 raise ValueError(f"item {x}")
             return x
 
         with pytest.raises(ValueError, match="item 4") as info:
-            moduli.fan_out(fn, range(9))
+            moduli.fan_out(fn, range(9), lead=lambda: time.sleep(0.2))
         frame = traceback.extract_tb(info.value.__traceback__)[-1]
         assert frame.name == "fn" and "raise ValueError" in frame.line
         _no_child_left()
 
     def test_item_raising_only_in_a_child_is_computed_here(self):
+        # each child raises at the first item it takes, while the lead
+        # keeps this process from the queue
         parent = os.getpid()
 
         def fn(x):
-            if os.getpid() != parent and x == 4:
+            if os.getpid() != parent:
                 raise RuntimeError("child only")
             return -x
 
-        assert moduli.fan_out(fn, range(9)) == [-x for x in range(9)]
+        got, _ = moduli.fan_out(fn, range(9), lead=lambda: time.sleep(0.2))
+        assert got == [-x for x in range(9)]
         _no_child_left()
 
     def test_child_that_dies_part_way(self):
+        # each child dies at its second item, the first one undelivered
         parent = os.getpid()
+        calls = []
 
         def fn(x):
-            if os.getpid() != parent and x == 4:
+            calls.append(x)
+            if os.getpid() != parent and len(calls) == 2:
                 os._exit(3)
             return x + 0.5
 
-        assert moduli.fan_out(fn, range(9)) == [x + 0.5 for x in range(9)]
+        got, _ = moduli.fan_out(fn, range(9), lead=lambda: time.sleep(0.2))
+        assert got == [x + 0.5 for x in range(9)]
         _no_child_left()
 
     def test_unpicklable_result_is_computed_here(self):
-        assert [f() for f in moduli.fan_out(lambda x: (lambda: x), range(5))] == list(range(5))
+        got, _ = moduli.fan_out(lambda x: (lambda: x), range(5))
+        assert [f() for f in got] == list(range(5))
         _no_child_left()
 
     def test_one_cpu_and_no_items(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         parent = os.getpid()
-        assert moduli.fan_out(lambda x: (x, os.getpid()), "ab") == [("a", parent),
-                                                                     ("b", parent)]
-        assert moduli.fan_out(lambda x: x, []) == []
+        assert moduli.fan_out(lambda x: (x, os.getpid()), "ab") == ([("a", parent),
+                                                                      ("b", parent)], None)
+        assert moduli.fan_out(lambda x: x, []) == ([], None)
+        assert moduli.fan_out(lambda x: x, [], lead=lambda: "led") == ([], "led")
+        _no_child_left()
+
+    def test_one_cpu_order_is_first_item_lead_then_the_rest(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        order = []
+        got, led = moduli.fan_out(lambda x: order.append(x) or x, range(4),
+                                  lead=lambda: order.append("lead") or "led")
+        assert order == [0, "lead", 1, 2, 3]
+        assert (got, led) == ([0, 1, 2, 3], "led")
+
+    def test_lead_runs_here_and_its_value_is_returned(self):
+        got, led = moduli.fan_out(lambda x: x, range(6), lead=lambda: ("led", os.getpid()))
+        assert got == list(range(6)) and led == ("led", os.getpid())
+        _no_child_left()
+
+    def test_first_item_is_computed_here(self):
+        for _ in range(5):
+            got, _ = moduli.fan_out(lambda x: os.getpid(), range(6))
+            assert got[0] == os.getpid()
+        _no_child_left()
+
+    def test_each_item_computed_once(self, tmp_path):
+        # every process appends the items it computes to one log
+        log = tmp_path / "items.log"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def fn(x):
+            os.write(fd, f"{x} {os.getpid()}\n".encode())
+            time.sleep(0.01)
+            return x
+
+        try:
+            got, _ = moduli.fan_out(fn, range(30), lead=lambda: time.sleep(0.1))
+        finally:
+            os.close(fd)
+        lines = log.read_text().split()
+        assert got == list(range(30))
+        assert sorted(int(x) for x in lines[::2]) == list(range(30))
+        assert len(set(lines[1::2])) == 3   # every worker took some
+        _no_child_left()
+
+    def test_queue_under_contention(self, monkeypatch, tmp_path):
+        # eight workers, whatever the CPU count, race for 20,000 short
+        # items, more than a 64 KiB pipe holds as a queue: no index may be
+        # lost or taken twice, and those left out of the queue are computed
+        # here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        log = tmp_path / "items.log"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def fn(x):
+            os.write(fd, f"{x}\n".encode())
+            return x
+
+        try:
+            got, _ = moduli.fan_out(fn, range(20000))
+        finally:
+            os.close(fd)
+        assert got == list(range(20000))
+        assert sorted(int(x) for x in log.read_text().split()) == list(range(20000))
+        _no_child_left()
+
+    @pytest.mark.parametrize("pipes_left", [0, 1])
+    def test_no_pipe_to_spare_runs_here(self, monkeypatch, pipes_left):
+        # with no pipe for the queue (0) or for a child's results (1) the
+        # items run in this process, in one pass
+        real, left = os.pipe, [pipes_left]
+
+        def pipe():
+            if left[0] == 0:
+                raise OSError(24, "Too many open files")
+            left[0] -= 1
+            return real()
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        parent = os.getpid()
+        order = []
+        got, led = moduli.fan_out(lambda x: order.append(x) or (x, os.getpid()), range(5),
+                                  lead=lambda: order.append("lead") or "led")
+        assert got == [(x, parent) for x in range(5)] and led == "led"
+        assert order == [0, "lead", 1, 2, 3, 4]
+        _no_child_left()
+
+    def test_lead_raising_stops_children(self):
+        # 100 items of 0.1 s each, 5 s for the two children; the lead
+        # raises at once, so each child stops after its current item and
+        # fan_out raises the lead's error
+        def fn(x):
+            time.sleep(0.1)
+            return x
+
+        def lead():
+            time.sleep(0.05)
+            raise ValueError("lead failed")
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="lead failed") as info:
+            moduli.fan_out(fn, range(100), lead=lead)
+        assert time.monotonic() - start < 1.5
+        frame = traceback.extract_tb(info.value.__traceback__)[-1]
+        assert frame.name == "lead" and "raise ValueError" in frame.line
         _no_child_left()
 
     def test_interrupt_here_ends_children_blocked_on_full_pipes(self):
@@ -361,6 +473,7 @@ class TestFanOut:
 
         def fn(x):
             if os.getpid() == parent:
+                time.sleep(0.3)   # the children take items meanwhile
                 raise Interrupt
             signal.alarm(10)
             return bytes(1 << 20)
@@ -391,6 +504,55 @@ class TestPrefetch:
         for field in ("value", "coarse", "fine"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
         assert (got.gap, got.eps) == (want.gap, want.eps) and got.eps > 0
+
+    def test_prefetch_with_lead_equal_to_one_cpu_lead_first(self, monkeypatch):
+        # the lead runs while a child builds points; the stored values and
+        # the lead's value equal those of a one-CPU Session that runs the
+        # lead before prefetch
+        spec = load_instance("ell4")
+
+        def omega(geo):
+            return geo.period.omega
+
+        def lead(ses):
+            return vr.vary_period_matrix(ses.geo, vr.direction_differential(ses.geo, "A1"))
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        two = Session(spec)
+        got = two.eng.prefetch([omega], ["A1"], lead=lambda: lead(two))
+        _no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one = Session(spec)
+        want = lead(one)
+        assert one.eng.prefetch([omega], ["A1"]) is None
+        assert np.array_equal(got, want)
+        assert two.eng._values.keys() == one.eng._values.keys()
+        assert len(one.eng._values) == 4
+        for key, value in one.eng._values.items():
+            assert np.array_equal(two.eng._values[key], value)
+
+    def test_basis_anchored_at_first_fork(self, monkeypatch):
+        # a templated build carries only anchors that exist, so the base
+        # cycles must have theirs before a child starts from the base state
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        ses = Session(load_instance("ell4"))
+        curve, cycles = ses.curve, ses.geo.basis.cycles
+
+        def anchored():
+            return [getattr(c, "_anchors", (None,))[0] is curve for c in cycles]
+
+        assert not all(anchored())   # a fresh Session leaves some without
+        seen, real = [], os.fork
+
+        def fork():
+            if not seen:
+                seen.append(anchored())
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        ses.eng.prefetch([lambda g: g.period.omega], ["A1"])
+        _no_child_left()
+        assert seen == [[True] * len(cycles)]
 
     def test_failed_point_raises_in_derivative(self, monkeypatch):
         # the points below the base cannot be built: prefetch stores the two
