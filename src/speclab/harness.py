@@ -297,8 +297,6 @@ def suite_dm_cubic(ses, chk):
 
     paths, targets = sf.zero_paths(curve)
     bpairs = [(p, i) for p, i in zip(paths, targets) if curve.zeros[i].is_branch]
-    for pth, _ in bpairs:  # branch_ints carries them (see FDEngine.prefetch)
-        curve.anchors(pth)
 
     def branch_ints(gg):
         c = gg.curve

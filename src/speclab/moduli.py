@@ -342,8 +342,8 @@ class FDEngine:
         A templated build carries the anchors of a base contour only where
         they exist (SpectralCurve._carried_anchors), so the anchors of
         every basis cycle are made before any point starts: the values do
-        not depend on what lead or earlier work has run. Other contours a
-        functional carries (carry_path) must be anchored by their owner."""
+        not depend on what lead or earlier work has run. A path that a
+        functional carries is anchored by surface.carry_path itself."""
         by_name = functionals if isinstance(functionals, dict) else dict.fromkeys(
             names, functionals)
         points = {}

@@ -1053,7 +1053,13 @@ def carry_path(curve, path, end):
     segments between are kept with their anchors, and it starts on x_r's
     lift. An integral along it is continuous in the moduli while no
     singular point crosses the path, which re-routing would not be (a
-    detour arc can flip side)."""
+    detour arc can flip side).
+
+    path (made by path_to_point or zero_paths) is first anchored on the
+    curve it was made on, so the copy always carries those anchors, and its
+    values do not depend on what has run before: in a forked FD worker as
+    in one process (FDEngine.prefetch)."""
+    path._start_w[0].anchors(path)
     segs = list(path.segments)
     segs[0] = replace(segs[0], z0=curve.x_r.x)
     segs[-1] = replace(segs[-1], z1=complex(end))

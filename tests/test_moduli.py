@@ -461,27 +461,35 @@ class TestFanOut:
         assert frame.name == "lead" and "raise ValueError" in frame.line
         _no_child_left()
 
-    def test_interrupt_here_ends_children_blocked_on_full_pipes(self):
-        # both children write more than a pipe holds while this process is
-        # interrupted; closing its read ends must end both writers, so no
-        # later child may hold an earlier one's read end open. Children
-        # that hung would be ended by their alarm after 10 s.
+    def test_interrupt_here_ends_children_blocked_on_full_pipes(self, tmp_path):
+        # both children take items and write more than a pipe holds while
+        # this process is interrupted; closing its read ends must end both
+        # writers, so no later child may hold an earlier one's read end
+        # open. Children that hung would be ended by their alarm after 10 s.
         parent = os.getpid()
+        log = tmp_path / "pids.log"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
         class Interrupt(BaseException):
             pass
 
         def fn(x):
             if os.getpid() == parent:
-                time.sleep(0.3)   # the children take items meanwhile
+                time.sleep(0.3)   # the children take every item meanwhile
                 raise Interrupt
             signal.alarm(10)
+            os.write(fd, f"{os.getpid()}\n".encode())
+            time.sleep(0.05)   # so that one child cannot take all five
             return bytes(1 << 20)
 
         start = time.monotonic()
-        with pytest.raises(Interrupt):
-            moduli.fan_out(fn, range(6))
+        try:
+            with pytest.raises(Interrupt):
+                moduli.fan_out(fn, range(6))
+        finally:
+            os.close(fd)
         assert time.monotonic() - start < 5.0
+        assert len(set(log.read_text().split())) == 2   # both children took items
         _no_child_left()
 
 

@@ -407,11 +407,9 @@ def _w_carried_and_dense(curve, contour):
 
 
 def _carried_legs(ses, curve):
-    """Every zero leg of the session's curve (anchored there) carried onto
-    curve, as the dm-cubic branch-integral functional carries them."""
+    """Every zero leg of the session's curve carried onto curve, as the
+    dm-cubic branch-integral functional carries them."""
     paths, targets = sf.zero_paths(ses.curve)
-    for path in paths:
-        ses.curve.integrate_v(path)
     return [(path, sf.carry_path(curve, path, curve.zeros[i].x))
             for path, i in zip(paths, targets)]
 
@@ -457,6 +455,17 @@ class TestCarriedAnchors:
         assert geo3.basis.transported
         self.check_carried(curve3, list(zip(base.cycles, geo3.basis.cycles))
                            + _carried_legs(g2_23, curve3))
+
+    def test_carry_path_anchors_its_template(self, g2_23):
+        # a leg to a branch zero is made without anchors; carry_path anchors
+        # it on its own curve, so the copy carries them whatever ran before
+        curve2 = _perturbed(g2_23)
+        paths, targets = sf.zero_paths(g2_23.curve)
+        legs = [(p, i) for p, i in zip(paths, targets) if g2_23.curve.zeros[i].is_branch]
+        assert legs and not any(hasattr(p, "_anchors") for p, _ in legs)
+        pairs = [(p, sf.carry_path(curve2, p, curve2.zeros[i].x)) for p, i in legs]
+        assert all(p._anchors[0] is g2_23.curve for p, _ in pairs)
+        self.check_carried(curve2, pairs)
 
     def test_turned_template_falls_back_to_dense(self, g2_23):
         base = self.anchored_basis(g2_23)
