@@ -2,32 +2,53 @@
 
     python scripts/compare_reports.py a.json b.json
 
-Every value must be equal, except each check's `wall_time`. Prints each
-difference and exits 1 if there is one, else prints the number of checks
-compared and exits 0.
+Checks are paired by name and occurrence (the second record of a name with
+the second), so a record missing on one side is listed as such and does not
+shift the pairing of the records after it. Every value must be equal, except
+each check's `wall_time`. Prints each difference and exits 1 if there is
+one, else prints the number of checks compared and exits 0.
 """
 
 import argparse
 import json
 import sys
+from collections import Counter
 
 IGNORED = "wall_time"
 
 
+def _by_name(checks):
+    """{(name, occurrence): record}, in report order."""
+    seen = Counter()
+    out = {}
+    for check in checks:
+        name = check.get("name")
+        out[(name, seen[name])] = check
+        seen[name] += 1
+    return out
+
+
+def _label(key):
+    name, occurrence = key
+    return name if occurrence == 0 else f"{name} (#{occurrence + 1})"
+
+
 def differences(a, b):
-    """Lines naming each key whose values differ."""
+    """Lines naming each key whose values differ and each check on one side only."""
     out = []
     for key in sorted(set(a) | set(b)):
         if key != "checks" and a.get(key) != b.get(key):
             out.append(f"{key}: {a.get(key)!r} != {b.get(key)!r}")
-    ca, cb = a.get("checks", []), b.get("checks", [])
-    if len(ca) != len(cb):
-        out.append(f"checks: {len(ca)} records != {len(cb)}")
-    for k, (x, y) in enumerate(zip(ca, cb)):
+    ca, cb = _by_name(a.get("checks", [])), _by_name(b.get("checks", []))
+    out += [f"only in a: {_label(k)}" for k in ca if k not in cb]
+    out += [f"only in b: {_label(k)}" for k in cb if k not in ca]
+    for k, x in ca.items():
+        y = cb.get(k)
+        if y is None:
+            continue
         for key in sorted(set(x) | set(y)):
             if key != IGNORED and x.get(key) != y.get(key):
-                out.append(f"checks[{k}] {x.get('name')} {key}: "
-                           f"{x.get(key)!r} != {y.get(key)!r}")
+                out.append(f"{_label(k)} {key}: {x.get(key)!r} != {y.get(key)!r}")
     return out
 
 

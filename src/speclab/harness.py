@@ -18,7 +18,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from . import surface as sf
 from . import variations as vr
 from .differentials import Geometry
 from .instances import counts_of, load_instance
+from .theta import HalfCharacteristic
 
 EVAL_MIN_DIST = 0.3  # least distance of an evaluation point to a singular point
 
@@ -211,77 +212,44 @@ def suite_surface(ses, chk):
                      for c in geo.basis.a_cycles])
     chk.add("a-normalization", "2.10", norm, np.eye(g), 1e-10, absolute=True)
     chk.add("residue-sum", "2.9", moduli.residue_sum(curve), 0.0, 1e-10, absolute=True)
-    if g == 1:
-        tau = _sl2_reduce(om[0, 0])
-        cands = _agm_tau_candidates(curve)
-        best = min(cands, key=lambda c: abs(c - tau))
-        chk.add("elliptic-agm-oracle", "Riemann-relations", tau, best, 1e-9)
-        j_alg = _j_from_branch_points(curve.branch_points)
-        j_theta = _j_from_tau(geo)
-        chk.add("elliptic-j-invariant", "Riemann-relations", j_theta, j_alg, 1e-8)
-    # scaling equivariance of the chart
-    coords = ses.nav.coordinates
-    lam = 1.1 + 0.2j
-    coords2 = _scaled(ses, lam)[1]
-    chk.add("coordinate-scaling-equivariance", "2.8",
-            coords2.vector, lam * coords.vector, 1e-9)
+    chk.add("period-matrix-thomae", "Thomae-formula", *_thomae_sides(geo), 1e-11,
+            absolute=True)
 
 
-def _scaled(ses, lam):
-    """(geometry, coordinates) of the session's cover with v -> lam v."""
-    geo2 = Geometry(sf.build_surface(moduli.scaled_spec(ses.spec, lam), template=ses.curve))
-    return geo2, moduli.Navigator(geo2).coordinates
+def _thomae_sides(geo):
+    """Both sides of Thomae's formula on the hyperelliptic cover, matched.
 
+    theta[eta](0)^8 for every even eta against the squared products
+    prod_{i<j in T} (e_i - e_j) prod_{i<j in T'} (e_i - e_j) over the splits
+    T | T' of the 2g + 2 branch points into halves (Mumford, Tata Lectures
+    on Theta II, IIIa.8), padded with zeros for the even theta constants a
+    hyperelliptic curve forces to vanish. Each side is divided by its
+    largest entry, which removes the common constant; a symplectic change
+    of basis only permutes the characteristics. The sides are paired
+    greedily in increasing distance, so the worst pair can only over-report
+    that of the best bijection."""
+    g = geo.genus
+    chars = [c for c in HalfCharacteristic.enumerate(g) if not c.parity_odd]
+    z0 = np.zeros((1, g), dtype=complex)
+    got = np.array([geo.period.theta.value(z0, c)[0] for c in chars]) ** 8
+    e = geo.curve.branch_points
 
-def _sl2_reduce(tau):
-    tau = complex(tau)
-    for _ in range(200):
-        tau = tau - round(tau.real)
-        if abs(tau) < 1.0 - 1e-14:
-            tau = -1.0 / tau
-        else:
-            break
-    return tau
+    def vandermonde(half):
+        return np.prod([e[i] - e[j] for i, j in combinations(half, 2)])
 
-
-def _agm_tau_candidates(curve):
-    """Independent elliptic oracle: fundamental-domain tau candidates from
-    the arithmetic-geometric mean of branch-point cross differences (the
-    marking and cut-pairing ambiguity leaves a finite candidate set)."""
-    e1, e2, e3, e4 = curve.branch_points
-
-    def cagm(a, b):
-        for _ in range(80):
-            a2 = 0.5 * (a + b)
-            b2 = np.sqrt(a * b)
-            if abs(a2 - b2) > abs(a2 + b2):
-                b2 = -b2
-            a, b = a2, b2
-        return a
-
-    pa = 2 * math.pi / cagm(np.sqrt((e1 - e3) * (e2 - e4)),
-                            np.sqrt((e1 - e4) * (e2 - e3)))
-    pb = 2 * math.pi / cagm(np.sqrt((e2 - e4) * (e3 - e1)),
-                            np.sqrt((e2 - e1) * (e3 - e4)))
-    raw = [pb / pa, -pb / pa, pa / pb, -pa / pb]
-    return [_sl2_reduce(c) for c in raw if c.imag > 0]
-
-
-def _j_from_branch_points(e):
-    """Klein invariant from the cross-ratio of the four branch points."""
-    lam = ((e[0] - e[2]) * (e[1] - e[3])) / ((e[0] - e[3]) * (e[1] - e[2]))
-    return 256.0 * (lam * lam - lam + 1.0) ** 3 / (lam * lam * (lam - 1.0) ** 2)
-
-
-def _j_from_tau(geo):
-    """Klein invariant from the period matrix via theta constants."""
-    from .theta import HalfCharacteristic
-    th = geo.period.theta
-    z0 = np.zeros((1, 1), dtype=complex)
-    t2 = th.value(z0, HalfCharacteristic((0.5,), (0.0,)))[0]
-    t3 = th.value(z0, HalfCharacteristic((0.0,), (0.0,)))[0]
-    lam = (t2 / t3) ** 4
-    return 256.0 * (lam * lam - lam + 1.0) ** 3 / (lam * lam * (lam - 1.0) ** 2)
+    want = np.zeros(len(chars), dtype=complex)  # entries past the splits are the padding
+    for k, rest in enumerate(combinations(range(1, 2 * g + 2), g)):
+        other = [i for i in range(1, 2 * g + 2) if i not in rest]
+        want[k] = (vandermonde((0, *rest)) * vandermonde(other)) ** 2
+    got, want = (v / v[np.argmax(np.abs(v))] for v in (got, want))
+    dist = np.abs(got[:, None] - want[None, :])
+    match, taken = {}, set()
+    for flat in np.argsort(dist, axis=None, kind="stable"):
+        i, j = divmod(int(flat), len(want))
+        if i not in match and j not in taken:
+            match[i] = j
+            taken.add(j)
+    return got, want[[match[i] for i in range(len(got))]]
 
 
 def suite_dm_cubic(ses, chk):
@@ -604,7 +572,8 @@ def suite_hierarchy(ses, chk):
 def suite_scaling(ses, chk):
     geo = ses.geo
     lam = 0.83 - 0.41j
-    geo2, coords2 = _scaled(ses, lam)
+    geo2 = Geometry(sf.build_surface(moduli.scaled_spec(ses.spec, lam), template=ses.curve))
+    coords2 = moduli.Navigator(geo2).coordinates
     coords = ses.nav.coordinates
     chk.add("coordinates-scale-linearly", "2.8",
             coords2.vector, lam * coords.vector, 1e-9)

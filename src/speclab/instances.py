@@ -98,11 +98,20 @@ def counts_of(spec):
 # parsing
 # ---------------------------------------------------------------------------
 
+def _is_int(value):
+    """An integer that is not a boolean (JSON true is a Python int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return _is_int(value) or isinstance(value, float)
+
+
 def _as_complex(value, path):
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2 and all(
-            isinstance(v, (int, float)) for v in value):
+            _is_real(v) for v in value):
         return complex(value[0], value[1])
     raise InstanceError(path, "expected a number or [re, im] pair")
 
@@ -123,7 +132,7 @@ def parse_instance(document):
     if not isinstance(label, str) or not label:
         raise InstanceError("$.label", "missing or empty label")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise InstanceError("$.n", "sheet count n must be an integer >= 2")
 
     raw_poles = doc.get("poles")
@@ -136,7 +145,7 @@ def parse_instance(document):
             raise InstanceError(path, "pole must be an object")
         x = _as_complex(rp.get("x"), path + ".x")
         k = rp.get("k")
-        if not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             raise InstanceError(path + ".k", "order k must be an integer >= 1")
         poles.append(Pole(x, k))
     locs = [p.x for p in poles]
@@ -154,7 +163,7 @@ def parse_instance(document):
         if not isinstance(rq, dict):
             raise InstanceError(path, "entry must be an object")
         ell = rq.get("ell")
-        if not isinstance(ell, int) or not (1 <= ell <= n):
+        if not _is_int(ell) or not (1 <= ell <= n):
             raise InstanceError(path + ".ell", f"ell must be in 1..{n}")
         if ell in numer:
             raise InstanceError(path + ".ell", f"duplicate differential ell={ell}")

@@ -5,8 +5,9 @@ from speclab import generator, moduli
 from speclab import numerics as nm
 from speclab import surface as sf
 from speclab.differentials import (AbelMap, ContourField, DifferentialError,
-                                   PeriodData, second_kind, third_kind)
-from speclab.harness import Session
+                                   Geometry, PeriodData, second_kind, third_kind)
+from speclab.harness import Checker, Report, Session, _thomae_sides, suite_surface
+from speclab.instances import load_instance
 
 
 class TestNormalizedBasis:
@@ -25,11 +26,43 @@ class TestNormalizedBasis:
             assert np.max(np.abs(om - om.T)) < 1e-10 * max(1, np.max(np.abs(om)))
             assert np.min(np.linalg.eigvalsh(om.imag)) > 0
 
-    def test_ell4_agm_oracle(self, ell4):
-        from speclab.harness import _agm_tau_candidates, _sl2_reduce
-        tau = _sl2_reduce(ell4.geo.period.omega[0, 0])
-        cands = _agm_tau_candidates(ell4.curve)
-        assert min(abs(c - tau) for c in cands) < 1e-9
+    def test_thomae_on_shipped_and_drawn_covers(self, ell4, g2_5, g2_23, g2_resfree,
+                                                drawn_curves):
+        geos = [ses.geo for ses in (ell4, g2_5, g2_23, g2_resfree)]
+        geos += [Geometry(curve) for curve in drawn_curves]
+        for geo in geos:
+            got, want = _thomae_sides(geo)
+            assert len(got) == 2 ** (geo.genus - 1) * (2 ** geo.genus + 1)
+            assert not np.any(want == 0)  # no even theta constant vanishes at g <= 2
+            assert np.max(np.abs(got - want)) < 1e-11
+
+    def test_thomae_pads_the_vanishing_constant_at_genus_3(self):
+        spec = generator._draw("g3-33", 2, [(1.75 + 0.95j, 3), (1.7 - 1.1j, 3)],
+                               np.random.default_rng(909001))
+        spec = generator._rescale(spec, generator._vet(spec))
+        generator._vet(spec)
+        ses = Session(spec)
+        got, want = _thomae_sides(ses.geo)
+        assert ses.geo.genus == 3 and len(got) == 36
+        assert np.count_nonzero(want == 0) == 1
+        assert abs(got[want == 0][0]) < 1e-11
+        report = Report(spec.label, "surface")
+        suite_surface(ses, Checker(report))
+        assert [c.passed for c in report.checks if c.name == "period-matrix-thomae"] == [True]
+
+    @pytest.mark.parametrize("label", ["ell4", "g2-23"])
+    def test_thomae_fails_on_perturbed_omega(self, label):
+        """A symmetric 1e-10 change of Omega, made before theta is built,
+        fails period-matrix-thomae and no other surface check."""
+        ses = Session(load_instance(label))
+        period = ses.geo.period
+        period.__dict__.pop("theta", None)
+        period.omega = period.omega + 1e-10 * np.ones_like(period.omega)
+        report = Report(label, "surface")
+        suite_surface(ses, Checker(report))
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["period-matrix-thomae"]
+        assert failed[0].abs_err > 5e-11
 
 
 class TestSecondKind:

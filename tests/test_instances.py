@@ -58,6 +58,21 @@ class TestParse:
         with pytest.raises(InstanceError, match="malformed"):
             parse_instance("{not json")
 
+    @pytest.mark.parametrize("edit,path", [
+        (lambda d: d["poles"][0].update(x=[True, False]), "$.poles[0].x"),
+        (lambda d: d["poles"][0].update(x=True), "$.poles[0].x"),
+        (lambda d: d["poles"][0].update(k=True), "$.poles[0].k"),
+        (lambda d: d["Q"][0].update(ell=True), "$.Q[0].ell"),
+        (lambda d: d["Q"][1]["numer"].__setitem__(0, [0.1, True]), "$.Q[1].numer[0]"),
+        (lambda d: d.update(n=True), "$.n"),
+    ], ids=["x-pair", "x-scalar", "k", "ell", "numer", "n"])
+    def test_booleans_are_not_numbers(self, edit, path):
+        doc = minimal_doc()
+        edit(doc)
+        with pytest.raises(InstanceError) as info:
+            parse_instance(json.dumps(doc))
+        assert info.value.path == path
+
     def test_bad_complex(self):
         doc = minimal_doc()
         doc["Q"][0]["numer"][0] = "zap"

@@ -328,13 +328,6 @@ def _exact_distance_per_segment(contour, points):
     return best
 
 
-@pytest.fixture(scope="module")
-def drawn_curves():
-    """One cold curve per n = 2 generator recipe."""
-    return [sf.build_surface(generate(label, seed_base=7))
-            for label in ("ell4", "g2-5", "g2-23", "g2-resfree")]
-
-
 class TestCapsuleRouting:
     """Margins are ranked by exact clearance, and only those that can score
     best are sampled; the result is that of sampling all ten."""
