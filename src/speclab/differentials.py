@@ -3,9 +3,10 @@
 Normalized holomorphic differentials and the period matrix, second/third
 kind differentials with prescribed principal parts (rational in (x, w),
 a-periods removed by a Gram solve), the theta-based prime form and canonical
-bidifferential, the Bergman regularization (S_B - S_v)/6, and local circle
-frames at branch points and zeros that provide jets, Abel expansions and
-residue extraction for the variational formulas.
+bidifferential, Klein's algebraic bidifferential and from it the Bergman
+regularization (S_B - S_v)/6 in closed form, and local circle frames at
+branch points and zeros that provide jets, Abel expansions and residue
+extraction for the variational formulas.
 
 Conventions: values of a differential are always reported relative to a
 stated local parameter; `V` values are relative to dx (the base chart),
@@ -212,34 +213,25 @@ class AbelMap:
 # ---------------------------------------------------------------------------
 
 class ContourField:
-    """Integrals of theta kernels kernel(x, w, V) along one contour, V being
-    the normalized differentials relative to dx, through the adaptive
-    engine (SpectralCurve.integrate).
+    """Integrals of a kernel(x, w), a value relative to dx, along one
+    contour, through the adaptive engine (SpectralCurve.integrate).
 
     Kept as a class only for the benchmark: perfbench/layers.py traces
     ContourField.integrate_kernel. Fold it into tau_gradient_oracle at the
     next change of the benchmark."""
 
-    def __init__(self, period, contour):
-        self.period = period
+    def __init__(self, curve, contour):
+        self.curve = curve
         self.contour = contour
 
     def integrate_kernel(self, kernel):
-        """Integral of kernel(x, w, V), a value relative to dx, over the contour."""
-        return self.period.curve.integrate(
-            lambda x, w: kernel(x, w, self.period.V(x, w)), self.contour).value
+        """Integral of kernel(x, w) over the contour."""
+        return self.curve.integrate(kernel, self.contour).value
 
 
 # ---------------------------------------------------------------------------
-# theta kernels: prime form, bidifferential, Bergman pieces
+# kernels: theta prime form and bidifferential, Klein's bidifferential
 # ---------------------------------------------------------------------------
-
-K_RING = 16          # samples on an S_B ring
-RING_ORDER = 10      # jet order integrated for the Abel offsets on a base ring
-RING_FRACTION = 0.3  # base ring radius over the point's clearance
-RING_BATCH = 64      # most points of sb_minus_sv whose rings go to theta at once,
-                     # which bounds the memory of the lattice sums
-
 
 class Kernels:
     def __init__(self, curve, period, abel):
@@ -302,45 +294,49 @@ class Kernels:
         th = self.period.theta.value((A2 - A1)[None, :], self.period.odd_char)[0]
         return complex(th / (self.h_at(p1) * self.h_at(p2)))
 
-    # -- local S_B / Bergman regularization ----------------------------------
+    # -- Klein's bidifferential and the Bergman regularization ---------------
 
-    def sb_ring(self, A, V, zeta, A_ring, V_ring):
-        """Bergman projective connection S_B = 6 mean(B - 1/zeta^2) at n
-        centers with Abel vectors A and differential values V (n, g), from a
-        ring of offsets zeta ((k,) or (n, k)) around each, whose points carry
-        A_ring and V_ring (n*k, g); S_B is in the parameter V refers to."""
-        n, k = len(A), zeta.shape[-1]
-        b = self.bhat_batch(np.repeat(A, k, axis=0), np.repeat(V, k, axis=0),
-                            A_ring.reshape(n * k, -1), V_ring.reshape(n * k, -1))
-        return 6.0 * np.mean(b.reshape(n, k) - 1.0 / zeta ** 2, axis=1)
+    @cached_property
+    def kappa(self):
+        """Klein's bidifferential on w^2 = P(x) = E(x^2) + x O(x^2) (Baker,
+        Multiply Periodic Functions, 1907; Buchstaber, Enolski & Leykin, Rev.
+        Math. Math. Phys. 10, 1997) is B = [(F + 2 w(x) w(y)) / (4 (x - y)^2)
+        + x^T kappa y] / (w(x) w(y)), F = 2 E(xy) + (x + y) O(xy), x^T = (1, x,
+        .., x^(g-1)). kappa zeroes the a-periods: at g points x_s off them,
+        2 w(x) w(y) integrates to 0, so kappa = -V^-1 L M for V[s, i] = x_s^i
+        and L[s, m] = oint_{a_m} F(x_s, y) / (4 (x_s - y)^2 w(y)) dy."""
+        curve, period = self.curve, self.period
+        ctr = np.mean(curve.singular_points)
+        xs = ctr + (curve.x0 - ctr) * np.exp(2j * np.pi * np.arange(period.g) / period.g)
+        E, O = curve.P[0::2], curve.P[1::2]
 
-    def sb_minus_sv(self, x, w, V):
-        """S_B - S_v = 6 B_reg in the base coordinate at regular points x
-        with lifts w and V (n, g), from one ring of K_RING points at
-        RING_FRACTION of each point's clearance. The ring carries Abel
-        vectors relative to its centre, which B reads only through their
-        differences."""
-        if len(x) > RING_BATCH:
-            cut = list(range(RING_BATCH, len(x), RING_BATCH))
-            return np.concatenate([self.sb_minus_sv(*part) for part in
-                                   zip(np.split(x, cut), np.split(w, cut), np.split(V, cut))])
-        curve = self.curve
-        n = len(x)
-        clearance = np.min(np.abs(x[:, None] - curve.singular_points[None, :]), axis=1)
-        rho = RING_FRACTION * clearance
-        zeta = nm.circle_points(rho[:, None], K_RING)
-        xi = (x[:, None] + zeta).ravel()
-        wi = nm.nearest_root(curve.sqrtP(xi), np.repeat(w, K_RING))
-        Vi = self.period.V(xi, wi).reshape(n, K_RING, -1)
-        # Abel offsets on the ring: the ring's jet of V integrated from x
-        cV, _ = nm.laurent_window(Vi.transpose(0, 2, 1), rho[:, None],
-                                  range(RING_ORDER + 1))
-        A_off = np.zeros(Vi.shape, dtype=complex)
-        for m in range(RING_ORDER + 1):
-            A_off += cV[:, None, :, m] / (m + 1) * (zeta ** (m + 1))[:, :, None]
-        sb = self.sb_ring(np.zeros(V.shape, dtype=complex), V, zeta, A_off, Vi)
-        cy, _ = nm.laurent_window(curve.phi(xi, wi).reshape(n, K_RING), rho, range(3))
-        return sb - nm.schwarzian(cy[:, 0], cy[:, 1], 2.0 * cy[:, 2])
+        def fn(y, w):
+            t = xs * y[:, None]
+            F = 2.0 * nm.polyval(E, t) + (xs + y[:, None]) * nm.polyval(O, t)
+            return F / (4.0 * (xs - y[:, None]) ** 2 * w[:, None])
+
+        L = np.array([curve.integrate_stack(fn, c).value for c in period.basis.a_cycles])
+        return -np.linalg.solve(xs[:, None] ** np.arange(period.g), L.T) @ period.M
+
+    def sb_minus_sv(self, x, w):
+        """S_B - S_v = 6 B_reg in the base coordinate at points (x, w) off
+        the zeros and poles of v. Klein's B gives, with t = x^2, S_B = [-1.5
+        (E'(t) + t E''(t) + x (2 O'(t) + t O''(t))) + 0.375 P'^2 / P + 6 x^T
+        kappa x] / P; S_v = l'' - l'^2 / 2 for l = log u - log D, u = w - N1,
+        w' = P' / (2 w) and w'' = (2 P P'' - P'^2) / (4 P w)."""
+        curve, t = self.curve, x * x
+        p, p1, p2 = (nm.polyval(nm.polyder(curve.P, m), x) for m in range(3))
+        e1, e2, o1, o2 = (nm.polyval(nm.polyder(curve.P[k::2], m), t)
+                          for k in (0, 1) for m in (1, 2))
+        powers = x[:, None] ** np.arange(self.period.g)
+        sb = (-1.5 * (e1 + t * e2 + x * (2.0 * o1 + t * o2)) + 0.375 * p1 ** 2 / p
+              + 6.0 * np.einsum("ni,ij,nj->n", powers, self.kappa, powers)) / p
+        n0, n1, n2 = (nm.polyval(nm.polyder(curve.N1, m), x) for m in range(3))
+        u, u1 = w - n0, p1 / (2.0 * w) - n1
+        u2 = (2.0 * p * p2 - p1 ** 2) / (4.0 * p * w) - n2
+        l1 = u1 / u - sum(q.k / (x - q.x) for q in curve.spec.poles)
+        l2 = u2 / u - (u1 / u) ** 2 + sum(q.k / (x - q.x) ** 2 for q in curve.spec.poles)
+        return sb - (l2 - 0.5 * l1 ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -242,13 +242,7 @@ def _thomae_sides(geo):
         other = [i for i in range(1, 2 * g + 2) if i not in rest]
         want[k] = (vandermonde((0, *rest)) * vandermonde(other)) ** 2
     got, want = (v / v[np.argmax(np.abs(v))] for v in (got, want))
-    dist = np.abs(got[:, None] - want[None, :])
-    match, taken = {}, set()
-    for flat in np.argsort(dist, axis=None, kind="stable"):
-        i, j = divmod(int(flat), len(want))
-        if i not in match and j not in taken:
-            match[i] = j
-            taken.add(j)
+    match = dict(nm.greedy_pairs(np.abs(got[:, None] - want[None, :])))
     return got, want[[match[i] for i in range(len(got))]]
 
 

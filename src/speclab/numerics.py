@@ -58,11 +58,11 @@ def polyval(coeffs, x):
     return out
 
 
-def polyder(coeffs):
+def polyder(coeffs, m=1):
     c = np.asarray(coeffs, dtype=complex)
-    if len(c) <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, len(c))
+    for _ in range(m):
+        c = c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1, dtype=complex)
+    return c
 
 
 def polymul(a, b):
@@ -537,8 +537,19 @@ def schwarzian(y, yp, ypp):
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra
+# dense linear algebra and matching
 # ---------------------------------------------------------------------------
+
+def greedy_pairs(dist):
+    """(i, j) pairs of a distance matrix taken greedily in increasing
+    distance, ties broken row-major, each row and each column once."""
+    rows, cols = set(), set()
+    for _, i, j in sorted((d, i, j) for (i, j), d in np.ndenumerate(dist)):
+        if i not in rows and j not in cols:
+            rows.add(i)
+            cols.add(j)
+            yield i, j
+
 
 def solve_dense(matrix, rhs):
     """Guarded numpy solve: condition <= COND_CAP and residual <=

@@ -677,17 +677,11 @@ def _match_points(new, old):
     old = np.asarray(old)
     if len(new) != len(old):
         raise SurfaceError("point count changed across a moduli step")
-    dmat = np.abs(new[:, None] - old[None, :])
     order = np.full(len(old), -1, dtype=int)
-    used = np.zeros(len(new), dtype=bool)
-    pairs = sorted(((dmat[i, j], i, j) for i in range(len(new)) for j in range(len(old))))
+    for i, j in nm.greedy_pairs(np.abs(new[:, None] - old[None, :])):
+        order[j] = i
     # matching stays unambiguous while moves are below half the separation
     guard = 0.35 * _min_pairwise(old)
-    for d, i, j in pairs:
-        if order[j] >= 0 or used[i]:
-            continue
-        order[j] = i
-        used[i] = True
     moved = np.abs(new[order] - old)
     if np.any(moved > guard):
         raise SurfaceError("branch-point tracking collision: a point moved "

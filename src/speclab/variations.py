@@ -33,7 +33,7 @@ import numpy as np
 from . import moduli
 from . import numerics as nm
 from . import surface as sf
-from .differentials import (EVAL_SCALE, K_EVAL, K_RING, M_JET, holomorphic_unit,
+from .differentials import (EVAL_SCALE, K_EVAL, M_JET, ContourField, holomorphic_unit,
                             second_kind, third_kind)
 
 
@@ -71,7 +71,8 @@ def all_directions(geo):
 # branch-frame machinery shared by the formulas
 # ---------------------------------------------------------------------------
 
-K_SB = 64  # evaluation-circle points carrying an S_B ring in B_reg/v
+K_SB = 64    # evaluation-circle points carrying an S_B ring in B_reg/v
+K_RING = 16  # samples on an S_B ring
 
 
 def _residue(vals, rho):
@@ -94,7 +95,6 @@ class BranchData:
                        for i in range(len(self.curve.branch_points))]
         self.circles = [self.local.eval_circle(fr) for fr in self.frames]
         self.jets = [self.local.y_jet_values(fr) for fr in self.frames]
-        self._breg_over_v = {}
 
     # h / d log(v/dx) at branch point i, for a direction differential
     def endpoint_factor(self, i, h):
@@ -168,23 +168,25 @@ class BranchData:
             out[i][j] = out[j][i] = complex(np.mean(b))
         return out
 
-    def breg_over_v(self, zero_index):
-        """B_reg/v on the K_SB-point evaluation circle of the frame at a zero
-        of v (branch point or simple zero), and that circle's radius; a pole
-        of order three at a branch point, simple at a simple zero."""
-        if zero_index not in self._breg_over_v:
-            frames = self.local
-            fr = frames.frame(zero_index)
-            c = frames.eval_circle(fr, k=K_SB)
+    @cached_property
+    def breg_over_v(self):
+        """B_reg/v on a K_SB-point evaluation circle of each branch frame, a
+        pole of order three there, with S_B from a ring of K_RING points
+        around each circle point."""
+        out = []
+        for fr in self.frames:
+            c = self.local.eval_circle(fr, k=K_SB)
             eta = c["eta"]
             zeta = nm.circle_points(0.25 * c["rho"], K_RING)
-            A_ring, G_ring = frames.values(fr, (eta[:, None] + zeta[None, :]).ravel())
-            sb = self.kernels.sb_ring(c["A"], c["G"], zeta, A_ring, G_ring)
+            A_ring, G_ring = self.local.values(fr, (eta[:, None] + zeta[None, :]).ravel())
+            b = self.kernels.bhat_batch(np.repeat(c["A"], K_RING, axis=0),
+                                        np.repeat(c["G"], K_RING, axis=0), A_ring, G_ring)
+            sb = 6.0 * np.mean(b.reshape(K_SB, K_RING) - 1.0 / zeta ** 2, axis=1)
             Yp = nm.polyder(fr.Y_series)
             sv = nm.schwarzian(c["Y"], nm.polyval(Yp, eta),
                                nm.polyval(nm.polyder(Yp), eta))
-            self._breg_over_v[zero_index] = ((sb - sv) / (6.0 * c["Y"]), c["rho"])
-        return self._breg_over_v[zero_index]
+            out.append((sb - sv) / (6.0 * c["Y"]))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +336,7 @@ def tau_gradient(geo, gamma):
     bd = geo.branch
     vg = holomorphic_unit(geo.period, gamma)
     # B_reg/v is sampled on K_SB points of the branch circle's radius
-    term1 = bd.residue_sum(vg, lambda i, c: bd.breg_over_v(i)[0])
+    term1 = bd.residue_sum(vg, lambda i, c: bd.breg_over_v[i])
     term2 = sum(_zero_frame_residues(geo, gamma))
     return -TWO_PI_I * term1 - (1j * math.pi / 8.0) * term2
 
@@ -344,27 +346,29 @@ def tau_gradient_oracle(geo):
     coordinates, as the vector over gamma: dual-contour integrals of B_reg/v
     paired with the derivatives of the period coordinates, with small-circle
     corrections restoring duality against the reference paths. Only the
-    derivatives of the period coordinates depend on gamma."""
-    from .differentials import ContourField
+    derivatives of the period coordinates depend on gamma. B_reg/v is the
+    closed form Kernels.sb_minus_sv: the oracle calls no theta function."""
     curve, bd = geo.curve, geo.branch
     g = geo.genus
     basis = geo.basis
     omega = geo.period.omega
 
-    # residues of B_reg/v at every zero (branch points and simple zeros)
-    res_at = [complex(_residue(*bd.breg_over_v(idx)))
-              for idx in range(len(curve.zeros))]
+    def breg_kernel(x, w):
+        return geo.kernels.sb_minus_sv(x, w) / (6.0 * curve.phi(x, w))
+
+    # residues of B_reg/v at every zero on its frame circle, in the frame
+    # parameter: dx/d(eta) = 2 eta at a branch point, 1 at a simple zero
+    frames = [geo.frames.frame(idx) for idx in range(len(curve.zeros))]
+    res_at = [complex(_residue(breg_kernel(fr.x, fr.w) * (2.0 * fr.eta if z.is_branch else 1.0),
+                               fr.rho)) for fr, z in zip(frames, curve.zeros)]
 
     paths, targets = sf.zero_paths(curve)
 
     # kernel integrals over the a/b representatives
-    def breg_kernel(x, w, V):
-        return geo.kernels.sb_minus_sv(x, w, V) / (6.0 * curve.phi(x, w))
-
     dual_a = []
     dual_b = []
     for d in range(g):
-        int_a, int_b = (ContourField(geo.period, c).integrate_kernel(breg_kernel)
+        int_a, int_b = (ContourField(curve, c).integrate_kernel(breg_kernel)
                         for c in (basis.a_cycles[d], basis.b_cycles[d]))
         # duality corrections from crossings with the reference paths
         corr_a = 0.0 + 0.0j

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -226,14 +228,14 @@ class TestThetaKernels:
         assert abs(kern.bhat_point(p1, p2) - kern.bhat_point(p2, p1)) < 1e-12
         A2 = ab.at(p2.x, p2.w)
         V2 = per.V(np.array([p2.x]), np.array([p2.w]))[0]
-        cf = ContourField(per, ses.geo.basis.a_cycles[0])
+        cf = ContourField(ses.curve, ses.geo.basis.a_cycles[0])
 
-        def kernel(x, w, V):
+        def kernel(x, w):
             # B depends on the Abel vectors only modulo the lattice, so the
             # nodes' own Abel values serve as well as a continuation along a1
             A = np.array([ab.at(xi, wi) for xi, wi in zip(x, w)])
             n = len(x)
-            return kern.bhat_batch(A, V, np.broadcast_to(A2, (n, len(A2))).copy(),
+            return kern.bhat_batch(A, per.V(x, w), np.broadcast_to(A2, (n, len(A2))).copy(),
                                    np.broadcast_to(V2, (n, len(V2))).copy())
 
         assert abs(cf.integrate_kernel(kernel)) < 1e-9
@@ -251,47 +253,38 @@ class TestThetaKernels:
         c2 = np.fft.fft(vals)[(-2) % k] / k * rho ** 2
         assert abs(c2 - 1.0) < 1e-8
 
-    def test_hyperelliptic_algebraic_bidifferential_oracle(self, ell4):
-        # closed-form rational bidifferential for w^2 = quartic, plus a
-        # holomorphic correction with matching a-periods, against the
-        # theta-based kernel
-        ses = ell4
-        curve, geo = ses.curve, ses.geo
-        P = curve.P
+    def test_hyperelliptic_algebraic_bidifferential_oracle(self, ell4, g2_5, g2_23,
+                                                           g2_resfree):
+        # Klein's bidifferential for w^2 = P(x) from the production kappa and
+        # this test's own polarization F of P, against the theta-based kernel
+        # over 12 ordered pairs per instance
+        for ses in (ell4, g2_5, g2_23, g2_resfree):
+            g = ses.geo.genus
+            lam = np.append(ses.curve.P, 0.0)  # so lam[2k + 1] exists for each k below
+            kappa = ses.geo.kernels.kappa
+            assert np.max(np.abs(kappa - kappa.T)) < 1e-9 * np.max(np.abs(kappa))
 
-        def F_pol(x, y):
-            # symmetric biquadratic polarization with F(x,x) = 2 P(x)
-            p0, p1, p2, p3, p4 = P[:5]
-            return (2 * p0 + p1 * (x + y) + 2 * p2 * x * y
-                    + p3 * x * y * (x + y) + 2 * p4 * x ** 2 * y ** 2)
+            def klein(px, py):
+                # symmetric polarization of P = sum lam_k x^k, F(x, x) = 2 P(x)
+                F = sum((px.x * py.x) ** k * (2 * lam[2 * k] + lam[2 * k + 1] * (px.x + py.x))
+                        for k in range(len(lam) // 2))
+                hol = px.x ** np.arange(g) @ kappa @ py.x ** np.arange(g)
+                return ((F + 2.0 * px.w * py.w) / (4.0 * (px.x - py.x) ** 2)
+                        + hol) / (px.w * py.w)
 
-        def B_rat(px, py):
-            num = F_pol(px.x, py.x) + 2.0 * px.w * py.w
-            return num / (4.0 * (px.x - py.x) ** 2 * px.w * py.w)
+            pts = ses.eval_points(4)
+            for p1, p2 in permutations(pts, 2):
+                want = ses.geo.kernels.bhat_point(p1, p2)
+                assert abs(klein(p1, p2) - want) < 1e-8 * max(1.0, abs(want))
 
-        # holomorphic correction c v_1(x) v_1(y) with c fixed by zeroing the
-        # a-period in x at fixed y (oint_a v_1 = 1)
-        p1, p2 = ses.eval_points(2)
-
-        def kernel(x, w, V):
-            return np.array([B_rat(sf.SurfacePoint(z, -1, wz), p2)
-                             for z, wz in zip(x, w)])
-
-        cf = ContourField(geo.period, geo.basis.a_cycles[0])
-        pa = cf.integrate_kernel(kernel)
-        V1_p1 = geo.period.V(np.array([p1.x]), np.array([p1.w]))[0][0]
-        got = B_rat(p1, p2) - pa * V1_p1
-        want = geo.kernels.bhat_point(p1, p2)
-        assert abs(got - want) < 1e-8 * max(1.0, abs(want))
-
-    def test_bergman_reg_two_routes(self, ell4):
-        # limit definition (B - v v/(int v)^2 on the diagonal) vs (S_B - S_v)/6
-        ses = ell4
-        curve, geo = ses.curve, ses.geo
-        for p in ses.eval_points(3):
-            direct = _breg_limit(curve, geo, p)
-            formula = _breg_formula(geo, p)
-            assert abs(direct - formula) < 1e-8 * max(1.0, abs(formula))
+    def test_bergman_reg_two_routes(self, ell4, g2_5, g2_23, g2_resfree):
+        # limit definition (B - v v/(int v)^2 on the diagonal) vs the closed
+        # form (S_B - S_v)/6
+        for ses in (ell4, g2_5, g2_23, g2_resfree):
+            for p in ses.eval_points(3):
+                direct = _breg_limit(ses.curve, ses.geo, p)
+                formula = _breg_formula(ses.geo, p)
+                assert abs(direct - formula) < 1e-8 * max(1.0, abs(formula))
 
     def test_riemann_bilinear_identity(self, ell4, g2_23):
         # cycle pairing of (v_gamma, v_a v_b / v) against 2 pi i residue sum
@@ -325,10 +318,10 @@ class TestThetaKernels:
 
 def _breg_formula(geo, p):
     """(S_B - S_v)/6 in the base coordinate at a regular point, through the
-    production ring of Kernels.sb_minus_sv."""
+    closed form of Kernels.sb_minus_sv."""
     x = np.array([complex(p.x)])
     w = np.array([complex(p.w)])
-    d = geo.kernels.sb_minus_sv(x, w, geo.period.V(x, w))
+    d = geo.kernels.sb_minus_sv(x, w)
     return complex(d[0]) / 6.0
 
 

@@ -7,6 +7,10 @@ from itertools import permutations
 from speclab import moduli
 from speclab import surface as sf
 from speclab import variations as vr
+from speclab.differentials import Kernels
+from speclab.harness import Session
+from speclab.instances import load_instance
+from speclab.theta import Theta
 
 
 class TestDirections:
@@ -164,6 +168,30 @@ class TestTau:
         for gamma in range(geo.genus):
             f = vr.tau_gradient(geo, gamma)
             assert abs(f - oracle[gamma]) <= 1e-4 * max(abs(f), abs(oracle[gamma]))
+
+    def test_oracle_calls_no_theta_function(self, monkeypatch):
+        calls = []
+        evaluate = Theta.eval
+
+        def counted(self, *args, **kw):
+            calls.append(args)
+            return evaluate(self, *args, **kw)
+
+        monkeypatch.setattr(Theta, "eval", counted)
+        vr.tau_gradient_oracle(Session(load_instance("g2-resfree")).geo)
+        assert calls == []
+
+    def test_b_normalization_mutant_fails_both_gradient_checks(self, monkeypatch):
+        # 1e-3 sum_a v_a(x) v_a(y) added to the theta B removes its
+        # a-normalization; the formula reads it, the closed-form oracle not
+        bhat = Kernels.bhat_batch
+        monkeypatch.setattr(Kernels, "bhat_batch", lambda self, A1, V1, A2, V2: (
+            bhat(self, A1, V1, A2, V2) + 1e-3 * np.einsum("na,na->n", V1, V2)))
+        geo = Session(load_instance("g2-resfree")).geo
+        oracle = vr.tau_gradient_oracle(geo)
+        for gamma in range(geo.genus):
+            f = vr.tau_gradient(geo, gamma)
+            assert abs(f - oracle[gamma]) > 1e-4 * max(abs(f), abs(oracle[gamma]))
 
 
 class TestResidueDirections:
