@@ -358,24 +358,33 @@ class FrameData:
     w: np.ndarray            # w values (consistent frame)
     g_series: list           # per-alpha ascending series of v_alpha/d(param)
     Y_series: np.ndarray     # series of v/d(param)
-    abel_anchor: np.ndarray  # Abel vector at the center
+    lift: complex | None     # w at the center, None at a branch point
     abel_series: list        # per-alpha series of the Abel offset
     tail: float              # largest truncation tail of the series windows
 
 
 class LocalFrames:
-    """Builder/cache of local circle frames keyed by zero index."""
+    """Builder/cache of local circle frames and their residue circles by zero index."""
 
     def __init__(self, curve, period, abel):
         self.curve = curve
         self.period = period
         self.abel = abel
         self._frames = {}
+        self._zero_circles = {}
 
     def frame(self, zero_index):
         if zero_index not in self._frames:
             self._frames[zero_index] = self._build(self.curve.zeros[zero_index])
         return self._frames[zero_index]
+
+    def zero_circle(self, zero_index):
+        """A frame's evaluation circle with "den", the integral of v from its zero."""
+        if zero_index not in self._zero_circles:
+            fr = self.frame(zero_index)
+            c = self._zero_circles[zero_index] = self.eval_circle(fr)
+            c["den"] = nm.polyval(nm.series_integrate(fr.Y_series), c["eta"])
+        return self._zero_circles[zero_index]
 
     def _build(self, z):
         """Frame circle at a zero of v: eta^2 = x - b at a branch point b,
@@ -405,28 +414,29 @@ class LocalFrames:
         series, tails = nm.laurent_window(np.concatenate([V.T, Y[None, :]]), rho,
                                           np.arange(M_JET + 1))
         g_series = [nm.polytrim(gs, rel=0.0) for gs in series[:-1]]
-        anchor = self.abel.at(c, None if z.is_branch else z.w)
-        abel_series = [nm.series_integrate(gs) for gs in g_series]
-        return FrameData(c, rho, eta, x, w, g_series, series[-1], anchor,
-                         abel_series, float(np.max(tails)))
+        lift = None if z.is_branch else z.w
+        return FrameData(c, rho, eta, x, w, g_series, series[-1], lift,
+                         [nm.series_integrate(gs) for gs in g_series], float(np.max(tails)))
 
     # -- evaluation helpers ---------------------------------------------------
 
+    def abel_values(self, fr, eta):
+        """Abel vectors at frame parameters eta; AbelMap.at caches the center's."""
+        anchor = self.abel.at(fr.center, fr.lift)
+        return np.stack([anchor[a] + nm.polyval(fr.abel_series[a], eta)
+                         for a in range(self.period.g)], axis=1)
+
     def values(self, fr, eta):
-        """Abel vectors and v_alpha/d(param) at frame parameters eta."""
-        g = self.period.g
-        A = np.stack([fr.abel_anchor[a] + nm.polyval(fr.abel_series[a], eta)
-                      for a in range(g)], axis=1)
-        G = np.stack([nm.polyval(fr.g_series[a], eta) for a in range(g)], axis=1)
-        return A, G
+        """v_alpha/d(param) at frame parameters eta."""
+        return np.stack([nm.polyval(gs, eta) for gs in fr.g_series], axis=1)
 
     def eval_circle(self, fr, k=K_EVAL):
         """Evaluation circle of k points at EVAL_SCALE of the frame radius:
-        parameters, Abel vectors, v_alpha/d(param) and v/d(param)."""
+        parameters, v_alpha/d(param) and v/d(param)."""
         r = EVAL_SCALE * fr.rho
         eta = nm.circle_points(r, k)
-        A, G = self.values(fr, eta)
-        return {"eta": eta, "rho": r, "G": G, "Y": nm.polyval(fr.Y_series, eta), "A": A}
+        return {"eta": eta, "rho": r, "G": self.values(fr, eta),
+                "Y": nm.polyval(fr.Y_series, eta)}
 
     def y_jet_values(self, fr):
         """Center jet data of a branch frame: y = v/dx as a function of the

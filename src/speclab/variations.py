@@ -98,9 +98,7 @@ class BranchData:
 
     # h / d log(v/dx) at branch point i, for a direction differential
     def endpoint_factor(self, i, h):
-        jet = self.jets[i]
-        g0 = self.direction_series(i, h)[0]
-        return g0 * jet["y0"] / jet["yp"]
+        return self.direction_series(i, h)[0] * self.jets[i]["y0"] / self.jets[i]["yp"]
 
     def direction_series(self, i, h):
         """Series of h/d(eta) on branch frame i."""
@@ -135,14 +133,15 @@ class BranchData:
                     r_guard = float(np.min(inside))
             rho = min(EVAL_SCALE * fr.rho, 0.45 * r_guard)
             eta = nm.circle_points(rho, K_EVAL)
-            _, G = self.local.values(fr, eta)
-            yp = nm.polyval(nm.polyder(y_series), eta)
-            out.append({"eta": eta, "rho": rho, "G": G, "yp": yp})
+            out.append({"eta": eta, "rho": rho, "G": self.local.values(fr, eta),
+                        "yp": nm.polyval(nm.polyder(y_series), eta)})
         return out
 
-    def direction_on(self, i, h, eta):
-        """Direction series evaluated at arbitrary frame parameters."""
-        return nm.polyval(self.direction_series(i, h), eta)
+    @cached_property
+    def circle_abel(self):
+        """Abel vectors on the evaluation circles; the first read routes the centers'."""
+        return [self.local.abel_values(fr, c["eta"])
+                for fr, c in zip(self.frames, self.circles)]
 
     # -- Bergman data ---------------------------------------------------------
 
@@ -150,10 +149,10 @@ class BranchData:
     def breg_hats(self):
         """B_reg in the double-cover parameter at each branch point."""
         out = []
-        for fr, c in zip(self.frames, self.circles):
+        for fr, c, A in zip(self.frames, self.circles, self.circle_abel):
             eta = c["eta"]
-            A_minus, G_minus = self.local.values(fr, -eta)
-            b = self.kernels.bhat_batch(c["A"], c["G"], A_minus, G_minus)
+            b = self.kernels.bhat_batch(A, c["G"], self.local.abel_values(fr, -eta),
+                                        self.local.values(fr, -eta))
             out.append(complex(np.mean(b - 1.0 / (2.0 * eta) ** 2)))
         return out
 
@@ -163,8 +162,8 @@ class BranchData:
         symmetric matrix built from the lower index first (diagonal unused)."""
         out = [[0j] * len(self.circles) for _ in self.circles]
         for i, j in combinations(range(len(out)), 2):
-            ci, cj = self.circles[i], self.circles[j]
-            b = self.kernels.bhat_batch(ci["A"], ci["G"], cj["A"], cj["G"])
+            b = self.kernels.bhat_batch(self.circle_abel[i], self.circles[i]["G"],
+                                        self.circle_abel[j], self.circles[j]["G"])
             out[i][j] = out[j][i] = complex(np.mean(b))
         return out
 
@@ -178,9 +177,11 @@ class BranchData:
             c = self.local.eval_circle(fr, k=K_SB)
             eta = c["eta"]
             zeta = nm.circle_points(0.25 * c["rho"], K_RING)
-            A_ring, G_ring = self.local.values(fr, (eta[:, None] + zeta[None, :]).ravel())
-            b = self.kernels.bhat_batch(np.repeat(c["A"], K_RING, axis=0),
-                                        np.repeat(c["G"], K_RING, axis=0), A_ring, G_ring)
+            ring = (eta[:, None] + zeta[None, :]).ravel()
+            b = self.kernels.bhat_batch(np.repeat(self.local.abel_values(fr, eta), K_RING, axis=0),
+                                        np.repeat(c["G"], K_RING, axis=0),
+                                        self.local.abel_values(fr, ring),
+                                        self.local.values(fr, ring))
             sb = 6.0 * np.mean(b.reshape(K_SB, K_RING) - 1.0 / zeta ** 2, axis=1)
             Yp = nm.polyder(fr.Y_series)
             sv = nm.schwarzian(c["Y"], nm.polyval(Yp, eta),
@@ -223,7 +224,7 @@ def vary_period_matrix(geo, h):
     for i, oh2 in enumerate(bd.oh2_circles):
         eta2 = oh2["eta"]
         G = oh2["G"].T
-        k2 = (G[:, None] * G[None, :] * bd.direction_on(i, h, eta2)
+        k2 = (G[:, None] * G[None, :] * nm.polyval(bd.direction_series(i, h), eta2)
               / (2.0 * eta2 * oh2["yp"]))
         out2 = out2 + _residue(k2, oh2["rho"])
     out2 = _symmetrize_fill(out2)
@@ -238,10 +239,8 @@ def vary_period_matrix(geo, h):
 
 
 def _symmetrize_fill(m):
-    g = m.shape[0]
-    for a in range(g):
-        for b in range(a):
-            m[a, b] = m[b, a]
+    lower = np.tril_indices(m.shape[0], -1)
+    m[lower] = m.T[lower]
     return m
 
 
@@ -255,17 +254,17 @@ def _point_data(geo, p):
     return A, V
 
 
-def _b_point_circle(geo, A, V, c):
-    """B(x, t) for a fixed point x against every point t of a circle."""
+def _b_point_circle(geo, A, V, i, c):
+    """B(x, t) for a fixed point x against every point t of branch circle i."""
     n = len(c["eta"])
     return geo.kernels.bhat_batch(np.tile(A, (n, 1)), np.tile(V, (n, 1)),
-                                  c["A"], c["G"])
+                                  geo.branch.circle_abel[i], c["G"])
 
 
-def _b_circle_point(geo, c, A, V):
-    """B(t, x) for every point t of a circle against a fixed point x."""
+def _b_circle_point(geo, i, c, A, V):
+    """B(t, x) for every point t of branch circle i against a fixed point x."""
     n = len(c["eta"])
-    return geo.kernels.bhat_batch(c["A"], c["G"],
+    return geo.kernels.bhat_batch(geo.branch.circle_abel[i], c["G"],
                                   np.tile(A, (n, 1)), np.tile(V, (n, 1)))
 
 
@@ -273,7 +272,7 @@ def vary_valpha(geo, h, point):
     """d(v_alpha(x))/d(coordinate) relative to dx at the point; vector over alpha."""
     A_x, V_x = _point_data(geo, point)
     return -geo.branch.residue_sum(h, lambda i, c: (
-        c["G"].T * _b_circle_point(geo, c, A_x, V_x) / c["Y"]))
+        c["G"].T * _b_circle_point(geo, i, c, A_x, V_x) / c["Y"]))
 
 
 def vary_bidifferential(geo, h, p1, p2):
@@ -281,7 +280,7 @@ def vary_bidifferential(geo, h, p1, p2):
     A1, V1 = _point_data(geo, p1)
     A2, V2 = _point_data(geo, p2)
     return -geo.branch.residue_sum(h, lambda i, c: (
-        _b_point_circle(geo, A1, V1, c) * _b_circle_point(geo, c, A2, V2) / c["Y"]))
+        _b_point_circle(geo, A1, V1, i, c) * _b_circle_point(geo, i, c, A2, V2) / c["Y"]))
 
 
 def vary_log_prime_form(geo, h, p1, p2):
@@ -292,8 +291,9 @@ def vary_log_prime_form(geo, h, p1, p2):
     odd = geo.period.odd_char
 
     def kernel(i, c):
-        e1 = th.eval(c["A"] - A1[None, :], odd, derivs=1)
-        e2 = th.eval(c["A"] - A2[None, :], odd, derivs=1)
+        At = geo.branch.circle_abel[i]
+        e1 = th.eval(At - A1[None, :], odd, derivs=1)
+        e2 = th.eval(At - A2[None, :], odd, derivs=1)
         d1 = e1["grad"] / e1["val"][:, None]
         d2 = e2["grad"] / e2["val"][:, None]
         dln = np.einsum("ni,ni->n", d1 - d2, c["G"])
@@ -314,10 +314,8 @@ def _zero_frame_residues(geo, gamma):
     """res at every zero of v of v_gamma(x) / int_{x_i}^x v."""
     out = []
     for idx in range(len(geo.curve.zeros)):
-        fr = geo.frames.frame(idx)
-        c = geo.frames.eval_circle(fr)
-        den = nm.polyval(nm.series_integrate(fr.Y_series), c["eta"])
-        out.append(complex(_residue(c["G"][:, gamma] / den, c["rho"])))
+        c = geo.frames.zero_circle(idx)
+        out.append(complex(_residue(c["G"][:, gamma] / c["den"], c["rho"])))
     return out
 
 
@@ -347,10 +345,8 @@ def tau_gradient_oracle(geo):
     paired with the derivatives of the period coordinates, with small-circle
     corrections restoring duality against the reference paths. Only the
     derivatives of the period coordinates depend on gamma. B_reg/v is the
-    closed form Kernels.sb_minus_sv: the oracle calls no theta function."""
-    curve, bd = geo.curve, geo.branch
-    g = geo.genus
-    basis = geo.basis
+    closed form Kernels.sb_minus_sv: the oracle reads no theta or Abel map."""
+    curve, bd, basis, g = geo.curve, geo.branch, geo.basis, geo.genus
     omega = geo.period.omega
 
     def breg_kernel(x, w):
@@ -365,14 +361,12 @@ def tau_gradient_oracle(geo):
     paths, targets = sf.zero_paths(curve)
 
     # kernel integrals over the a/b representatives
-    dual_a = []
-    dual_b = []
+    dual_a, dual_b = [], []
     for d in range(g):
         int_a, int_b = (ContourField(curve, c).integrate_kernel(breg_kernel)
                         for c in (basis.a_cycles[d], basis.b_cycles[d]))
         # duality corrections from crossings with the reference paths
-        corr_a = 0.0 + 0.0j
-        corr_b = 0.0 + 0.0j
+        corr_a = corr_b = 0.0 + 0.0j
         for path, idx in zip(paths, targets):
             nb = sf.intersection_number(curve, basis.b_cycles[d], path)
             na = sf.intersection_number(curve, basis.a_cycles[d], path)
@@ -475,7 +469,7 @@ def hierarchy_variation(geo, gamma, points, variant):
     slot = n if variant == "Q" else n - 1
 
     def kernel(i, c):
-        bt = [_b_point_circle(geo, A, V, c) for A, V in data]
+        bt = [_b_point_circle(geo, A, V, i, c) for A, V in data]
         big = [[*row[:slot], b, *row[slot:]] for row, b in zip(bmat, bt)]
         big.insert(slot, [*bt[:slot], None, *bt[slot:]])
         if variant == "Q":
@@ -498,11 +492,7 @@ def period_hessian(geo, a, b, cidx, d):
     """Second derivative of Omega_{ab} along A_{cidx}, A_d from branch jets."""
     bd = geo.branch
     nbr = len(bd.frames)
-    jets = bd.jets
-    g0 = [jets[i]["g0"] for i in range(nbr)]
-    gpp = [jets[i]["gpp"] for i in range(nbr)]
-    yp = [jets[i]["yp"] for i in range(nbr)]
-    yppp = [jets[i]["yppp"] for i in range(nbr)]
+    g0, gpp, yp, yppp = ([jet[k] for jet in bd.jets] for k in ("g0", "gpp", "yp", "yppp"))
 
     cyc3 = [(a, b, cidx), (b, cidx, a), (cidx, a, b)]
     off = 0.0 + 0.0j

@@ -154,6 +154,19 @@ class TestAbel:
         for e in geo.curve.branch_points:
             assert np.all(np.isfinite(geo.abel.at(e, None)))
 
+    @pytest.mark.parametrize("fixture", ["ell4", "g2_5", "g2_23", "g2_resfree"])
+    def test_branch_points_differ_by_half_periods(self, fixture, request):
+        # on a hyperelliptic curve 2(A(e_k) - A(e_0)) = n + Omega m with
+        # integer n, m; which characteristic each e_k carries is not pinned
+        geo = request.getfixturevalue(fixture).geo
+        om = geo.period.omega
+        e0 = geo.abel.at(geo.curve.branch_points[0], None)
+        for e in geo.curve.branch_points[1:]:
+            z = 2.0 * (geo.abel.at(e, None) - e0)
+            m = np.linalg.solve(om.imag, z.imag)
+            nm_ = np.concatenate([z.real - om.real @ m, m])
+            assert np.max(np.abs(nm_ - np.round(nm_))) < 1e-12
+
     def test_non_finite_abel_vector_names_path(self, ell4, monkeypatch):
         abel = AbelMap(ell4.curve, ell4.geo.period)
         monkeypatch.setattr(abel, "integrate_v_alpha",

@@ -7,8 +7,8 @@ from itertools import permutations
 from speclab import moduli
 from speclab import surface as sf
 from speclab import variations as vr
-from speclab.differentials import Kernels
-from speclab.harness import Session
+from speclab.differentials import Geometry, Kernels
+from speclab.harness import Session, run_suite
 from speclab.instances import load_instance
 from speclab.theta import Theta
 
@@ -169,6 +169,8 @@ class TestTau:
             f = vr.tau_gradient(geo, gamma)
             assert abs(f - oracle[gamma]) <= 1e-4 * max(abs(f), abs(oracle[gamma]))
 
+    # the oracle reads neither theta nor the Abel map: for the Abel map see
+    # test_frames_route_abel_vectors_only_when_read
     def test_oracle_calls_no_theta_function(self, monkeypatch):
         calls = []
         evaluate = Theta.eval
@@ -181,6 +183,19 @@ class TestTau:
         vr.tau_gradient_oracle(Session(load_instance("g2-resfree")).geo)
         assert calls == []
 
+    @pytest.mark.parametrize("formula, fresh", [
+        (vr.tau_gradient_oracle, 0),
+        (lambda geo: sum(vr._zero_frame_residues(geo, 0)), 0),
+        (lambda geo: vr.vary_period_matrix(geo, vr.direction_differential(geo, "A1")), 0),
+        (lambda geo: vr.tau_gradient(geo, 0), 6),
+    ], ids=["oracle", "zero-sum", "vary-period-matrix", "tau-gradient"])
+    def test_frames_route_abel_vectors_only_when_read(self, g2_resfree, formula, fresh):
+        # a frame's Abel vector at its center is routed on first read; of
+        # these, only the S_B rings of the 6 branch frames read one
+        geo = Geometry(g2_resfree.curve, g2_resfree.geo.basis)
+        formula(geo)
+        assert len(geo.abel._cache) == fresh
+
     def test_b_normalization_mutant_fails_both_gradient_checks(self, monkeypatch):
         # 1e-3 sum_a v_a(x) v_a(y) added to the theta B removes its
         # a-normalization; the formula reads it, the closed-form oracle not
@@ -192,6 +207,33 @@ class TestTau:
         for gamma in range(geo.genus):
             f = vr.tau_gradient(geo, gamma)
             assert abs(f - oracle[gamma]) > 1e-4 * max(abs(f), abs(oracle[gamma]))
+
+
+class TestMutants:
+    """A wrong formula piece fails the checks that exist to catch it (the
+    B-normalization mutant is in TestTau)."""
+
+    def test_all_zeros_sum_dropped_fails_both_gradient_checks(self, g2_resfree,
+                                                                monkeypatch):
+        # tau-gradient-A1/A2 read 1.25e-1 and 8.38e-2 against 1e-4; a sum
+        # scaled by 1.001 reads 1.25e-4 and 8.38e-5, so A2 misses that size
+        geo = g2_resfree.geo
+        oracle = vr.tau_gradient_oracle(geo)
+        monkeypatch.setattr(vr, "_zero_frame_residues",
+                            lambda geo, gamma: [0j] * len(geo.curve.zeros))
+        for gamma in range(geo.genus):
+            f = vr.tau_gradient(geo, gamma)
+            assert abs(f - oracle[gamma]) > 1e-4 * max(abs(f), abs(oracle[gamma]))
+
+    def test_endpoint_correction_sign_flip_fails_every_branch_integral(self, monkeypatch):
+        # each branch-integral/d* of ell4 dm-cubic reads rel err 1.39-1.84
+        correction = vr.endpoint_correction
+        monkeypatch.setattr(vr, "endpoint_correction",
+                            lambda geo, h, i: -correction(geo, h, i))
+        checks = [c for c in run_suite("ell4", "dm-cubic").checks
+                  if c.name.startswith("branch-integral/d")]
+        assert len(checks) == 8
+        assert not any(c.passed for c in checks)
 
 
 class TestResidueDirections:
