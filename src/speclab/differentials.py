@@ -308,15 +308,24 @@ class Kernels:
         curve, period = self.curve, self.period
         ctr = np.mean(curve.singular_points)
         xs = ctr + (curve.x0 - ctr) * np.exp(2j * np.pi * np.arange(period.g) / period.g)
-        E, O = curve.P[0::2], curve.P[1::2]
 
         def fn(y, w):
-            t = xs * y[:, None]
-            F = 2.0 * nm.polyval(E, t) + (xs + y[:, None]) * nm.polyval(O, t)
-            return F / (4.0 * (xs - y[:, None]) ** 2 * w[:, None])
+            return self._polar(xs, y[:, None]) / (4.0 * (xs - y[:, None]) ** 2 * w[:, None])
 
         L = np.array([curve.integrate_stack(fn, c).value for c in period.basis.a_cycles])
         return -np.linalg.solve(xs[:, None] ** np.arange(period.g), L.T) @ period.M
+
+    def _polar(self, x, y):
+        """F(x, y) = 2 E(xy) + (x + y) O(xy), the polarization of P: F(x, x) = 2 P(x)."""
+        t, P = x * y, self.curve.P
+        return 2.0 * nm.polyval(P[0::2], t) + (x + y) * nm.polyval(P[1::2], t)
+
+    def klein(self, x, w, y, v):
+        """Klein's B(x, y)/(dx dy) at the point pairs ((x, w), (y, v))."""
+        g = self.period.g
+        hol = np.einsum("ni,ij,nj->n", x[:, None] ** np.arange(g), self.kappa,
+                        y[:, None] ** np.arange(g))
+        return ((self._polar(x, y) + 2.0 * w * v) / (4.0 * (x - y) ** 2) + hol) / (w * v)
 
     def sb_minus_sv(self, x, w):
         """S_B - S_v = 6 B_reg in the base coordinate at points (x, w) off
@@ -430,11 +439,11 @@ class LocalFrames:
         """v_alpha/d(param) at frame parameters eta."""
         return np.stack([nm.polyval(gs, eta) for gs in fr.g_series], axis=1)
 
-    def eval_circle(self, fr, k=K_EVAL):
-        """Evaluation circle of k points at EVAL_SCALE of the frame radius:
-        parameters, v_alpha/d(param) and v/d(param)."""
+    def eval_circle(self, fr):
+        """Evaluation circle of K_EVAL points at EVAL_SCALE of the frame
+        radius: parameters, v_alpha/d(param) and v/d(param)."""
         r = EVAL_SCALE * fr.rho
-        eta = nm.circle_points(r, k)
+        eta = nm.circle_points(r, K_EVAL)
         return {"eta": eta, "rho": r, "G": self.values(fr, eta),
                 "Y": nm.polyval(fr.Y_series, eta)}
 

@@ -453,6 +453,12 @@ def suite_tau(ses, chk):
             f = vr.tau_gradient(geo, gamma)
             chk.add(f"tau-gradient-A{gamma + 1}", "4.6-dertauA-vs-deftau", f,
                     oracle[gamma], 1e-4)
+        # both tau sides read kappa: theta's B checks it without reading it
+        pairs = list(combinations(ses.eval_points(3), 2))
+        x, w, y, v = np.array([[p.x, p.w, q.x, q.w] for p, q in pairs], dtype=complex).T
+        chk.add("bidifferential-klein-vs-theta", "Klein-bidifferential",
+                geo.kernels.klein(x, w, y, v),
+                [geo.kernels.bhat_point(p, q) for p, q in pairs], 1e-10)
 
     def tau_vec(gg):
         return np.array([vr.tau_gradient(gg, a) for a in range(g)])

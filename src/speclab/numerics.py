@@ -531,11 +531,6 @@ def continue_root(s, start):
     return (s if abs(s[0] - start) <= abs(s[0] + start) else -s) * flips
 
 
-def schwarzian(y, yp, ypp):
-    """Schwarzian derivative of the integral of y, from y, y', y''."""
-    return ypp / y - 1.5 * (yp / y) ** 2
-
-
 # ---------------------------------------------------------------------------
 # dense linear algebra and matching
 # ---------------------------------------------------------------------------

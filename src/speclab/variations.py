@@ -33,8 +33,8 @@ import numpy as np
 from . import moduli
 from . import numerics as nm
 from . import surface as sf
-from .differentials import (EVAL_SCALE, K_EVAL, M_JET, ContourField, holomorphic_unit,
-                            second_kind, third_kind)
+from .differentials import (EVAL_SCALE, K_EVAL, K_FRAME, M_JET, ContourField,
+                            holomorphic_unit, second_kind, third_kind)
 
 
 class VariationError(RuntimeError):
@@ -70,10 +70,6 @@ def all_directions(geo):
 # ---------------------------------------------------------------------------
 # branch-frame machinery shared by the formulas
 # ---------------------------------------------------------------------------
-
-K_SB = 64    # evaluation-circle points carrying an S_B ring in B_reg/v
-K_RING = 16  # samples on an S_B ring
-
 
 def _residue(vals, rho):
     """c_{-1} of samples on |eta| = rho along the last axis."""
@@ -169,24 +165,18 @@ class BranchData:
 
     @cached_property
     def breg_over_v(self):
-        """B_reg/v on a K_SB-point evaluation circle of each branch frame, a
-        pole of order three there, with S_B from a ring of K_RING points
-        around each circle point."""
+        """B_reg/v relative to d(eta) on the evaluation circle of each branch
+        frame, a pole of order three there: Klein's (S_B - S_v)/6, a quadratic
+        differential, times (dx/d(eta))^2 over v/d(eta). w continues the
+        frame's tracked w at the same angle, scaled to the circle's radius
+        (w/eta has no zero in the frame disk)."""
         out = []
-        for fr in self.frames:
-            c = self.local.eval_circle(fr, k=K_SB)
+        for fr, c in zip(self.frames, self.circles):
             eta = c["eta"]
-            zeta = nm.circle_points(0.25 * c["rho"], K_RING)
-            ring = (eta[:, None] + zeta[None, :]).ravel()
-            b = self.kernels.bhat_batch(np.repeat(self.local.abel_values(fr, eta), K_RING, axis=0),
-                                        np.repeat(c["G"], K_RING, axis=0),
-                                        self.local.abel_values(fr, ring),
-                                        self.local.values(fr, ring))
-            sb = 6.0 * np.mean(b.reshape(K_SB, K_RING) - 1.0 / zeta ** 2, axis=1)
-            Yp = nm.polyder(fr.Y_series)
-            sv = nm.schwarzian(c["Y"], nm.polyval(Yp, eta),
-                               nm.polyval(nm.polyder(Yp), eta))
-            out.append((sb - sv) / (6.0 * c["Y"]))
+            x = fr.center + eta ** 2
+            w = nm.nearest_root(self.curve.sqrtP(x, near=[(fr.center, slice(None), eta ** 2)]),
+                                EVAL_SCALE * fr.w[::K_FRAME // K_EVAL])
+            out.append(self.kernels.sb_minus_sv(x, w) * (2.0 * eta) ** 2 / (6.0 * c["Y"]))
         return out
 
 
@@ -333,7 +323,6 @@ def tau_gradient(geo, gamma):
                              "with all pole orders >= 2")
     bd = geo.branch
     vg = holomorphic_unit(geo.period, gamma)
-    # B_reg/v is sampled on K_SB points of the branch circle's radius
     term1 = bd.residue_sum(vg, lambda i, c: bd.breg_over_v[i])
     term2 = sum(_zero_frame_residues(geo, gamma))
     return -TWO_PI_I * term1 - (1j * math.pi / 8.0) * term2

@@ -6,7 +6,7 @@ import pytest
 from speclab import generator, moduli
 from speclab import numerics as nm
 from speclab import surface as sf
-from speclab.differentials import (AbelMap, ContourField, DifferentialError,
+from speclab.differentials import (EVAL_SCALE, AbelMap, ContourField, DifferentialError,
                                    Geometry, PeriodData, second_kind, third_kind)
 from speclab.harness import Checker, Report, Session, _thomae_sides, suite_surface
 from speclab.instances import load_instance
@@ -270,7 +270,7 @@ class TestThetaKernels:
                                                            g2_resfree):
         # Klein's bidifferential for w^2 = P(x) from the production kappa and
         # this test's own polarization F of P, against the theta-based kernel
-        # over 12 ordered pairs per instance
+        # and Kernels.klein over 12 ordered pairs per instance
         for ses in (ell4, g2_5, g2_23, g2_resfree):
             g = ses.geo.genus
             lam = np.append(ses.curve.P, 0.0)  # so lam[2k + 1] exists for each k below
@@ -289,6 +289,9 @@ class TestThetaKernels:
             for p1, p2 in permutations(pts, 2):
                 want = ses.geo.kernels.bhat_point(p1, p2)
                 assert abs(klein(p1, p2) - want) < 1e-8 * max(1.0, abs(want))
+                got = ses.geo.kernels.klein(*(np.array([complex(c)])
+                                              for c in (p1.x, p1.w, p2.x, p2.w)))[0]
+                assert abs(got - klein(p1, p2)) < 1e-12 * max(1.0, abs(want))
 
     def test_bergman_reg_two_routes(self, ell4, g2_5, g2_23, g2_resfree):
         # limit definition (B - v v/(int v)^2 on the diagonal) vs the closed
@@ -321,7 +324,7 @@ class TestThetaKernels:
             rhs = 0.0
             for idx, z in enumerate(curve.zeros):
                 fr = geo.frames.frame(idx)
-                circle = geo.frames.eval_circle(fr, k=64)
+                circle = geo.frames.eval_circle(fr)
                 kv = (circle["G"][:, 0] * circle["G"][:, g - 1] / circle["Y"])
                 res = np.fft.fft(kv)[-1] / len(kv) * abs(circle["eta"][0])
                 Agl = ab.at(z.x, None if z.is_branch else z.w)[0]
@@ -407,11 +410,11 @@ class TestSpecExamples:
         # quadrature over the doubled circle on the cover
         curve, geo = ell4.curve, ell4.geo
         fr = geo.frames.frame(0)
-        circle = geo.frames.eval_circle(fr, k=256)
-        kernel = circle["G"][:, 0] ** 2 / circle["Y"]
-        res_fft = nm.laurent_window(kernel, circle["rho"], [-1])[0][0]
+        eta = nm.circle_points(EVAL_SCALE * fr.rho, 256)
+        kernel = geo.frames.values(fr, eta)[:, 0] ** 2 / nm.polyval(fr.Y_series, eta)
+        res_fft = nm.laurent_window(kernel, EVAL_SCALE * fr.rho, [-1])[0][0]
         b = fr.center
-        r = float(np.abs(circle["eta"][0]) ** 2)
+        r = float(np.abs(eta[0]) ** 2)
         doubled = nm.Contour([nm.Arc(b, r, 0.0, 4 * np.pi)])
 
         def integrand(x, w):

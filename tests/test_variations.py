@@ -5,9 +5,10 @@ import pytest
 from itertools import permutations
 
 from speclab import moduli
+from speclab import numerics as nm
 from speclab import surface as sf
 from speclab import variations as vr
-from speclab.differentials import Geometry, Kernels
+from speclab.differentials import EVAL_SCALE, Geometry, Kernels
 from speclab.harness import Session, run_suite
 from speclab.instances import load_instance
 from speclab.theta import Theta
@@ -153,10 +154,9 @@ class TestTau:
         vals = vr._zero_frame_residues(geo, 0)
         idx = len(ses.curve.branch_points)  # first simple zero
         fr = geo.frames.frame(idx)
-        circle = geo.frames.eval_circle(fr, k=256)
-        eta = circle["eta"]
-        num = circle["G"][:, 0]
-        from speclab import numerics as nm
+        # twice the K_EVAL points of the formula's own circle
+        eta = nm.circle_points(EVAL_SCALE * fr.rho, 256)
+        num = geo.frames.values(fr, eta)[:, 0]
         den = nm.polyval(nm.series_integrate(fr.Y_series), eta)
         direct = np.mean(num / den * eta)  # (1/2 pi i) oint f d eta
         assert abs(direct - vals[idx]) < 1e-9 * max(1.0, abs(vals[idx]))
@@ -169,9 +169,8 @@ class TestTau:
             f = vr.tau_gradient(geo, gamma)
             assert abs(f - oracle[gamma]) <= 1e-4 * max(abs(f), abs(oracle[gamma]))
 
-    # the oracle reads neither theta nor the Abel map: for the Abel map see
-    # test_frames_route_abel_vectors_only_when_read
-    def test_oracle_calls_no_theta_function(self, monkeypatch):
+    @staticmethod
+    def _theta_calls(monkeypatch, formula):
         calls = []
         evaluate = Theta.eval
 
@@ -180,38 +179,50 @@ class TestTau:
             return evaluate(self, *args, **kw)
 
         monkeypatch.setattr(Theta, "eval", counted)
-        vr.tau_gradient_oracle(Session(load_instance("g2-resfree")).geo)
-        assert calls == []
+        formula(Session(load_instance("g2-resfree")).geo)
+        return calls
 
-    @pytest.mark.parametrize("formula, fresh", [
-        (vr.tau_gradient_oracle, 0),
-        (lambda geo: sum(vr._zero_frame_residues(geo, 0)), 0),
-        (lambda geo: vr.vary_period_matrix(geo, vr.direction_differential(geo, "A1")), 0),
-        (lambda geo: vr.tau_gradient(geo, 0), 6),
+    # neither tau side reads theta or the Abel map (for the Abel map see
+    # test_frames_route_abel_vectors_only_when_read): both read Klein's kappa
+    def test_oracle_calls_no_theta_function(self, monkeypatch):
+        assert self._theta_calls(monkeypatch, vr.tau_gradient_oracle) == []
+
+    def test_formula_calls_no_theta_function(self, monkeypatch):
+        assert self._theta_calls(monkeypatch, lambda geo: [
+            vr.tau_gradient(geo, gamma) for gamma in range(geo.genus)]) == []
+
+    @pytest.mark.parametrize("formula", [
+        vr.tau_gradient_oracle,
+        lambda geo: sum(vr._zero_frame_residues(geo, 0)),
+        lambda geo: vr.vary_period_matrix(geo, vr.direction_differential(geo, "A1")),
+        lambda geo: vr.tau_gradient(geo, 0),
     ], ids=["oracle", "zero-sum", "vary-period-matrix", "tau-gradient"])
-    def test_frames_route_abel_vectors_only_when_read(self, g2_resfree, formula, fresh):
-        # a frame's Abel vector at its center is routed on first read; of
-        # these, only the S_B rings of the 6 branch frames read one
+    def test_frames_route_abel_vectors_only_when_read(self, g2_resfree, formula):
+        # a frame's Abel vector at its center is routed on first read, and
+        # none of these reads one
         geo = Geometry(g2_resfree.curve, g2_resfree.geo.basis)
         formula(geo)
-        assert len(geo.abel._cache) == fresh
-
-    def test_b_normalization_mutant_fails_both_gradient_checks(self, monkeypatch):
-        # 1e-3 sum_a v_a(x) v_a(y) added to the theta B removes its
-        # a-normalization; the formula reads it, the closed-form oracle not
-        bhat = Kernels.bhat_batch
-        monkeypatch.setattr(Kernels, "bhat_batch", lambda self, A1, V1, A2, V2: (
-            bhat(self, A1, V1, A2, V2) + 1e-3 * np.einsum("na,na->n", V1, V2)))
-        geo = Session(load_instance("g2-resfree")).geo
-        oracle = vr.tau_gradient_oracle(geo)
-        for gamma in range(geo.genus):
-            f = vr.tau_gradient(geo, gamma)
-            assert abs(f - oracle[gamma]) > 1e-4 * max(abs(f), abs(oracle[gamma]))
+        assert len(geo.abel._cache) == 0
 
 
 class TestMutants:
-    """A wrong formula piece fails the checks that exist to catch it (the
-    B-normalization mutant is in TestTau)."""
+    """A wrong formula piece fails the checks that exist to catch it."""
+
+    @pytest.mark.parametrize("owner, name, wrap", [
+        # 1e-5 sum_a v_a(x) v_a(y) added to theta's B removes its
+        # a-normalization: the gate reads 3.63e-6 (3.63e-4 at 1e-3)
+        (Kernels, "bhat_batch", lambda bhat: lambda self, A1, V1, A2, V2: (
+            bhat(self, A1, V1, A2, V2) + 1e-5 * np.einsum("na,na->n", V1, V2))),
+        # kappa + 1e-6 max|kappa|: the gate reads 8.34e-7, while both tau
+        # sides read kappa, so tau-gradient-A1/A2 stay near 1e-13
+        (Kernels.kappa, "func", lambda kappa: lambda self: (
+            kappa(self) + 1e-6 * np.max(np.abs(kappa(self))))),
+    ], ids=["b-normalization", "kappa"])
+    def test_kernel_mutant_fails_the_klein_gate_alone(self, monkeypatch, owner, name, wrap):
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+        checks = {c.name: c.passed for c in run_suite("g2-resfree", "tau").checks}
+        assert checks.pop("bidifferential-klein-vs-theta") is False
+        assert len(checks) == 3 and all(checks.values()), checks
 
     def test_all_zeros_sum_dropped_fails_both_gradient_checks(self, g2_resfree,
                                                                 monkeypatch):
