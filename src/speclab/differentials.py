@@ -4,9 +4,9 @@ Normalized holomorphic differentials and the period matrix, second/third
 kind differentials with prescribed principal parts (rational in (x, w),
 a-periods removed by a Gram solve), the theta-based prime form and canonical
 bidifferential, Klein's algebraic bidifferential and from it the Bergman
-regularization (S_B - S_v)/6 in closed form, and local circle frames at
-branch points and zeros that provide jets, Abel expansions and residue
-extraction for the variational formulas.
+projective connection S_B and the regularization (S_B - S_v)/6 in closed
+form, and local circle frames at branch points and zeros that provide jets
+and residue extraction for the variational formulas.
 
 Conventions: values of a differential are always reported relative to a
 stated local parameter; `V` values are relative to dx (the base chart),
@@ -133,21 +133,25 @@ def second_kind(period, j, s, ell):
     return _normalized(period, raw)
 
 
-def third_kind(period, j, s):
+def third_kind_between(period, ya, wa, yb, wb):
     """Evaluator (x, w) -> value/dx of the normalized differential with
-    simple poles: residue +1 over pole j on sheet s, residue -1 at the (0, 0)
-    point; zero a-periods."""
-    if (j, s) == (0, 0):
-        raise DifferentialError("third-kind base point (j, s) = (0, 0) requested")
-    curve = period.curve
-    ya = curve.spec.poles[j].x
-    yb = curve.spec.poles[0].x
-    wa = curve.pole_points[(j, s)].w
-    wb = curve.pole_points[(0, 0)].w
-
+    simple poles: residue +1 at (ya, wa), residue -1 at (yb, wb), both off
+    the branch points; zero a-periods. With the poles at two points p1, p2
+    it is d ln(E(., p1)/E(., p2)) (Fay, Theta Functions on Riemann
+    Surfaces, LNM 352, 1973)."""
     def raw(x, w):
         return (0.5 * (wa + w)) / ((x - ya) * w) - (0.5 * (wb + w)) / ((x - yb) * w)
     return _normalized(period, raw)
+
+
+def third_kind(period, j, s):
+    """third_kind_between the point over pole j on sheet s and the (0, 0)
+    point."""
+    if (j, s) == (0, 0):
+        raise DifferentialError("third-kind base point (j, s) = (0, 0) requested")
+    curve = period.curve
+    return third_kind_between(period, curve.spec.poles[j].x, curve.pole_points[(j, s)].w,
+                              curve.spec.poles[0].x, curve.pole_points[(0, 0)].w)
 
 
 def holomorphic_unit(period, alpha):
@@ -327,25 +331,31 @@ class Kernels:
                         y[:, None] ** np.arange(g))
         return ((self._polar(x, y) + 2.0 * w * v) / (4.0 * (x - y) ** 2) + hol) / (w * v)
 
-    def sb_minus_sv(self, x, w):
-        """S_B - S_v = 6 B_reg in the base coordinate at points (x, w) off
-        the zeros and poles of v. Klein's B gives, with t = x^2, S_B = [-1.5
-        (E'(t) + t E''(t) + x (2 O'(t) + t O''(t))) + 0.375 P'^2 / P + 6 x^T
-        kappa x] / P; S_v = l'' - l'^2 / 2 for l = log u - log D, u = w - N1,
-        w' = P' / (2 w) and w'' = (2 P P'' - P'^2) / (4 P w)."""
+    def sb(self, x):
+        """S_B, the Bergman projective connection, in the base coordinate at
+        points x off the branch points. Klein's B gives, with t = x^2, S_B =
+        [-1.5 (E'(t) + t E''(t) + x (2 O'(t) + t O''(t))) + 0.375 P'^2 / P
+        + 6 x^T kappa x] / P."""
         curve, t = self.curve, x * x
-        p, p1, p2 = (nm.polyval(nm.polyder(curve.P, m), x) for m in range(3))
+        p, p1 = (nm.polyval(nm.polyder(curve.P, m), x) for m in range(2))
         e1, e2, o1, o2 = (nm.polyval(nm.polyder(curve.P[k::2], m), t)
                           for k in (0, 1) for m in (1, 2))
         powers = x[:, None] ** np.arange(self.period.g)
-        sb = (-1.5 * (e1 + t * e2 + x * (2.0 * o1 + t * o2)) + 0.375 * p1 ** 2 / p
-              + 6.0 * np.einsum("ni,ij,nj->n", powers, self.kappa, powers)) / p
+        return (-1.5 * (e1 + t * e2 + x * (2.0 * o1 + t * o2)) + 0.375 * p1 ** 2 / p
+                + 6.0 * np.einsum("ni,ij,nj->n", powers, self.kappa, powers)) / p
+
+    def sb_minus_sv(self, x, w):
+        """S_B - S_v = 6 B_reg in the base coordinate at points (x, w) off
+        the zeros and poles of v: S_v = l'' - l'^2 / 2 for l = log u - log D,
+        u = w - N1, w' = P' / (2 w) and w'' = (2 P P'' - P'^2) / (4 P w)."""
+        curve = self.curve
+        p, p1, p2 = (nm.polyval(nm.polyder(curve.P, m), x) for m in range(3))
         n0, n1, n2 = (nm.polyval(nm.polyder(curve.N1, m), x) for m in range(3))
         u, u1 = w - n0, p1 / (2.0 * w) - n1
         u2 = (2.0 * p * p2 - p1 ** 2) / (4.0 * p * w) - n2
         l1 = u1 / u - sum(q.k / (x - q.x) for q in curve.spec.poles)
         l2 = u2 / u - (u1 / u) ** 2 + sum(q.k / (x - q.x) ** 2 for q in curve.spec.poles)
-        return sb - (l2 - 0.5 * l1 ** 2)
+        return self.sb(x) - (l2 - 0.5 * l1 ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +377,15 @@ class FrameData:
     w: np.ndarray            # w values (consistent frame)
     g_series: list           # per-alpha ascending series of v_alpha/d(param)
     Y_series: np.ndarray     # series of v/d(param)
-    lift: complex | None     # w at the center, None at a branch point
-    abel_series: list        # per-alpha series of the Abel offset
     tail: float              # largest truncation tail of the series windows
 
 
 class LocalFrames:
     """Builder/cache of local circle frames and their residue circles by zero index."""
 
-    def __init__(self, curve, period, abel):
+    def __init__(self, curve, period):
         self.curve = curve
         self.period = period
-        self.abel = abel
         self._frames = {}
         self._zero_circles = {}
 
@@ -423,17 +430,9 @@ class LocalFrames:
         series, tails = nm.laurent_window(np.concatenate([V.T, Y[None, :]]), rho,
                                           np.arange(M_JET + 1))
         g_series = [nm.polytrim(gs, rel=0.0) for gs in series[:-1]]
-        lift = None if z.is_branch else z.w
-        return FrameData(c, rho, eta, x, w, g_series, series[-1], lift,
-                         [nm.series_integrate(gs) for gs in g_series], float(np.max(tails)))
+        return FrameData(c, rho, eta, x, w, g_series, series[-1], float(np.max(tails)))
 
     # -- evaluation helpers ---------------------------------------------------
-
-    def abel_values(self, fr, eta):
-        """Abel vectors at frame parameters eta; AbelMap.at caches the center's."""
-        anchor = self.abel.at(fr.center, fr.lift)
-        return np.stack([anchor[a] + nm.polyval(fr.abel_series[a], eta)
-                         for a in range(self.period.g)], axis=1)
 
     def values(self, fr, eta):
         """v_alpha/d(param) at frame parameters eta."""
@@ -484,7 +483,7 @@ class Geometry:
 
     @cached_property
     def frames(self):
-        return LocalFrames(self.curve, self.period, self.abel)
+        return LocalFrames(self.curve, self.period)
 
     @cached_property
     def branch(self):

@@ -277,10 +277,11 @@ def suite_dm_cubic(ses, chk):
                                      + vr.endpoint_correction(geo, h, i)
                                      for pth, i in bpairs])
             tensors[name] = vr.vary_period_matrix(geo, h)
-        return directions, want_v, want_l, tensors
+        gap = max(vr.period_matrix_forms(geo, h)[1] for h in directions.values())
+        return directions, want_v, want_l, tensors, gap
 
     names = moduli.coordinate_names(ses.spec, g)
-    directions, want_v, want_l, tensors = eng.prefetch(
+    directions, want_v, want_l, tensors, gap = eng.prefetch(
         [v_at, branch_ints, omega_of], names, lead=formula_side)
     for name in names:
         fd_v = eng.derivative(v_at, name)
@@ -292,8 +293,10 @@ def suite_dm_cubic(ses, chk):
         fd_o = eng.derivative(omega_of, name)
         chk.add(f"dOmega/d{name}", "4.1-Oh1-Oh2", tensors[name], fd_o.value, 1e-5,
                 fd=(fd_o.eps, fd_o.gap))
-    # internal two-form agreement is asserted inside vary_period_matrix at 1e-9
-    chk.add_flag("Oh1-Oh2-internal-agreement", "4.1-Oh1=Oh2", True)
+    # the worst disagreement of the two forms over the directions, relative
+    # to each tensor's scale; vary_period_matrix raises past the same tolerance
+    chk.add("Oh1-Oh2-internal-agreement", "4.1-Oh1=Oh2", gap, 0.0, vr.FORM_AGREE_TOL,
+            absolute=True)
     if g >= 2:
         T = np.stack([tensors[f"A{a + 1}"] for a in range(g)], axis=2)
         sym = max(float(np.max(np.abs(T - np.transpose(T, (1, 0, 2))))),
@@ -358,6 +361,7 @@ def suite_kernels(ses, chk):
             sym = abs(vr.vary_bidifferential(geo, h, p1, p2)
                       - vr.vary_bidifferential(geo, h, p2, p1))
             formulas[name] = got, gotB, sym
+        _klein_gate(ses, chk)
         return formulas
 
     formulas = eng.prefetch([valpha_at, *B_ats], names, lead=formula_side)
@@ -453,12 +457,7 @@ def suite_tau(ses, chk):
             f = vr.tau_gradient(geo, gamma)
             chk.add(f"tau-gradient-A{gamma + 1}", "4.6-dertauA-vs-deftau", f,
                     oracle[gamma], 1e-4)
-        # both tau sides read kappa: theta's B checks it without reading it
-        pairs = list(combinations(ses.eval_points(3), 2))
-        x, w, y, v = np.array([[p.x, p.w, q.x, q.w] for p, q in pairs], dtype=complex).T
-        chk.add("bidifferential-klein-vs-theta", "Klein-bidifferential",
-                geo.kernels.klein(x, w, y, v),
-                [geo.kernels.bhat_point(p, q) for p, q in pairs], 1e-10)
+        _klein_gate(ses, chk)
 
     def tau_vec(gg):
         return np.array([vr.tau_gradient(gg, a) for a in range(g)])
@@ -475,6 +474,18 @@ def suite_tau(ses, chk):
         gaps.append(fd.gap)
     chk.add("tau-cross-partials-symmetric", "4.6-dertauA", cross, cross.T, 1e-4,
             fd=(max(steps), max(gaps)))
+
+
+def _klein_gate(ses, chk):
+    """Klein's B against theta's at the three pairs of eval_points(3). Every
+    formula that reads B reads Klein's, and the tau formula and its oracle
+    both read kappa: theta's B checks it without reading it."""
+    geo = ses.geo
+    pairs = list(combinations(ses.eval_points(3), 2))
+    x, w, y, v = np.array([[p.x, p.w, q.x, q.w] for p, q in pairs], dtype=complex).T
+    chk.add("bidifferential-klein-vs-theta", "Klein-bidifferential",
+            geo.kernels.klein(x, w, y, v),
+            [geo.kernels.bhat_point(p, q) for p, q in pairs], 1e-10)
 
 
 def suite_hessian(ses, chk):
@@ -554,7 +565,7 @@ def suite_hierarchy(ses, chk):
         return vr.hierarchy_variation(geo, 0, [p1, p2], "Q")
 
     def q2_at(gg):
-        return vr.q_multidiff(gg, [gg.curve.carry(p1), gg.curve.carry(p2)])
+        return _q2_theta(gg, p1, p2)
 
     got = eng.prefetch([q2_at], ["A1"], lead=formula_side)
     fd = eng.derivative(q2_at, "A1")
@@ -567,6 +578,15 @@ def suite_hierarchy(ses, chk):
     # symmetry of the Q-variation in the arguments
     gotQ21 = vr.hierarchy_variation(geo, 0, [p2, p1], "Q")
     chk.add("dQ2-argument-symmetry", "varW1-symmetric", got, gotQ21, 1e-8)
+
+
+def _q2_theta(gg, p1, p2):
+    """Q_2 = B^2/(v v) (q_multidiff) through theta's B at two points carried
+    to gg's cover: the FD functional of the Q_2 variation, which reads
+    Klein's."""
+    q1, q2 = gg.curve.carry(p1), gg.curve.carry(p2)
+    v = gg.curve.phi(np.array([q1.x, q2.x]), np.array([q1.w, q2.w]))
+    return gg.kernels.bhat_point(q1, q2) ** 2 / (v[0] * v[1])
 
 
 def suite_scaling(ses, chk):
@@ -686,7 +706,7 @@ def sweep_epsilon(instance, functional, coord, eps_list):
         formula = vr.hierarchy_variation(geo, key[1], pts, "Q")
 
         def fn(g, pts=pts):
-            return vr.q_multidiff(g, [g.curve.carry(p) for p in pts])
+            return _q2_theta(g, *pts)
 
         pick = lambda m: complex(np.asarray(m).ravel()[0])
     else:

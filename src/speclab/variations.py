@@ -34,7 +34,8 @@ from . import moduli
 from . import numerics as nm
 from . import surface as sf
 from .differentials import (EVAL_SCALE, K_EVAL, K_FRAME, M_JET, ContourField,
-                            holomorphic_unit, second_kind, third_kind)
+                            holomorphic_unit, second_kind, third_kind,
+                            third_kind_between)
 
 
 class VariationError(RuntimeError):
@@ -134,23 +135,35 @@ class BranchData:
         return out
 
     @cached_property
-    def circle_abel(self):
-        """Abel vectors on the evaluation circles; the first read routes the centers'."""
-        return [self.local.abel_values(fr, c["eta"])
-                for fr, c in zip(self.frames, self.circles)]
+    def circle_xw(self):
+        """(x, w) on the evaluation circle of each branch frame. w continues
+        the frame's tracked w at the same angle, scaled to the circle's radius
+        (w/eta has no zero in the frame disk)."""
+        out = []
+        for fr, c in zip(self.frames, self.circles):
+            x = fr.center + c["eta"] ** 2
+            out.append((x, nm.nearest_root(
+                self.curve.sqrtP(x, near=[(fr.center, slice(None), c["eta"] ** 2)]),
+                EVAL_SCALE * fr.w[::K_FRAME // K_EVAL])))
+        return out
 
-    # -- Bergman data ---------------------------------------------------------
+    def klein(self, x, w, i):
+        """Klein's B(x, t) relative to dx d(eta) for a fixed point (x, w)
+        against every point t of evaluation circle i."""
+        t, wt = self.circle_xw[i]
+        b = self.kernels.klein(np.full_like(t, x), np.full_like(t, w), t, wt)
+        return b * (2.0 * self.circles[i]["eta"])
+
+    # -- Bergman data: Klein's closed form on the evaluation circles ----------
 
     @cached_property
     def breg_hats(self):
-        """B_reg in the double-cover parameter at each branch point."""
-        out = []
-        for fr, c, A in zip(self.frames, self.circles, self.circle_abel):
-            eta = c["eta"]
-            b = self.kernels.bhat_batch(A, c["G"], self.local.abel_values(fr, -eta),
-                                        self.local.values(fr, -eta))
-            out.append(complex(np.mean(b - 1.0 / (2.0 * eta) ** 2)))
-        return out
+        """B_reg in the double-cover parameter at each branch point: the
+        mean of S_B/6 there, S_B (dx/d(eta))^2 plus the Schwarzian
+        -3/(2 eta^2) of x = b + eta^2."""
+        return [complex(np.mean(self.kernels.sb(x) * (2.0 * c["eta"]) ** 2 / 6.0
+                                - 1.0 / (2.0 * c["eta"]) ** 2))
+                for (x, _), c in zip(self.circle_xw, self.circles)]
 
     @cached_property
     def cross_bhats(self):
@@ -158,26 +171,18 @@ class BranchData:
         symmetric matrix built from the lower index first (diagonal unused)."""
         out = [[0j] * len(self.circles) for _ in self.circles]
         for i, j in combinations(range(len(out)), 2):
-            b = self.kernels.bhat_batch(self.circle_abel[i], self.circles[i]["G"],
-                                        self.circle_abel[j], self.circles[j]["G"])
-            out[i][j] = out[j][i] = complex(np.mean(b))
+            b = self.kernels.klein(*self.circle_xw[i], *self.circle_xw[j])
+            out[i][j] = out[j][i] = complex(np.mean(
+                b * (2.0 * self.circles[i]["eta"]) * (2.0 * self.circles[j]["eta"])))
         return out
 
     @cached_property
     def breg_over_v(self):
         """B_reg/v relative to d(eta) on the evaluation circle of each branch
         frame, a pole of order three there: Klein's (S_B - S_v)/6, a quadratic
-        differential, times (dx/d(eta))^2 over v/d(eta). w continues the
-        frame's tracked w at the same angle, scaled to the circle's radius
-        (w/eta has no zero in the frame disk)."""
-        out = []
-        for fr, c in zip(self.frames, self.circles):
-            eta = c["eta"]
-            x = fr.center + eta ** 2
-            w = nm.nearest_root(self.curve.sqrtP(x, near=[(fr.center, slice(None), eta ** 2)]),
-                                EVAL_SCALE * fr.w[::K_FRAME // K_EVAL])
-            out.append(self.kernels.sb_minus_sv(x, w) * (2.0 * eta) ** 2 / (6.0 * c["Y"]))
-        return out
+        differential, times (dx/d(eta))^2 over v/d(eta)."""
+        return [self.kernels.sb_minus_sv(x, w) * (2.0 * c["eta"]) ** 2 / (6.0 * c["Y"])
+                for (x, w), c in zip(self.circle_xw, self.circles)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +203,19 @@ def endpoint_correction(geo, h, zero_index):
 
 def vary_period_matrix(geo, h):
     """d(Omega)/d(coordinate) by the branch-point residue formula, h the
-    coordinate's direction evaluator.
+    coordinate's direction evaluator; raises unless its two forms agree to
+    FORM_AGREE_TOL (period_matrix_forms)."""
+    out, gap = period_matrix_forms(geo, h)
+    if gap > FORM_AGREE_TOL:
+        raise VariationError(
+            f"period-variation forms disagree by {gap:.3e} (numerical health)")
+    return out
 
-    Computes both the endpoint-factor form and the single-residue form and
-    requires their agreement to FORM_AGREE_TOL before returning.
-    """
+
+def period_matrix_forms(geo, h):
+    """d(Omega)/d(coordinate) in its single-residue form, and the largest
+    difference of its endpoint-factor form from it relative to max(1, its
+    largest entry)."""
 
     def form1(i, c):
         G = c["G"].T
@@ -221,11 +234,7 @@ def vary_period_matrix(geo, h):
     out1 *= -TWO_PI_I
     out2 *= -TWO_PI_I
     scale = max(1.0, float(np.max(np.abs(out2))))
-    agree = float(np.max(np.abs(out1 - out2)))
-    if agree > FORM_AGREE_TOL * scale:
-        raise VariationError(
-            f"period-variation forms disagree by {agree:.3e} (numerical health)")
-    return out2
+    return out2, float(np.max(np.abs(out1 - out2))) / scale
 
 
 def _symmetrize_fill(m):
@@ -238,62 +247,36 @@ def _symmetrize_fill(m):
 # kernel variations (normalized differentials, bidifferential, prime form)
 # ---------------------------------------------------------------------------
 
-def _point_data(geo, p):
-    A = geo.abel.at(p.x, p.w)
-    V = geo.period.V(np.array([p.x]), np.array([p.w]))[0]
-    return A, V
-
-
-def _b_point_circle(geo, A, V, i, c):
-    """B(x, t) for a fixed point x against every point t of branch circle i."""
-    n = len(c["eta"])
-    return geo.kernels.bhat_batch(np.tile(A, (n, 1)), np.tile(V, (n, 1)),
-                                  geo.branch.circle_abel[i], c["G"])
-
-
-def _b_circle_point(geo, i, c, A, V):
-    """B(t, x) for every point t of branch circle i against a fixed point x."""
-    n = len(c["eta"])
-    return geo.kernels.bhat_batch(geo.branch.circle_abel[i], c["G"],
-                                  np.tile(A, (n, 1)), np.tile(V, (n, 1)))
-
-
 def vary_valpha(geo, h, point):
     """d(v_alpha(x))/d(coordinate) relative to dx at the point; vector over alpha."""
-    A_x, V_x = _point_data(geo, point)
-    return -geo.branch.residue_sum(h, lambda i, c: (
-        c["G"].T * _b_circle_point(geo, i, c, A_x, V_x) / c["Y"]))
+    bd = geo.branch
+    return -bd.residue_sum(h, lambda i, c: (
+        c["G"].T * bd.klein(point.x, point.w, i) / c["Y"]))
 
 
 def vary_bidifferential(geo, h, p1, p2):
     """d(B(x,y))/d(coordinate) relative to dx dy at the fixed pair."""
-    A1, V1 = _point_data(geo, p1)
-    A2, V2 = _point_data(geo, p2)
-    return -geo.branch.residue_sum(h, lambda i, c: (
-        _b_point_circle(geo, A1, V1, i, c) * _b_circle_point(geo, i, c, A2, V2) / c["Y"]))
+    bd = geo.branch
+    return -bd.residue_sum(h, lambda i, c: (
+        bd.klein(p1.x, p1.w, i) * bd.klein(p2.x, p2.w, i) / c["Y"]))
 
 
 def vary_log_prime_form(geo, h, p1, p2):
-    """d(ln E(x,y))/d(coordinate) at the fixed pair (h-independent kernel)."""
-    A1, _ = _point_data(geo, p1)
-    A2, _ = _point_data(geo, p2)
-    th = geo.period.theta
-    odd = geo.period.odd_char
+    """d(ln E(x,y))/d(coordinate) at the fixed pair (h-independent kernel).
+
+    The kernel's d_t ln(E(t, x)/E(t, y)) is the normalized third-kind
+    differential with residue +1 at x and -1 at y."""
+    bd = geo.branch
+    dln = third_kind_between(geo.period, p1.x, p1.w, p2.x, p2.w)
 
     def kernel(i, c):
-        At = geo.branch.circle_abel[i]
-        e1 = th.eval(At - A1[None, :], odd, derivs=1)
-        e2 = th.eval(At - A2[None, :], odd, derivs=1)
-        d1 = e1["grad"] / e1["val"][:, None]
-        d2 = e2["grad"] / e2["val"][:, None]
-        dln = np.einsum("ni,ni->n", d1 - d2, c["G"])
-        return 0.5 * dln ** 2 / c["Y"]
+        return 0.5 * (dln(*bd.circle_xw[i]) * (2.0 * c["eta"])) ** 2 / c["Y"]
 
     # sign: differentiating this formula in x and y must reproduce the
     # bidifferential variation through B = d_x d_y ln E, which forces the
     # opposite overall sign to the first-kind/bidifferential pattern; the
     # finite-difference oracle confirms it.
-    return geo.branch.residue_sum(h, kernel)
+    return bd.residue_sum(h, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +387,17 @@ def _chain_sum(bmat, walks):
 
 
 def _hierarchy_data(geo, points):
-    """(A, V) and v/dx at pairwise distinct points, and the matrix of B
-    between them."""
+    """(x, w) and v/dx at pairwise distinct points, and the matrix of
+    Klein's B between them."""
     n = len(points)
-    for i, j in combinations(range(n), 2):
-        if (abs(points[i].x - points[j].x) < 1e-9
-                and abs(points[i].w - points[j].w) < 1e-9):
-            raise VariationError("multi-differential arguments must be "
-                                 "pairwise distinct")
-    data = [_point_data(geo, p) for p in points]
-    vs = np.array([complex(geo.curve.phi(np.array([p.x]), np.array([p.w]))[0])
-                   for p in points])
+    x, w = np.array([(p.x, p.w) for p in points], dtype=complex).T
+    i, j = np.triu_indices(n, 1)
+    if np.any((np.abs(x[i] - x[j]) < 1e-9) & (np.abs(w[i] - w[j]) < 1e-9)):
+        raise VariationError("multi-differential arguments must be "
+                             "pairwise distinct")
     bmat = np.zeros((n, n), dtype=complex)
-    for i, j in combinations(range(n), 2):
-        (Ai, Vi), (Aj, Vj) = data[i], data[j]
-        bmat[i, j] = bmat[j, i] = geo.kernels.bhat_batch(
-            Ai[None, :], Vi[None, :], Aj[None, :], Vj[None, :])[0]
-    return data, vs, bmat
+    bmat[i, j] = bmat[j, i] = geo.kernels.klein(x[i], w[i], x[j], w[j])
+    return x, w, geo.curve.phi(x, w), bmat
 
 
 def q_multidiff(geo, points):
@@ -428,21 +405,21 @@ def q_multidiff(geo, points):
     product of the v's: twice the sum over _cycles, except at n = 2, whose
     one cycle is its own reversal (Q_2 = B^2/(v v))."""
     n = len(points)
-    _, vs, bmat = _hierarchy_data(geo, points)
+    *_, vs, bmat = _hierarchy_data(geo, points)
     return (2.0 if n > 2 else 1.0) * _chain_sum(bmat, _cycles(n)) / np.prod(vs)
 
 
 def r_multidiff(geo, points):
     """Path sum from the first to the last argument through the middles."""
-    _, vs, bmat = _hierarchy_data(geo, points)
+    *_, vs, bmat = _hierarchy_data(geo, points)
     return _chain_sum(bmat, _paths(len(points))) / np.prod(vs[1:-1])
 
 
 def r_ab(geo, alpha, beta, points):
     """v_alpha(z_1) v_beta(z_n) times the path sum over all v's."""
-    data, vs, bmat = _hierarchy_data(geo, points)
-    return (data[0][1][alpha] * data[-1][1][beta]
-            * _chain_sum(bmat, _paths(len(points))) / np.prod(vs))
+    x, w, vs, bmat = _hierarchy_data(geo, points)
+    V = geo.period.V(x[[0, -1]], w[[0, -1]])
+    return V[0, alpha] * V[1, beta] * _chain_sum(bmat, _paths(len(points))) / np.prod(vs)
 
 
 def hierarchy_variation(geo, gamma, points, variant):
@@ -450,15 +427,15 @@ def hierarchy_variation(geo, gamma, points, variant):
     base coordinate: branch-residue sum of Q_{n+1} (R_{n+1}) with its new
     argument t on the branch circle, plus the argument-transport terms."""
     n = len(points)
-    data, vs, bmat = _hierarchy_data(geo, points)
+    x, w, vs, bmat = _hierarchy_data(geo, points)
     vg = holomorphic_unit(geo.period, gamma)
-    vgam = np.array([vg(np.array([p.x]), np.array([p.w]))[0] for p in points])
+    vgam = vg(x, w)
     # t is the last cycle vertex of Q_{n+1}; for R_{n+1} it is the last
     # middle vertex, so the path still ends at z_n
     slot = n if variant == "Q" else n - 1
 
     def kernel(i, c):
-        bt = [_b_point_circle(geo, A, V, i, c) for A, V in data]
+        bt = [geo.branch.klein(xk, wk, i) for xk, wk in zip(x, w)]
         big = [[*row[:slot], b, *row[slot:]] for row, b in zip(bmat, bt)]
         big.insert(slot, [*bt[:slot], None, *bt[slot:]])
         if variant == "Q":

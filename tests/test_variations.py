@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from itertools import permutations
+from itertools import combinations, permutations
 
 from speclab import moduli
 from speclab import numerics as nm
 from speclab import surface as sf
 from speclab import variations as vr
 from speclab.differentials import EVAL_SCALE, Geometry, Kernels
-from speclab.harness import Session, run_suite
-from speclab.instances import load_instance
+from speclab.harness import run_suite
 from speclab.theta import Theta
 
 
@@ -169,8 +168,38 @@ class TestTau:
             f = vr.tau_gradient(geo, gamma)
             assert abs(f - oracle[gamma]) <= 1e-4 * max(abs(f), abs(oracle[gamma]))
 
+    @pytest.mark.parametrize("formula", [lambda geo: sum(vr._zero_frame_residues(geo, 0))],
+                             ids=["zero-sum"])
+    def test_frames_route_abel_vectors_only_when_read(self, g2_resfree, formula):
+        # frames hold no Abel vector; the public formulas are in TestRoutes
+        geo = Geometry(g2_resfree.curve, g2_resfree.geo.basis)
+        formula(geo)
+        assert len(geo.abel._cache) == 0
+
+
+# every public formula of variations, called on (geo, h = v_1, three points)
+FORMULAS = {
+    "vary_period_matrix": lambda geo, h, pts: vr.vary_period_matrix(geo, h),
+    "vary_valpha": lambda geo, h, pts: vr.vary_valpha(geo, h, pts[0]),
+    "vary_bidifferential": lambda geo, h, pts: vr.vary_bidifferential(geo, h, *pts[:2]),
+    "vary_log_prime_form": lambda geo, h, pts: vr.vary_log_prime_form(geo, h, *pts[:2]),
+    "q_multidiff": lambda geo, h, pts: vr.q_multidiff(geo, pts),
+    "r_multidiff": lambda geo, h, pts: vr.r_multidiff(geo, pts),
+    "r_ab": lambda geo, h, pts: vr.r_ab(geo, 0, 1, pts),
+    "hierarchy_variation": lambda geo, h, pts: [
+        vr.hierarchy_variation(geo, 0, pts[:2], variant) for variant in "QR"],
+    "period_hessian": lambda geo, h, pts: vr.period_hessian(geo, 0, 1, 1, 0),
+    "tau_gradient": lambda geo, h, pts: [vr.tau_gradient(geo, a) for a in range(geo.genus)],
+    "tau_gradient_oracle": lambda geo, h, pts: vr.tau_gradient_oracle(geo),
+}
+
+
+class TestRoutes:
+    """The formulas read Klein's B and the algebraic third kind; theta and
+    the Abel map are left to the FD functionals and the Klein gate."""
+
     @staticmethod
-    def _theta_calls(monkeypatch, formula):
+    def _theta_calls(monkeypatch, run):
         calls = []
         evaluate = Theta.eval
 
@@ -179,30 +208,42 @@ class TestTau:
             return evaluate(self, *args, **kw)
 
         monkeypatch.setattr(Theta, "eval", counted)
-        formula(Session(load_instance("g2-resfree")).geo)
+        run()
         return calls
 
-    # neither tau side reads theta or the Abel map (for the Abel map see
-    # test_frames_route_abel_vectors_only_when_read): both read Klein's kappa
-    def test_oracle_calls_no_theta_function(self, monkeypatch):
-        assert self._theta_calls(monkeypatch, vr.tau_gradient_oracle) == []
-
-    def test_formula_calls_no_theta_function(self, monkeypatch):
-        assert self._theta_calls(monkeypatch, lambda geo: [
-            vr.tau_gradient(geo, gamma) for gamma in range(geo.genus)]) == []
-
-    @pytest.mark.parametrize("formula", [
-        vr.tau_gradient_oracle,
-        lambda geo: sum(vr._zero_frame_residues(geo, 0)),
-        lambda geo: vr.vary_period_matrix(geo, vr.direction_differential(geo, "A1")),
-        lambda geo: vr.tau_gradient(geo, 0),
-    ], ids=["oracle", "zero-sum", "vary-period-matrix", "tau-gradient"])
-    def test_frames_route_abel_vectors_only_when_read(self, g2_resfree, formula):
-        # a frame's Abel vector at its center is routed on first read, and
-        # none of these reads one
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_formula_reads_no_theta_and_no_abel_map(self, g2_resfree, monkeypatch, name):
         geo = Geometry(g2_resfree.curve, g2_resfree.geo.basis)
-        formula(geo)
+        h = vr.direction_differential(geo, "A1")
+        pts = g2_resfree.eval_points(3)
+        assert self._theta_calls(monkeypatch, lambda: FORMULAS[name](geo, h, pts)) == []
         assert len(geo.abel._cache) == 0
+
+    @pytest.mark.parametrize("fixture", ["ell4", "g2_5", "g2_23", "g2_resfree"])
+    def test_bergman_data_against_theta(self, fixture, request):
+        # breg_hats and cross_bhats against theta's B on the same circles,
+        # with each circle's Abel vectors from the frame's series of v_alpha
+        # about its branch point; pinned at 1e-10 of the largest entry
+        geo = request.getfixturevalue(fixture).geo
+        bd, frames = geo.branch, geo.frames
+
+        def abel(fr, eta):
+            anchor = geo.abel.at(fr.center, None)
+            return anchor + np.stack([nm.polyval(nm.series_integrate(gs), eta)
+                                      for gs in fr.g_series], axis=1)
+
+        breg, cross = [], np.zeros((len(bd.frames),) * 2, dtype=complex)
+        for fr, c in zip(bd.frames, bd.circles):
+            b = geo.kernels.bhat_batch(abel(fr, c["eta"]), c["G"], abel(fr, -c["eta"]),
+                                       frames.values(fr, -c["eta"]))
+            breg.append(np.mean(b - 1.0 / (2.0 * c["eta"]) ** 2))
+        for i, j in combinations(range(len(bd.frames)), 2):
+            (fi, ci), (fj, cj) = ((bd.frames[k], bd.circles[k]) for k in (i, j))
+            cross[i, j] = cross[j, i] = np.mean(geo.kernels.bhat_batch(
+                abel(fi, ci["eta"]), ci["G"], abel(fj, cj["eta"]), cj["G"]))
+        for got, want in ((bd.breg_hats, breg), (bd.cross_bhats, cross)):
+            got, want = np.asarray(got), np.asarray(want)
+            assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want)), fixture
 
 
 class TestMutants:
@@ -223,6 +264,19 @@ class TestMutants:
         checks = {c.name: c.passed for c in run_suite("g2-resfree", "tau").checks}
         assert checks.pop("bidifferential-klein-vs-theta") is False
         assert len(checks) == 3 and all(checks.values()), checks
+
+    def test_kappa_mutant_fails_every_kernel_variation(self, monkeypatch):
+        # kappa + 1e-3 max|kappa| on g2-23 kernels: only the formula side
+        # reads kappa, so the gate (5.7e-4) and every dv_alpha/d* and dB/d*
+        # check fail (2.6e-4 to 6.3e-2 against 1e-4); the dB-symmetry checks
+        # pass, since both orders of the formula read the same B
+        kappa = Kernels.kappa.func
+        monkeypatch.setattr(Kernels.kappa, "func", lambda self: (
+            kappa(self) + 1e-3 * np.max(np.abs(kappa(self)))))
+        checks = {c.name: c.passed for c in run_suite("g2-23", "kernels").checks}
+        failed = {n for n, ok in checks.items() if not ok}
+        assert failed == {n for n in checks if not n.startswith("dB-symmetry/")}
+        assert len(failed) == 17 and "bidifferential-klein-vs-theta" in failed
 
     def test_all_zeros_sum_dropped_fails_both_gradient_checks(self, g2_resfree,
                                                                 monkeypatch):
