@@ -168,16 +168,30 @@ class TestTau:
             f = vr.tau_gradient(geo, gamma)
             assert abs(f - oracle[gamma]) <= 1e-4 * max(abs(f), abs(oracle[gamma]))
 
-    @pytest.mark.parametrize("formula", [lambda geo: sum(vr._zero_frame_residues(geo, 0))],
-                             ids=["zero-sum"])
+    # neither tau side reads theta or the Abel map: both read Klein's kappa
+    def test_oracle_calls_no_theta_function(self, g2_resfree, monkeypatch):
+        geo = Geometry(g2_resfree.curve, g2_resfree.geo.basis)
+        assert TestRoutes._theta_calls(monkeypatch, lambda: vr.tau_gradient_oracle(geo)) == []
+
+    def test_formula_calls_no_theta_function(self, g2_resfree, monkeypatch):
+        geo = Geometry(g2_resfree.curve, g2_resfree.geo.basis)
+        assert TestRoutes._theta_calls(monkeypatch, lambda: [
+            vr.tau_gradient(geo, gamma) for gamma in range(geo.genus)]) == []
+
+    @pytest.mark.parametrize("formula", [
+        vr.tau_gradient_oracle,
+        lambda geo: sum(vr._zero_frame_residues(geo, 0)),
+        lambda geo: vr.tau_gradient(geo, 0),
+    ], ids=["oracle", "zero-sum", "tau-gradient"])
     def test_frames_route_abel_vectors_only_when_read(self, g2_resfree, formula):
-        # frames hold no Abel vector; the public formulas are in TestRoutes
+        # frames hold no Abel vector; the other public formulas are in TestRoutes
         geo = Geometry(g2_resfree.curve, g2_resfree.geo.basis)
         formula(geo)
         assert len(geo.abel._cache) == 0
 
 
-# every public formula of variations, called on (geo, h = v_1, three points)
+# every public formula of variations but the two tau sides (pinned in
+# TestTau), called on (geo, h = v_1, three points)
 FORMULAS = {
     "vary_period_matrix": lambda geo, h, pts: vr.vary_period_matrix(geo, h),
     "vary_valpha": lambda geo, h, pts: vr.vary_valpha(geo, h, pts[0]),
@@ -189,8 +203,6 @@ FORMULAS = {
     "hierarchy_variation": lambda geo, h, pts: [
         vr.hierarchy_variation(geo, 0, pts[:2], variant) for variant in "QR"],
     "period_hessian": lambda geo, h, pts: vr.period_hessian(geo, 0, 1, 1, 0),
-    "tau_gradient": lambda geo, h, pts: [vr.tau_gradient(geo, a) for a in range(geo.genus)],
-    "tau_gradient_oracle": lambda geo, h, pts: vr.tau_gradient_oracle(geo),
 }
 
 
